@@ -528,6 +528,8 @@ def _example_checks() -> Iterable[Tuple[str, Callable[[], None]]]:
         for p in (5, 31, 101):
             lhs, rhs = et.class_number_identity_sides(p, 11)
             assert lhs == rhs, p
+            # lhs comes from class numbers; the j-line counts points instead
+            assert et.nonunit_mass(fq_construct(p, 1), 11, route="jline") == rhs, p
         assert et.class_number_identity_sides(31, 11)[0] == Fraction(10, 3)
 
     def drinfeld_classes():

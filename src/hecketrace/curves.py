@@ -775,11 +775,21 @@ def count_structures_general(
 
 
 # ---------------------------------------------------------------------------
-# mass routes: reduced families and the j-line
+# mass routes. Each (characteristic, level) pair has one production route,
+# chosen by elltrace.mass_data: class numbers (deuring_route_masses) at level 1
+# for p >= 5, the reduced families at level 1 for p = 2, 3 and for gamma0-2,
+# and the full classification otherwise. The j-line sweep runs only when asked
+# for by name, as a point-counting cross-check of the class numbers.
 
 
 def _collapse(hist: Dict[int, Fraction]) -> List[Tuple[int, Fraction]]:
     return sorted((a1, m) for a1, m in hist.items() if m)
+
+
+def _check_level1_mass(hist: Dict[int, Fraction], q: int, route: str) -> None:
+    total = sum(hist.values())
+    if total != q:
+        raise ArithmeticError(f"{route} route: level-1 mass is {total}, not q = {q}")
 
 
 def family_route_masses(
@@ -828,7 +838,7 @@ def family_route_masses(
                 for a6 in field.elements():
                     push(WeierstrassCurve(field, 0, 0, a3, a4, a6), w)
     if H.N == 1:
-        assert sum(hist.values()) == q, "level-1 mass must equal q"
+        _check_level1_mass(hist, q, "family")
     return _collapse(hist)
 
 
@@ -880,56 +890,61 @@ def jline_route_masses(field: FqField, chunk: int = 1 << 18) -> List[Tuple[int, 
         c = (g ** i).code
         s = int(field.v_chi(va(x3, np.int64(c))).sum())
         hist[-s] = hist.get(-s, Fraction(0)) + Fraction(1, m6)
-    assert sum(hist.values()) == q, "level-1 mass must equal q"
+    _check_level1_mass(hist, q, "j-line")
     return _collapse(hist)
 
 
-def _kronecker_sieve(limit: int) -> np.ndarray:
-    """sixh[D] = 6 * (weighted count of reduced forms of discriminant -D) for
-    all 0 <= D <= limit, imprimitive forms included; forms proportional to
-    x^2+y^2 and x^2+xy+y^2 weigh 1/2 and 1/3, hence the factor 6."""
-    sixh = np.zeros(limit + 1, dtype=np.int64)
-    amax = math.isqrt(limit // 3)
+def hurwitz6(ds: np.ndarray) -> np.ndarray:
+    """6 * H(D) for each entry D > 0 of ds: H(D) counts the reduced positive
+    forms (a, b, c) of discriminant -D, imprimitive forms included, with the
+    forms proportional to x^2+y^2 and x^2+xy+y^2 weighing 1/2 and 1/3 (hence
+    the factor 6). D = 1, 2 mod 4 gives 0.
+
+    Only the requested D are touched (Cohen, A Course in Computational
+    Algebraic Number Theory, 5.3). For each a <= sqrt(max D / 3), a form
+    (a, b, c) of discriminant -D with -a < b <= a exists iff
+    b^2 = -D mod 4a, and it is reduced iff c >= a, with b >= 0 when c = a;
+    since 4ac = D + b^2, that is D >= 4a^2 - b^2, plus 1 when b < 0. Sorting
+    the keys (b^2 mod 4a, threshold) lets two searchsorted calls count the
+    reduced forms of every D at once; (a, 0, a) at D = 4a^2 and (a, a, a) at
+    D = 3a^2 then lose 1/2 and 2/3 of their weight.
+    """
+    ds = np.asarray(ds, dtype=np.int64)
+    six = np.zeros(ds.shape, dtype=np.int64)
+    dmax = int(ds.max(initial=0))
+    amax = math.isqrt(dmax // 3)
+    span = 4 * amax * amax + dmax + 1  # above every threshold and every D
     for a in range(1, amax + 1):
-        cmax = (limit + a * a) // (4 * a)
-        if cmax < a:
-            continue
         b = np.arange(-a + 1, a + 1, dtype=np.int64)
-        c = np.arange(a, cmax + 1, dtype=np.int64)
-        D = 4 * a * c[None, :] - (b * b)[:, None]
-        ok = D <= limit
-        # the b < 0 representative is dropped when c == a
-        ok[: a - 1, 0] = False
-        cnt = np.bincount(D[ok], minlength=limit + 1)
-        sixh += 6 * cnt
-    for a in range(1, amax + 1):
-        if 4 * a * a <= limit:
-            sixh[4 * a * a] -= 3  # (a, 0, a) weighs 1/2
-        if 3 * a * a <= limit:
-            sixh[3 * a * a] -= 4  # (a, a, a) weighs 1/3
-    return sixh
+        bb = b * b
+        keys = np.sort(bb % (4 * a) * span + (4 * a * a - bb + (b < 0)))
+        base = (-ds) % (4 * a) * span
+        six += 6 * np.searchsorted(keys, base + ds, "right")
+        six -= 6 * np.searchsorted(keys, base, "left")
+    g = np.arange(1, amax + 1, dtype=np.int64)
+    return six - 3 * np.isin(ds, 4 * g * g) - 4 * np.isin(ds, 3 * g * g)
 
 
 def deuring_route_masses(field: FqField) -> List[Tuple[int, Fraction]]:
     """Level-1 (a1, mass) data from class numbers (characteristic >= 5).
 
-    Every ordinary trace t carries mass sixh[4q - t^2]/12; the finitely many
-    traces divisible by p follow the Waterhouse list. The total mass q is
-    asserted, which checks the two parts against each other.
+    Every ordinary trace t carries mass H(4q - t^2)/2 (Deuring), read from
+    hurwitz6 for just those discriminants; the finitely many traces divisible
+    by p follow the Waterhouse list. The total mass q is checked (an
+    ArithmeticError otherwise, also under python -O), which checks the two
+    parts against each other. This is the production level-1 route for every
+    q = p^a with p >= 5.
     """
     q, p = field.q, field.p
     if p < 5:
         raise ValueError("the class-number route needs characteristic >= 5")
     hist: Dict[int, Fraction] = {}
-    sixh = _kronecker_sieve(4 * q)
-    for t in range(1, math.isqrt(4 * q - 1) + 1):
-        if t % p == 0:
-            continue
-        m = Fraction(int(sixh[4 * q - t * t]), 12)
-        hist[t] = m
-        hist[-t] = m
+    ts = [t for t in range(1, math.isqrt(4 * q - 1) + 1) if t % p]
+    sixh = hurwitz6(np.array([4 * q - t * t for t in ts] + [4 * p], dtype=np.int64))
+    for t, six in zip(ts, sixh[:-1].tolist()):
+        hist[t] = hist[-t] = Fraction(six, 12)
     if field.a % 2:
-        hist[0] = Fraction(int(sixh[4 * p]), 12)
+        hist[0] = Fraction(int(sixh[-1]), 12)
     else:
         r = math.isqrt(q)
         hist[2 * r] = hist[-2 * r] = Fraction(p - 1, 24)
@@ -937,7 +952,7 @@ def deuring_route_masses(field: FqField) -> List[Tuple[int, Fraction]]:
             hist[r] = hist[-r] = Fraction(1, 3)
         if pow(p - 1, (p - 1) // 2, p) != 1:
             hist[0] = Fraction(1, 2)
-    assert sum(hist.values()) == q, "level-1 mass must equal q"
+    _check_level1_mass(hist, q, "class-number")
     return _collapse(hist)
 
 

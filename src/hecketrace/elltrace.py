@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from hecketrace import curves as cv
 from hecketrace.congruences import CoeffFamily, binom_mod, m_ls_value
 from hecketrace.ffield import FqField, fraction_mod
@@ -24,9 +26,6 @@ from hecketrace.ffield import FqField, fraction_mod
 MassData = List[Tuple[int, Fraction]]
 
 CACHE_VERSION = 1
-
-# largest field swept curve-by-curve before switching to class numbers
-JLINE_AUTO_LIMIT = 4096
 
 _MASS_CACHE: Dict[Tuple[int, int, str], MassData] = {}
 _MOMENT_CACHE: Dict[Tuple[int, int, str], "MomentTable"] = {}
@@ -38,17 +37,22 @@ def mass_data(
     route: str = "auto",
     max_entries: int = cv.DEFAULT_MAX_CLASSIFY,
 ) -> MassData:
-    """Collapsed (a1, mass) pairs for one (field, H), mass = sum of 1/#Aut."""
+    """Collapsed (a1, mass) pairs for one (field, H), mass = sum of 1/#Aut.
+
+    route="auto" takes the one production route for the (characteristic,
+    level) pair: class numbers ("deuring") at level 1 for p >= 5, the reduced
+    families ("family") at level 1 for p = 2, 3 and for gamma0-2, and the full
+    classification ("class") otherwise; only auto results are cached. A named
+    route runs as asked, for cross-checks; "jline" (the j-line point count,
+    level 1, p >= 5) is never chosen by auto.
+    """
     key = (field.p, field.a, H.name)
     if route == "auto" and key in _MASS_CACHE:
         return _MASS_CACHE[key]
     chosen = route
     if chosen == "auto":
         if H.N == 1:
-            if field.p < 5:
-                chosen = "family"
-            else:
-                chosen = "jline" if field.q <= JLINE_AUTO_LIMIT else "deuring"
+            chosen = "family" if field.p < 5 else "deuring"
         elif H is cv.GAMMA0_2:
             chosen = "family"
         else:
@@ -439,33 +443,28 @@ def moment_recurrence(
 def kronecker_H(disc: int) -> Fraction:
     """Weighted count of reduced positive binary quadratic forms of the given
     negative discriminant, imprimitive forms included; the forms proportional
-    to x^2+y^2 and x^2+xy+y^2 weigh 1/2 and 1/3."""
+    to x^2+y^2 and x^2+xy+y^2 weigh 1/2 and 1/3.
+
+    One numpy pass over every (a, b) with 3a^2 <= -disc, -a < b <= a and
+    b = disc mod 2. It shares no code with curves.hurwitz6, so that each
+    checks the other."""
     if disc >= 0:
         raise ValueError("discriminant must be negative")
     if disc % 4 not in (0, 1):
         raise ValueError("discriminant must be 0 or 1 mod 4")
-    total = Fraction(0)
-    a = 1
-    while 3 * a * a <= -disc:
-        for b in range(-a + 1, a + 1):
-            num = b * b - disc
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            g = math.gcd(math.gcd(a, abs(b)), c)
-            base = (a // g, b // g, c // g)
-            if base == (1, 0, 1):
-                total += Fraction(1, 2)
-            elif base == (1, 1, 1):
-                total += Fraction(1, 3)
-            else:
-                total += 1
-        a += 1
-    return total
+    amax = math.isqrt(-disc // 3)
+    a = np.arange(1, amax + 1, dtype=np.int64)[:, None]
+    b = np.arange(-amax + 1, amax + 1, dtype=np.int64)
+    b = b[(b - disc) % 2 == 0][None, :]
+    num = b * b - disc
+    c = num // (4 * a)
+    ok = (b > -a) & (b <= a) & (num % (4 * a) == 0) & (c >= a) & ((c > a) | (b >= 0))
+    a, b, c = (np.broadcast_to(x, ok.shape)[ok] for x in (a, b, c))
+    g = np.gcd(np.gcd(a, b), c)
+    base_a, base_b, base_c = a // g, b // g, c // g
+    halves = int(np.count_nonzero((base_a == 1) & (base_b == 0) & (base_c == 1)))
+    thirds = int(np.count_nonzero((base_a == 1) & (base_b == 1) & (base_c == 1)))
+    return Fraction(6 * a.size - 3 * halves - 4 * thirds, 6)
 
 
 def nonunit_mass(field: FqField, ell: int, route: str = "auto") -> Fraction:

@@ -1,10 +1,14 @@
-"""Independent q-expansion oracles used to pin expected trace values.
+"""Independent oracles: q-expansions that pin expected trace values, and a
+full-range sieve of Hurwitz class numbers.
 
-Everything here is plain integer series arithmetic, no imports from the
-package under test.
+Everything here is plain integer series or numpy arithmetic, no imports from
+the package under test.
 """
 
+import math
 from typing import List
+
+import numpy as np
 
 
 def _series_mul(a: List[int], b: List[int], prec: int) -> List[int]:
@@ -139,3 +143,28 @@ def hecke_charpoly(weight: int, p: int) -> List[int]:
                        for i in range(d)]
             Mk = matmul(M, shifted)
     return coeffs
+
+
+def kronecker_sieve(limit: int):
+    """sixh[D] = 6 * H(D) for all 0 <= D <= limit, by sieving every reduced
+    form (a, b, c) with 4ac - b^2 <= limit; forms proportional to x^2+y^2 and
+    x^2+xy+y^2 weigh 1/2 and 1/3, hence the factor 6."""
+    sixh = np.zeros(limit + 1, dtype=np.int64)
+    amax = math.isqrt(limit // 3)
+    for a in range(1, amax + 1):
+        cmax = (limit + a * a) // (4 * a)
+        if cmax < a:
+            continue
+        b = np.arange(-a + 1, a + 1, dtype=np.int64)
+        c = np.arange(a, cmax + 1, dtype=np.int64)
+        D = 4 * a * c[None, :] - (b * b)[:, None]
+        ok = D <= limit
+        # the b < 0 representative is dropped when c == a
+        ok[: a - 1, 0] = False
+        sixh += 6 * np.bincount(D[ok], minlength=limit + 1)
+    for a in range(1, amax + 1):
+        if 4 * a * a <= limit:
+            sixh[4 * a * a] -= 3  # (a, 0, a) weighs 1/2
+        if 3 * a * a <= limit:
+            sixh[3 * a * a] -= 4  # (a, a, a) weighs 1/3
+    return sixh

@@ -1,12 +1,17 @@
 """Tests for the curve layer: arithmetic, classification, structures."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import oracles
 from hecketrace import curves as cv
-from hecketrace.ffield import BudgetError, fq_construct
+from hecketrace.ffield import BudgetError, fq_construct, is_prime
 
 
 def test_invariants_match_known_example():
@@ -290,21 +295,65 @@ def test_family_route_rejects_bad_level():
 
 
 def test_kronecker_sieve_matches_pointwise():
+    # the targeted kernel against the pointwise enumeration in elltrace
     from hecketrace.elltrace import kronecker_H
 
-    sixh = cv._kronecker_sieve(500)
-    for D in range(1, 501):
+    ds = np.arange(1, 3001)
+    for D, six in zip(ds.tolist(), cv.hurwitz6(ds).tolist()):
         if D % 4 in (1, 2):
-            assert sixh[D] == 0, D
+            assert six == 0, D
         else:
-            assert Fraction(int(sixh[D]), 6) == kronecker_H(-D), D
+            assert Fraction(six, 6) == kronecker_H(-D), D
+
+
+def test_hurwitz6_matches_full_range_sieve():
+    limit = 200_000
+    sixh = oracles.kronecker_sieve(limit)
+    assert np.array_equal(cv.hurwitz6(np.arange(1, limit + 1)), sixh[1:])
+    # any subset and order of discriminants gives the same values
+    ds = np.array([limit, 3, 4 * 9973, 7, 3 * 49, 4 * 25, 12])
+    assert np.array_equal(cv.hurwitz6(ds), sixh[ds])
 
 
 def test_deuring_route_matches_point_counts():
-    # odd and even extension degrees, ordinary and supersingular traces
-    for (p, a) in [(5, 2), (7, 2), (11, 2), (5, 3), (7, 3), (13, 1)]:
+    # every q = p^a <= 1000 with p >= 5: odd and even extension degrees,
+    # ordinary and supersingular traces
+    fields = [(p, a) for p in range(5, 1000) if is_prime(p)
+              for a in range(1, 5) if p ** a <= 1000]
+    assert len(fields) == 178
+    for (p, a) in fields:
         F = fq_construct(p, a)
         assert cv.deuring_route_masses(F) == cv.jline_route_masses(F), (p, a)
+
+
+_WRONG_CLASS_NUMBER = """
+import numpy as np
+from hecketrace import curves as cv
+from hecketrace.ffield import fq_construct
+
+good = cv.hurwitz6
+cv.hurwitz6 = lambda ds: good(ds) + 6 * (np.arange(len(ds)) == 0)
+try:
+    cv.deuring_route_masses(fq_construct(101, 1))
+except ArithmeticError as exc:
+    print(exc)
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_deuring_route_rejects_wrong_class_number(monkeypatch):
+    good = cv.hurwitz6
+    monkeypatch.setattr(cv, "hurwitz6", lambda ds: good(ds) + 6 * (np.arange(len(ds)) == 0))
+    with pytest.raises(ArithmeticError, match="level-1 mass is 102"):
+        cv.deuring_route_masses(fq_construct(101, 1))
+    # the check is not an assert: it still runs under python -O
+    src = os.path.dirname(os.path.dirname(cv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", _WRONG_CLASS_NUMBER],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "level-1 mass is 102" in res.stdout
 
 
 def test_nu_ell_values_and_bounds():

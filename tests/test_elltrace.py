@@ -166,6 +166,8 @@ def test_class_number_identity():
     for p in (5, 7, 11, 13, 31, 101, 199):
         lhs, rhs = et.class_number_identity_sides(p, 11)
         assert lhs == rhs, p
+        # lhs comes from class numbers; the j-line counts points instead
+        assert et.nonunit_mass(fq_construct(p, 1), 11, route="jline") == rhs, p
     assert et.class_number_identity_sides(31, 11)[0] == Fraction(10, 3)
     with pytest.raises(ValueError):
         et.class_number_identity_sides(4, 11)
