@@ -127,7 +127,7 @@ def cmd_ell_moments(args) -> int:
     table = et.moments(field, H, args.kmax, cache_dir=args.cache_dir)
     rows = [
         {"q": args.q, "H": H.name, "k": k, "value": v}
-        for k, v in enumerate(table.moments)
+        for k, v in enumerate(table.moments[: args.kmax + 1])
     ]
     emit(rows, args.format, lambda r: f"{r['k']} {r['value']}")
     return 0

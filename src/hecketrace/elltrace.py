@@ -2,9 +2,11 @@
 formula over F_q.
 
 The central object is the list of (a1, mass) pairs for one (field, level
-structure); everything else (moments, interior sums, traces, splits) is a
-fold over that list. Masses are exact rationals throughout and reduced
-modulo ell^s only at the very end.
+structure), with masses exact rationals; everything else (moments, interior
+sums, traces, splits) is a fold over that list. Moments and interior sums
+share one kernel, `_fold`: it scales the masses once by the lcm D of their
+denominators and runs the integer recurrence over all classes at once, either
+exactly on Python ints or modulo ell^s * D, and divides by D at the end.
 """
 
 from __future__ import annotations
@@ -91,14 +93,56 @@ class MomentTable:
         return self.moments[k]
 
 
-def _compute_moments(field: FqField, H, max_k: int, route: str) -> Tuple[int, ...]:
-    data = mass_data(field, H, route=route)
+# Classes per pass of the exact fold. The exact c_k grow by about log2(q)/2
+# bits a step, so all classes at once keep hundreds of big integers alive and
+# fragment the heap (about 5 MB more peak RSS at q = 10^4, k = 1000); modular
+# folds hold bounded integers and take every class in one pass.
+_EXACT_BLOCK = 32
+
+
+def _fold(data: MassData, q: int, max_k: int, modulus: Optional[int] = None) -> List[int]:
+    """S_k = sum of m * c_k(a1) over the (a1, m) pairs for 0 <= k <= max_k,
+    reduced mod modulus when one is given, where c_0 = 1, c_1 = a1 and
+    c_k = a1 c_{k-1} - q c_{k-2}; q = 0 gives the moments [a1^k].
+
+    The masses become integers w = m * D once, D the lcm of their
+    denominators, and the recurrence runs over a block of classes at once.
+    Modulo M = modulus * D the arrays are int64 when M < 2^31, so that no
+    product reaches 2^62, and Python ints otherwise. Every scaled sum must be
+    divisible by D; one that is not raises ArithmeticError.
+    """
+    D = math.lcm(*(m.denominator for _, m in data))
+    M = None if modulus is None else modulus * D
+    w = np.array([m.numerator * (D // m.denominator) for _, m in data], dtype=object)
+    a = np.array([int(a1) for a1, _ in data], dtype=object)
+    block = _EXACT_BLOCK
+    if M is not None:
+        w, a, q = w % M, a % M, q % M
+        block = max(len(a), 1)
+        if M < 2**31:
+            w, a = w.astype(np.int64), a.astype(np.int64)
+    sums = [0] * (max_k + 1)
+    for lo in range(0, len(a), block):
+        wb, ab = w[lo : lo + block], a[lo : lo + block]
+        prev, cur = np.zeros_like(ab), np.ones_like(ab)
+        for k in range(max_k + 1):
+            if k:
+                prev, cur = cur, ab * cur - q * prev
+                if M is not None:
+                    cur %= M
+            sums[k] += int(wb.dot(cur)) if M is None else int((wb * cur % M).sum())
     out = []
-    for k in range(max_k + 1):
-        val = sum(m * a1 ** k for a1, m in data)
-        assert val.denominator == 1, f"moment k={k} is not integral: {val}"
-        out.append(int(val))
-    return tuple(out)
+    for k, s in enumerate(sums):
+        if M is not None:
+            s %= M
+        if s % D:
+            raise ArithmeticError(f"the mass fold at k={k} is not integral (lcm {D})")
+        out.append(s // D)
+    return out
+
+
+def _compute_moments(field: FqField, H, max_k: int, route: str) -> Tuple[int, ...]:
+    return tuple(_fold(mass_data(field, H, route=route), 0, max_k))
 
 
 def _cache_path(cache_dir: str, field: FqField, H) -> str:
@@ -118,37 +162,47 @@ def _write_atomic(path: str, payload: dict) -> None:
         raise
 
 
-def _table_payload(table: MomentTable) -> dict:
+def _table_header(field: FqField, H) -> dict:
     return {
         "version": CACHE_VERSION,
-        "p": table.field.p,
-        "a": table.field.a,
-        "modulus": list(table.field.modulus),
-        "N": table.H.N,
-        "H_generators": sorted(table.H.matrices),
+        "p": field.p,
+        "a": field.a,
+        "modulus": list(field.modulus),
+        "N": H.N,
+        "H_generators": sorted(H.matrices),
+    }
+
+
+def _table_payload(table: MomentTable) -> dict:
+    return {
+        **_table_header(table.field, table.H),
         "maxK": table.max_k,
         "moments": [str(m) for m in table.moments],
     }
 
 
 def _load_table(path: str, field: FqField, H) -> Optional[MomentTable]:
+    """The cached table, or None for a missing, foreign or malformed file:
+    its header must equal this (field, H) after a JSON round trip, and it must
+    hold exactly maxK + 1 moments, each a decimal integer string."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, ValueError):
         return None
-    if doc.get("version") != CACHE_VERSION:
+    header = json.loads(json.dumps(_table_header(field, H)))
+    if not isinstance(doc, dict) or any(doc.get(k) != v for k, v in header.items()):
         return None
-    if (doc.get("p"), doc.get("a")) != (field.p, field.a):
+    max_k, entries = doc.get("maxK"), doc.get("moments")
+    if type(max_k) is not int or not isinstance(entries, list) or len(entries) != max_k + 1:
         return None
-    if tuple(doc.get("modulus", ())) != tuple(field.modulus):
+    if not all(isinstance(e, str) for e in entries):
         return None
-    if doc.get("N") != H.N:
+    try:
+        vals = tuple(int(e) for e in entries)
+    except ValueError:
         return None
-    if [tuple(m) for m in doc.get("H_generators", [])] != sorted(H.matrices):
-        return None
-    vals = tuple(int(s) for s in doc["moments"])
-    return MomentTable(field=field, H=H, max_k=int(doc["maxK"]), moments=vals)
+    return MomentTable(field=field, H=H, max_k=max_k, moments=vals)
 
 
 def moments(
@@ -159,6 +213,8 @@ def moments(
     cache_dir: Optional[str] = None,
 ) -> MomentTable:
     """The exact moments [a_1^k] for 0 <= k <= max_k, disk-cached on request."""
+    if max_k < 0:
+        raise ValueError("max_k must be >= 0")
     if H.N > 1 and math.gcd(field.q, H.N) != 1:
         raise ValueError("level must be coprime to q")
     key = (field.p, field.a, H.name)
@@ -183,54 +239,15 @@ def moments(
 
 def interior_sequence(field: FqField, H, max_k: int, route: str = "auto") -> List[int]:
     """Exact I(0..max_k) via the per-class recurrence c_k = a1 c_{k-1} - q c_{k-2}."""
-    data = mass_data(field, H, route=route)
-    q = field.q
-    sums: List[Fraction] = [Fraction(0)] * (max_k + 1)
-    for a1, m in data:
-        prev, cur = 1, a1
-        sums[0] += m
-        if max_k >= 1:
-            sums[1] += m * cur
-        for k in range(2, max_k + 1):
-            prev, cur = cur, a1 * cur - q * prev
-            sums[k] += m * cur
-    out = []
-    for k, v in enumerate(sums):
-        assert v.denominator == 1, f"interior sum k={k} is not integral: {v}"
-        out.append(int(v))
-    return out
+    return _fold(mass_data(field, H, route=route), field.q, max_k)
 
 
 def interior_sequence_mod(
     field: FqField, H, max_k: int, modulus: int, route: str = "auto"
 ) -> List[int]:
-    """I(0..max_k) mod modulus without big integers.
-
-    Work modulo modulus*D where D clears every mass denominator; the scaled
-    sum is then exactly divisible by D.
-    """
-    data = mass_data(field, H, route=route)
-    D = 1
-    for _, m in data:
-        D = D * m.denominator // math.gcd(D, m.denominator)
-    MD = modulus * D
-    q = field.q % MD
-    acc = [0] * (max_k + 1)
-    for a1, m in data:
-        w = int(m * D) % MD
-        a = a1 % MD
-        prev, cur = 1, a
-        acc[0] = (acc[0] + w) % MD
-        if max_k >= 1:
-            acc[1] = (acc[1] + w * cur) % MD
-        for k in range(2, max_k + 1):
-            prev, cur = cur, (a * cur - q * prev) % MD
-            acc[k] = (acc[k] + w * cur) % MD
-    out = []
-    for s in acc:
-        assert s % D == 0, "scaled interior sum must be divisible by the lcm"
-        out.append((s // D) % modulus)
-    return out
+    """I(0..max_k) mod modulus, folded modulo modulus times the lcm of the
+    mass denominators."""
+    return _fold(mass_data(field, H, route=route), field.q, max_k, modulus)
 
 
 def trace_interior(field: FqField, H, k: int, route: str = "auto") -> int:
@@ -300,29 +317,11 @@ def trace(
 # the unit / non-unit split modulo ell^s
 
 
-@dataclass(frozen=True)
-class SplitMoments:
-    ell: int
-    s: int
-    max_k: int
-    moments_n: Tuple[Fraction, ...]
-    moments_u: Tuple[Fraction, ...]
-
-
 def split_mass_data(field: FqField, H, ell: int, route: str = "auto"):
     data = mass_data(field, H, route=route)
     part_n = [(a1, m) for a1, m in data if a1 % ell == 0]
     part_u = [(a1, m) for a1, m in data if a1 % ell != 0]
     return part_n, part_u
-
-
-def split_moments(
-    field: FqField, H, max_k: int, ell: int, s: int, route: str = "auto"
-) -> SplitMoments:
-    part_n, part_u = split_mass_data(field, H, ell, route=route)
-    mn = tuple(sum((m * a1 ** k for a1, m in part_n), Fraction(0)) for k in range(max_k + 1))
-    mu = tuple(sum((m * a1 ** k for a1, m in part_u), Fraction(0)) for k in range(max_k + 1))
-    return SplitMoments(ell=ell, s=s, max_k=max_k, moments_n=mn, moments_u=mu)
 
 
 @dataclass(frozen=True)

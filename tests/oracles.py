@@ -1,12 +1,13 @@
-"""Independent oracles: q-expansions that pin expected trace values, and a
-full-range sieve of Hurwitz class numbers.
+"""Independent oracles: q-expansions that pin expected trace values, a
+full-range sieve of Hurwitz class numbers, and a rational fold of mass lists.
 
 Everything here is plain integer series or numpy arithmetic, no imports from
 the package under test.
 """
 
 import math
-from typing import List
+from fractions import Fraction
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -168,3 +169,16 @@ def kronecker_sieve(limit: int):
         if 3 * a * a <= limit:
             sixh[3 * a * a] -= 4  # (a, a, a) weighs 1/3
     return sixh
+
+
+def fraction_fold(pairs: Sequence[Tuple[int, Fraction]], q: int, max_k: int) -> List[Fraction]:
+    """sum of m * c_k(a1) over the (a1, m) pairs for 0 <= k <= max_k, where
+    c_0 = 1, c_1 = a1 and c_k = a1 c_{k-1} - q c_{k-2}, one Fraction sum per
+    (pair, k); q = 0 gives the moments sum of m * a1^k."""
+    sums = [Fraction(0)] * (max_k + 1)
+    for a1, m in pairs:
+        prev, cur = 0, 1
+        for k in range(max_k + 1):
+            sums[k] += m * cur
+            prev, cur = cur, a1 * cur - q * prev
+    return sums

@@ -59,6 +59,10 @@ def test_ell_moments_formats_and_cache(capsys, tmp_path):
     assert lines[1] == "3,1,0,3"
     code, out, _ = _run(capsys, argv + ["--format", "json"])
     assert [json.loads(l)["value"] for l in out.splitlines()] == [3, 0, 8, 0, 44]
+    # a smaller request prints its own kmax + 1 rows, whatever the cache holds
+    code, out, _ = _run(capsys, argv[:4] + ["--kmax", "2", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    assert out.splitlines() == ["0 3", "1 0", "2 8"]
 
 
 def test_ell_split_rejoins(capsys):

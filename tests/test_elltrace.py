@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -44,6 +47,62 @@ def test_interior_mod_agrees_with_exact():
         exact = et.interior_sequence(F, cv.LEVEL1, 30)
         reduced = et.interior_sequence_mod(F, cv.LEVEL1, 30, modulus)
         assert reduced == [v % modulus for v in exact]
+
+
+FOLD_CASES = [(2, 1, cv.LEVEL1), (2, 3, cv.LEVEL1), (3, 2, cv.LEVEL1),
+              (3, 1, cv.GAMMA1_4), (5, 1, cv.GAMMA0_2)]
+
+
+def test_fold_matches_fraction_oracle():
+    for p, a, H in FOLD_CASES:
+        F = fq_construct(p, a)
+        data = et.mass_data(F, H)
+        D = math.lcm(*(m.denominator for _, m in data))
+        # 25 and the largest modulus whose scaled fold still runs on int64
+        moduli = (25, (2**31 - 1) // D)
+        for max_k in (0, 1, 40):
+            exact = oracles.fraction_fold(data, F.q, max_k)
+            assert et.interior_sequence(F, H, max_k) == exact, (F.q, H.name, max_k)
+            for modulus in moduli:
+                reduced = et.interior_sequence_mod(F, H, max_k, modulus)
+                assert reduced == [v % modulus for v in exact], (F.q, H.name, modulus)
+            powers = oracles.fraction_fold(data, 0, max_k)
+            assert list(et._compute_moments(F, H, max_k, "auto")) == powers
+
+
+def test_fold_large_modulus_matches_oracle():
+    # 7^12 times the lcm of the mass denominators is past 2^31: Python ints
+    F = fq_construct(65543, 1)
+    exact = oracles.fraction_fold(et.mass_data(F, cv.LEVEL1), F.q, 200)
+    modulus = 7 ** 12
+    assert et.interior_sequence_mod(F, cv.LEVEL1, 200, modulus) == [v % modulus for v in exact]
+
+
+_NON_INTEGRAL_FOLD = """
+from fractions import Fraction
+from hecketrace import elltrace as et
+
+for modulus in (None, 25):
+    try:
+        et._fold([(1, Fraction(1, 2))], 0, 3, modulus)
+    except ArithmeticError as exc:
+        print(exc)
+    else:
+        raise SystemExit(1)
+"""
+
+
+def test_fold_rejects_non_integral_masses():
+    for modulus in (None, 25):
+        with pytest.raises(ArithmeticError, match="k=0 is not integral"):
+            et._fold([(1, Fraction(1, 2))], 0, 3, modulus)
+    # the check is not an assert: it still runs under python -O
+    src = os.path.dirname(os.path.dirname(et.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", _NON_INTEGRAL_FOLD],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.count("k=0 is not integral") == 2
 
 
 def test_trace_matches_tau_oracle():
@@ -211,14 +270,23 @@ def test_moment_cache_rejects_foreign_payload(tmp_path):
     F5 = fq_construct(5, 1)
     cache = str(tmp_path)
     et._MOMENT_CACHE.clear()
-    et.moments(F5, cv.LEVEL1, 6, cache_dir=cache)
+    good = et.moments(F5, cv.LEVEL1, 20, cache_dir=cache)
     path = et._cache_path(cache, F5, cv.LEVEL1)
     doc = json.load(open(path))
-    doc["p"] = 7
-    json.dump(doc, open(path, "w"))
-    et._MOMENT_CACHE.clear()
-    fresh = et.moments(F5, cv.LEVEL1, 6, cache_dir=cache)
-    assert fresh.moments[2] == 24  # recomputed, q^2 - 1
-    open(path, "w").write("not json")
-    et._MOMENT_CACHE.clear()
-    assert et.moments(F5, cv.LEVEL1, 6, cache_dir=cache).moments[2] == 24
+    assert good.moments[2] == 24  # q^2 - 1
+    bad_docs = [
+        {**doc, "p": 7},
+        {**doc, "maxK": 50, "moments": doc["moments"][:5]},
+        {k: v for k, v in doc.items() if k != "moments"},
+        {k: v for k, v in doc.items() if k != "maxK"},
+        {**doc, "maxK": "20"},
+    ] + [{**doc, "moments": doc["moments"][:3] + [e] + doc["moments"][4:]}
+         for e in ("x", 5, "1.5", None)]
+    for payload in [json.dumps(d) for d in bad_docs] + ["not json", json.dumps([doc])]:
+        open(path, "w").write(payload)
+        et._MOMENT_CACHE.clear()
+        table = et.moments(F5, cv.LEVEL1, 20, cache_dir=cache)
+        assert table.moments == good.moments, payload  # recomputed
+        assert json.load(open(path)) == doc  # and rewritten
+    with pytest.raises(ValueError):
+        et.moments(F5, cv.LEVEL1, -1)
