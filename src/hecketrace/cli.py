@@ -28,6 +28,7 @@ from hecketrace import heckepoly as hp
 from hecketrace.ffield import (
     BudgetError,
     DEFAULT_MAX_FIELD_SIZE,
+    DEFAULT_MAX_WEIGHT,
     FqElem,
     FqField,
     FqPoly,
@@ -36,8 +37,6 @@ from hecketrace.ffield import (
     fq_poly_from_codes,
     prime_power_decompose,
 )
-
-DEFAULT_MAX_WEIGHT = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +626,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "human"), default="human")
     common.add_argument("--cache-dir", default=None, help="moment cache directory")
     common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="partition width hint for enumeration loops; output never depends on it",
-    )
-    common.add_argument(
         "--max-field-size",
         type=int,
         default=DEFAULT_MAX_FIELD_SIZE,
@@ -745,11 +738,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     _echo(args, f"{args.group} {args.cmd}")
     try:
-        return args.func(args)
+        with et.unlimited_int_digits():
+            return args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

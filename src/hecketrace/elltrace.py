@@ -11,9 +11,11 @@ exactly on Python ints or modulo ell^s * D, and divides by D at the end.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,49 +35,29 @@ _MASS_CACHE: Dict[Tuple[int, int, str], MassData] = {}
 _MOMENT_CACHE: Dict[Tuple[int, int, str], "MomentTable"] = {}
 
 
-def mass_data(
-    field: FqField,
-    H: cv.LevelStructureSpec,
-    route: str = "auto",
-    max_entries: int = cv.DEFAULT_MAX_CLASSIFY,
-) -> MassData:
+def mass_data(field: FqField, H: cv.LevelStructureSpec, route: str = "auto") -> MassData:
     """Collapsed (a1, mass) pairs for one (field, H), mass = sum of 1/#Aut.
 
     route="auto" takes the one production route for the (characteristic,
-    level) pair: class numbers ("deuring") at level 1 for p >= 5, the reduced
-    families ("family") at level 1 for p = 2, 3 and for gamma0-2, and the full
-    classification ("class") otherwise; only auto results are cached. A named
-    route runs as asked, for cross-checks; "jline" (the j-line point count,
-    level 1, p >= 5) is never chosen by auto.
+    level) pair and caches it: class numbers (curves.deuring_route_masses) at
+    level 1 for every p, and one normal form per pair
+    (curves.normal_form_route_masses) for gamma0-2 and gamma1-4.
+    route="jline" sweeps the j-line instead (level 1, p >= 5), as a
+    point-counting cross-check; auto never takes it.
     """
-    key = (field.p, field.a, H.name)
-    if route == "auto" and key in _MASS_CACHE:
-        return _MASS_CACHE[key]
-    chosen = route
-    if chosen == "auto":
-        if H.N == 1:
-            chosen = "family" if field.p < 5 else "deuring"
-        elif H is cv.GAMMA0_2:
-            chosen = "family"
-        else:
-            chosen = "class"
-    if chosen == "class":
-        data = cv.class_route_masses(field, H, max_entries=max_entries)
-    elif chosen == "family":
-        data = cv.family_route_masses(field, H)
-    elif chosen == "jline":
+    if route == "jline":
         if H.N != 1:
             raise ValueError("the j-line route is level 1 only")
-        data = cv.jline_route_masses(field)
-    elif chosen == "deuring":
-        if H.N != 1:
-            raise ValueError("the class-number route is level 1 only")
-        data = cv.deuring_route_masses(field)
-    else:
+        return cv.jline_route_masses(field)
+    if route != "auto":
         raise ValueError(f"unknown route {route!r}")
-    if route == "auto":
-        _MASS_CACHE[key] = data
-    return data
+    key = (field.p, field.a, H.name)
+    if key not in _MASS_CACHE:
+        if H.N == 1:
+            _MASS_CACHE[key] = cv.deuring_route_masses(field)
+        else:
+            _MASS_CACHE[key] = cv.normal_form_route_masses(field, H)
+    return _MASS_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +155,40 @@ def _table_header(field: FqField, H) -> dict:
     }
 
 
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift Python's limit on int <-> decimal string conversions (4300 digits
+    by default) inside the block: exact traces and moments can be longer."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _max_moment_digits(q: int, k: int) -> int:
+    """Decimal length, sign included, of the Hasse bound q (4q)^(k/2) on
+    |[a1^k]|: |a1| <= 2 sqrt(q) and the total mass is at most q for every
+    preset structure. Two digits of slack cover the rounding."""
+    return int(math.log10(q) + k * math.log10(4 * q) / 2) + 3
+
+
 def _table_payload(table: MomentTable) -> dict:
-    return {
-        **_table_header(table.field, table.H),
-        "maxK": table.max_k,
-        "moments": [str(m) for m in table.moments],
-    }
+    with unlimited_int_digits():
+        moments = [str(m) for m in table.moments]
+    return {**_table_header(table.field, table.H), "maxK": table.max_k, "moments": moments}
 
 
 def _load_table(path: str, field: FqField, H) -> Optional[MomentTable]:
     """The cached table, or None for a missing, foreign or malformed file:
     its header must equal this (field, H) after a JSON round trip, and it must
-    hold exactly maxK + 1 moments, each a decimal integer string."""
+    hold exactly maxK + 1 moments, each a decimal integer string no longer
+    than the Hasse bound allows (checked before parsing, so that a planted
+    huge string costs nothing)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -196,10 +200,12 @@ def _load_table(path: str, field: FqField, H) -> Optional[MomentTable]:
     max_k, entries = doc.get("maxK"), doc.get("moments")
     if type(max_k) is not int or not isinstance(entries, list) or len(entries) != max_k + 1:
         return None
-    if not all(isinstance(e, str) for e in entries):
+    if not all(isinstance(e, str) and len(e) <= _max_moment_digits(field.q, k)
+               for k, e in enumerate(entries)):
         return None
     try:
-        vals = tuple(int(e) for e in entries)
+        with unlimited_int_digits():
+            vals = tuple(int(e) for e in entries)
     except ValueError:
         return None
     return MomentTable(field=field, H=H, max_k=max_k, moments=vals)
@@ -470,11 +476,6 @@ def nonunit_mass(field: FqField, ell: int, route: str = "auto") -> Fraction:
     """Total mass of classes with a1 = 0 mod ell."""
     part_n, _ = split_mass_data(field, ell=ell, H=cv.LEVEL1, route=route)
     return sum((m for _, m in part_n), Fraction(0))
-
-
-def nonunit_class_count(field: FqField, ell: int) -> int:
-    """Unweighted number of isomorphism classes with a1 = 0 mod ell."""
-    return sum(1 for c in cv.iso_classes(field) if c.a1 % ell == 0)
 
 
 def class_number_identity_sides(p: int, ell: int = 11) -> Tuple[Fraction, Fraction]:

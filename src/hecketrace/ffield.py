@@ -427,32 +427,22 @@ class FqField:
             return self._tables
         q, p, a = self.q, self.p, self.a
         g = self.multiplicative_generator()
+        # Multiplication by g^B is F_p-linear: row i of its matrix holds the
+        # digits of x^i g^B, so the digit rows of g^0 .. g^(B-1) times it give
+        # those of g^B .. g^(2B-1). Doubling B fills exp in log2(q) steps,
+        # each in blocks of rows to bound the digit arrays.
+        pw = p ** np.arange(a, dtype=np.int64)
+        step = np.array([(self.elem([0] * i + [1]) * g).coeffs for i in range(a)], dtype=np.int64)
         exp = np.empty(q - 1, dtype=np.int64)
-        cur = self.one
-        if g == self.gen and a > 1:
-            # multiply-by-x chain in code space
-            pa1 = p ** (a - 1)
-            rowcode = 0
-            for d in reversed(self._rows[0]):
-                rowcode = rowcode * p + d
-            code = 1
-            for i in range(q - 1):
-                exp[i] = code
-                hi, low = divmod(code, pa1)
-                code = low * p
-                if hi:
-                    # add hi * rowcode digitwise
-                    c2, m, out = rowcode, 1, code
-                    while c2:
-                        dsum = (out // m) % p + (c2 % p) * hi
-                        out += (dsum % p - (out // m) % p) * m
-                        c2 //= p
-                        m *= p
-                    code = out
-        else:
-            for i in range(q - 1):
-                exp[i] = cur.code
-                cur = cur * g
+        exp[0] = 1
+        n = 1
+        while n < q - 1:
+            m = min(n, q - 1 - n)
+            for lo in range(0, m, 1 << 16):
+                digits = exp[lo : min(m, lo + (1 << 16)), None] // pw % p
+                exp[n + lo : n + lo + len(digits)] = digits @ step % p @ pw
+            step = step @ step % p
+            n += m
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
         # Zech logarithms: zech[i] = log(g^i + 1), -1 when g^i + 1 == 0
@@ -466,19 +456,20 @@ class FqField:
         return self._tables
 
     def v_add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Digitwise addition of code arrays."""
-        p = self.p
+        """Addition of code arrays: XOR for p = 2, integer addition mod p in
+        a prime field, and otherwise x + y = x (1 + y/x) by the Zech
+        logarithms, whose cost does not grow with the degree."""
+        p, q = self.p, self.q
         if p == 2:
             return x ^ y
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-        m = 1
-        xx, yy = x, y
-        for _ in range(self.a):
-            out += ((xx % p + yy % p) % p) * m
-            xx = xx // p
-            yy = yy // p
-            m *= p
-        return out
+        if self.a == 1:
+            return (x + y) % p
+        t = self.tables()
+        log, exp, zech = t["log"], t["exp"], t["zech"]
+        lx, ly = log[x], log[y]
+        z = zech[(ly - lx) % (q - 1)]  # -1 where y = -x
+        out = np.where(z < 0, 0, exp[(lx + z) % (q - 1)])
+        return np.where(x == 0, y, np.where(y == 0, x, out))
 
     def v_mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         t = self.tables()

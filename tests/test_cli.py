@@ -1,6 +1,7 @@
 """Tests for the command-line front end: formats, exit codes, known outputs."""
 
 import json
+import sys
 
 import pytest
 
@@ -105,6 +106,29 @@ def test_ell_verify_period_budget_error(capsys):
     )
     assert code == 2
     assert "max-weight" in err
+
+
+def test_ell_trace_past_the_digit_limit(capsys):
+    # `ell trace --q 100003 --weight 1800` prints about 4500 digits, past
+    # Python's default limit of 4300; with the limit at its floor of 640, a
+    # weight of 300 (about 750 digits) runs into it the same way
+    from hecketrace import curves as cv
+    from hecketrace import elltrace as et
+
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = _run(capsys, ["ell", "trace", "--q", "100003", "--weight", "300"])
+        assert code == 0, err
+        code, out_json, _ = _run(capsys, ["ell", "trace", "--q", "100003", "--weight", "300",
+                                          "--format", "json"])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 640  # the limit is restored
+        value = et.trace(fq_construct(100003, 1), cv.LEVEL1, 298).value
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert out.strip() == str(value) and len(str(value)) > 640
+    assert json.loads(out_json)["value"] == value
 
 
 def test_ell_hecke_poly(capsys):
@@ -214,12 +238,13 @@ def test_usage_and_value_errors(capsys):
     with pytest.raises(SystemExit):
         cli.run(["ell", "bogus"])
     with pytest.raises(SystemExit):
-        cli.run(["ell", "trace", "--q", "5", "--weight", "12", "--threads", "0"])
+        cli.run(["ell", "trace", "--q", "5", "--weight", "12", "--threads", "1"])  # no such flag
     capsys.readouterr()
 
 
 def test_echo_lists_every_flag(capsys):
     _, _, err = _run(capsys, ["ell", "moments", "--q", "2", "--kmax", "2"])
     echo = err.splitlines()[0]
-    for part in ("q=2", "kmax=2", "format=human", "threads=1", "seed=0"):
+    for part in ("q=2", "kmax=2", "format=human", "seed=0"):
         assert part in echo
+    assert "threads" not in echo

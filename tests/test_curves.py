@@ -152,7 +152,7 @@ def _naive_classes(F):
 def test_iso_classes_match_naive_oracle(p):
     F = fq_construct(p, 1)
     naive, member_of = _naive_classes(F)
-    got = cv.iso_classes(F)
+    got = oracles.iso_classes(F)
     assert len(got) == len(naive)
     for cls in got:
         size, auts = naive[member_of[cls.rep.coefficient_codes()]]
@@ -167,7 +167,7 @@ def test_iso_classes_structure_invariants():
     for (p, a) in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (13, 1)]:
         F = fq_construct(p, a)
         q = F.q
-        classes = cv.iso_classes(F)
+        classes = oracles.iso_classes(F)
         assert sum(c.class_size for c in classes) <= q ** 5
         assert sum(Fraction(1, c.aut_order) for c in classes) == q
         group = q ** 3 * (q - 1)
@@ -179,15 +179,15 @@ def test_iso_classes_structure_invariants():
 def test_iso_classes_budget_guard():
     F = fq_construct(2, 5)  # 32^5 = 2^25 entries
     with pytest.raises(BudgetError):
-        cv.iso_classes(F, max_entries=1 << 20)
+        oracles.iso_classes(F, max_entries=1 << 20)
 
 
 def test_apply_aut_is_a_point_map():
     F = fq_construct(3, 2)
-    for cls in cv.iso_classes(F)[:10]:
+    for cls in oracles.iso_classes(F)[:10]:
         pts = cv.all_points(cls.rep)
         for tup in cls.aut_tuples:
-            images = [cv.apply_aut(cls.rep, tup, P) for P in pts]
+            images = [oracles.apply_aut(cls.rep, tup, P) for P in pts]
             for P in images:
                 if P is not None:
                     assert cls.rep.contains(*P)
@@ -218,7 +218,7 @@ def test_frobenius_matrix_against_point_counts():
     # the GL2 route must reproduce the direct exact-order point counts
     for (p, a) in [(5, 1), (3, 2)]:
         F = fq_construct(p, a)
-        for cls in cv.iso_classes(F):
+        for cls in oracles.iso_classes(F):
             E = cls.rep
             n4 = cv.count_structures_general(E, cv.GAMMA1_4)
             assert n4 == len(cv.exact_order_points(E, 4))
@@ -228,7 +228,7 @@ def test_frobenius_matrix_against_point_counts():
 
 def test_frobenius_matrix_big_extension_needs_budget():
     F13 = fq_construct(13, 1)
-    reps = [c.rep for c in cv.iso_classes(F13)]
+    reps = [c.rep for c in oracles.iso_classes(F13)]
     E = reps[0]
     fr = cv.frobenius_matrix(E, 4, max_field_size=1 << 24)
     assert fr.splitting_degree <= 6
@@ -238,7 +238,7 @@ def test_frobenius_matrix_big_extension_needs_budget():
 
 def test_structure_count_requires_coprime_level():
     F4 = fq_construct(2, 2)
-    E = cv.iso_classes(F4)[0].rep
+    E = oracles.iso_classes(F4)[0].rep
     with pytest.raises(ValueError):
         cv.structure_count(E, cv.GAMMA1_4)
 
@@ -259,8 +259,9 @@ def _moment(data, k):
 def test_routes_agree_and_match_moment_forms():
     for (p, a) in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1)]:
         F = fq_construct(p, a)
-        data = {"family": cv.family_route_masses(F, cv.LEVEL1)}
-        data["class"] = cv.class_route_masses(F, cv.LEVEL1)
+        data = {"family": oracles.family_route_masses(F, cv.LEVEL1)}
+        data["class"] = oracles.class_route_masses(F, cv.LEVEL1)
+        data["deuring"] = cv.deuring_route_masses(F)
         if p >= 5:
             data["jline"] = cv.jline_route_masses(F)
         vals = list(data.values())
@@ -274,9 +275,9 @@ def test_routes_agree_and_match_moment_forms():
 def test_gamma0_2_routes_agree():
     for p in (3, 5, 7):
         F = fq_construct(p, 1)
-        fam = cv.family_route_masses(F, cv.GAMMA0_2)
-        clsm = cv.class_route_masses(F, cv.GAMMA0_2)
-        assert fam == clsm
+        fam = oracles.family_route_masses(F, cv.GAMMA0_2)
+        clsm = oracles.class_route_masses(F, cv.GAMMA0_2)
+        assert fam == clsm == cv.normal_form_route_masses(F, cv.GAMMA0_2)
         # twisting pairs up the odd moments here too
         assert _moment(fam, 1) == 0
 
@@ -284,14 +285,16 @@ def test_gamma0_2_routes_agree():
 def test_family_route_rejects_bad_level():
     F = fq_construct(2, 1)
     with pytest.raises(ValueError):
-        cv.family_route_masses(F, cv.GAMMA0_2)  # gcd(2, q) != 1
+        oracles.family_route_masses(F, cv.GAMMA0_2)  # gcd(2, q) != 1
+    with pytest.raises(ValueError):
+        cv.normal_form_route_masses(F, cv.GAMMA1_4)  # gcd(4, q) != 1
     F3 = fq_construct(3, 1)
     with pytest.raises(ValueError):
-        cv.family_route_masses(F3, cv.GAMMA1_4)  # not in the family route
+        oracles.family_route_masses(F3, cv.GAMMA1_4)  # not in the family route
+    with pytest.raises(ValueError):
+        cv.normal_form_route_masses(F3, cv.LEVEL1)  # level 1 takes class numbers
     with pytest.raises(ValueError):
         cv.jline_route_masses(F3)  # characteristic too small
-    with pytest.raises(ValueError):
-        cv.deuring_route_masses(F3)
 
 
 def test_kronecker_sieve_matches_pointwise():
@@ -361,12 +364,109 @@ def test_nu_ell_values_and_bounds():
     F3 = fq_construct(3, 1)
     F4 = fq_construct(2, 2)
     F5 = fq_construct(5, 1)
-    assert cv.nu_ell(cv.LEVEL1, F2, 2) == 2
-    assert cv.nu_ell(cv.LEVEL1, F4, 2) == 3
-    assert cv.nu_ell(cv.LEVEL1, F3, 3) == 1
-    assert cv.nu_ell(cv.LEVEL1, F3, 2) == 1
-    assert cv.nu_ell(cv.LEVEL1, F5, 2) == 2
-    assert cv.nu_ell(cv.LEVEL1, F5, 5) == 0
-    assert cv.nu_ell(cv.GAMMA0_2, F3, 2) == 1
-    assert cv.nu_ell(cv.GAMMA0_2, F5, 3) == 0
-    assert cv.nu_ell(cv.GAMMA1_4, F3, 2) == 0
+    # the closed form and the oracle's stabilizer computation
+    for nu_ell in (cv.nu_ell, oracles.stabilizer_nu_ell):
+        assert nu_ell(cv.LEVEL1, F2, 2) == 2
+        assert nu_ell(cv.LEVEL1, F4, 2) == 3
+        assert nu_ell(cv.LEVEL1, F3, 3) == 1
+        assert nu_ell(cv.LEVEL1, F3, 2) == 1
+        assert nu_ell(cv.LEVEL1, F5, 2) == 2
+        assert nu_ell(cv.LEVEL1, F5, 5) == 0
+        assert nu_ell(cv.GAMMA0_2, F3, 2) == 1
+        assert nu_ell(cv.GAMMA0_2, F5, 3) == 0
+        assert nu_ell(cv.GAMMA1_4, F3, 2) == 0
+
+
+# every field with q <= 17
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+                (2, 4), (17, 1)]
+
+
+def test_nu_ell_matches_stabilizer_oracle():
+    assert len(SMALL_FIELDS) == 11
+    for p, a in SMALL_FIELDS:
+        F = fq_construct(p, a)
+        levels = [cv.LEVEL1] + ([cv.GAMMA0_2, cv.GAMMA1_4] if p != 2 else [])
+        for H in levels:
+            for ell in (2, 3, 5):
+                assert cv.nu_ell(H, F, ell) == oracles.stabilizer_nu_ell(H, F, ell), (F.q, H.name, ell)
+    with pytest.raises(ValueError):
+        cv.nu_ell(cv.GAMMA0_2, fq_construct(2, 1), 2)  # gcd(2, q) != 1
+
+
+def test_frobenius_traces_match_naive_counts():
+    # one batch of random curves per field, singular ones included: the
+    # kernel counts the points of the equation either way
+    rng = random.Random(5)
+    for (p, a) in [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (13, 1)]:
+        F = fq_construct(p, a)
+        els = list(F.elements())
+        curves = [cv.WeierstrassCurve(F, *[rng.choice(els) for _ in range(5)]) for _ in range(12)]
+        codes = np.array([E.coefficient_codes() for E in curves]).T
+        traces = cv.frobenius_traces(F, *codes, chunk=2 * F.q)  # several row blocks
+        assert traces.tolist() == [F.q + 1 - _naive_count(E) for E in curves], F.q
+
+
+def test_level1_low_characteristic_matches_family_oracle():
+    # class numbers for p not dividing t, the j = 0 sweep for the rest; the
+    # per-curve family loop takes about 9 s at q = 27, so it stops at 16
+    for (p, a) in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]:
+        F = fq_construct(p, a)
+        assert cv.deuring_route_masses(F) == oracles.family_route_masses(F, cv.LEVEL1), F.q
+
+
+def test_level1_low_characteristic_matches_qexpansion():
+    # past the family oracle: the trace in every weight with a one-dimensional
+    # cusp space against t_a = a_p t_{a-1} - p^(k-1) t_{a-2}
+    from hecketrace import elltrace as et
+
+    for (p, a) in [(3, 3), (2, 5), (2, 6), (3, 4), (2, 8)]:
+        F = fq_construct(p, a)
+        for k in (12, 16, 18, 20, 22, 26):
+            ap = oracles.cusp_form_coefficients(k, p + 1)[p]
+            t_prev, t = 2, ap
+            for _ in range(a - 1):
+                t_prev, t = t, ap * t - p ** (k - 1) * t_prev
+            assert et.trace(F, cv.LEVEL1, k - 2).value == t, (F.q, k)
+
+
+def test_level_routes_match_class_oracle():
+    for q in (3, 5, 7, 9, 11, 13, 17):
+        F = fq_construct(3, 2) if q == 9 else fq_construct(q, 1)
+        for H in (cv.GAMMA0_2, cv.GAMMA1_4):
+            assert cv.normal_form_route_masses(F, H) == oracles.class_route_masses(F, H), (q, H.name)
+
+
+def test_level_routes_check_torsion_divisibility(monkeypatch):
+    F = fq_construct(13, 1)
+    good = cv.frobenius_traces
+    monkeypatch.setattr(cv, "frobenius_traces", lambda *a, **k: good(*a, **k) + 1)
+    for H in (cv.GAMMA0_2, cv.GAMMA1_4):
+        with pytest.raises(ArithmeticError, match=f"not divisible by {H.N}"):
+            cv.normal_form_route_masses(F, H)
+
+
+_WRONG_CLASS_NUMBER_P2 = """
+import numpy as np
+from hecketrace import curves as cv
+from hecketrace.ffield import fq_construct
+
+good = cv.hurwitz6
+cv.hurwitz6 = lambda ds: good(ds) + 6 * (np.arange(len(ds)) == 0)
+try:
+    cv.deuring_route_masses(fq_construct(2, 5))
+except ArithmeticError as exc:
+    print(exc)
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_low_characteristic_route_rejects_wrong_class_number():
+    # t = 1 gains mass 1/2 and with it t = -1: the total is q + 1, under python -O too
+    src = os.path.dirname(os.path.dirname(cv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", _WRONG_CLASS_NUMBER_P2],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "level-1 mass is 33" in res.stdout

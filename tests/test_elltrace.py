@@ -133,12 +133,15 @@ def test_trace_without_known_eis_returns_interior():
 
 def test_mass_routes_consistent_through_mass_data():
     F7 = fq_construct(7, 1)
-    a = sorted(et.mass_data(F7, cv.LEVEL1, route="family"))
+    a = sorted(oracles.family_route_masses(F7, cv.LEVEL1))
     b = sorted(et.mass_data(F7, cv.LEVEL1, route="jline"))
-    c = sorted(et.mass_data(F7, cv.LEVEL1, route="class"))
-    assert a == b == c
+    c = sorted(oracles.class_route_masses(F7, cv.LEVEL1))
+    assert a == b == c == et.mass_data(F7, cv.LEVEL1)
     with pytest.raises(ValueError):
         et.mass_data(F7, cv.GAMMA0_2, route="jline")
+    for retired in ("family", "class"):
+        with pytest.raises(ValueError):
+            et.mass_data(F7, cv.LEVEL1, route=retired)
 
 
 def test_split_trace_pinned_example():
@@ -236,7 +239,7 @@ def test_nonunit_counts():
     F5 = fq_construct(5, 1)
     # a1 = 0 mod 11 forces a1 = 0 by Hasse: the two sextic twists at j = 0
     assert et.nonunit_mass(F5, 11) == 1
-    assert et.nonunit_class_count(F5, 11) == 2
+    assert oracles.nonunit_class_count(F5, 11) == 2
 
 
 def test_moment_cache_roundtrip(tmp_path, monkeypatch):
@@ -290,3 +293,43 @@ def test_moment_cache_rejects_foreign_payload(tmp_path):
         assert json.load(open(path)) == doc  # and rewritten
     with pytest.raises(ValueError):
         et.moments(F5, cv.LEVEL1, -1)
+
+
+def test_moment_cache_past_the_digit_limit(tmp_path):
+    # [a1^7500] over F_5 has about 4520 digits (|a1| <= 4), past the default limit
+    # of 4300 on int <-> str conversions: written and read back exactly
+    F5 = fq_construct(5, 1)
+    cache = str(tmp_path)
+    et._MOMENT_CACHE.clear()
+    table = et.moments(F5, cv.LEVEL1, 7500, cache_dir=cache)
+    with et.unlimited_int_digits():
+        assert len(str(table.moments[7500])) > 4300
+    et._MOMENT_CACHE.clear()
+    assert et._load_table(et._cache_path(cache, F5, cv.LEVEL1), F5, cv.LEVEL1) == table
+
+
+def test_moment_cache_rejects_overlong_entry(tmp_path, monkeypatch):
+    F5 = fq_construct(5, 1)
+    cache = str(tmp_path)
+    et._MOMENT_CACHE.clear()
+    good = et.moments(F5, cv.LEVEL1, 20, cache_dir=cache)
+    path = et._cache_path(cache, F5, cv.LEVEL1)
+    doc = json.load(open(path))
+    # one digit past the Hasse bound q (4q)^(k/2) at k = 3: rejected unparsed
+    doc["moments"][3] = "1" * (et._max_moment_digits(5, 3) + 1)
+    open(path, "w").write(json.dumps(doc))
+    et._MOMENT_CACHE.clear()
+    parsed = []
+    real_int = int
+
+    def spy(text, *a):
+        parsed.append(text)
+        return real_int(text, *a)
+
+    monkeypatch.setattr(et, "int", spy, raising=False)
+    assert et._load_table(path, F5, cv.LEVEL1) is None
+    assert parsed == []  # nothing was parsed
+    monkeypatch.undo()
+    table = et.moments(F5, cv.LEVEL1, 20, cache_dir=cache)
+    assert table.moments == good.moments  # a miss: recomputed
+    assert json.load(open(path))["moments"][3] == str(good.moments[3])  # and rewritten

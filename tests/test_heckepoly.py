@@ -31,8 +31,8 @@ def test_charpoly_weight12_is_tau_line():
 
 
 ORACLE_GRID = [
-    (2, 12), (2, 16), (2, 24), (2, 26),
-    (3, 12), (3, 16), (3, 22),
+    (2, 12), (2, 16), (2, 24), (2, 26), (2, 48),
+    (3, 12), (3, 16), (3, 22), (3, 36),
     (5, 12), (5, 16), (5, 24), (5, 36),
     (7, 12), (7, 24),
     (11, 12),
