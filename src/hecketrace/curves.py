@@ -243,15 +243,20 @@ def all_points(curve: WeierstrassCurve) -> List[Point]:
     return pts
 
 
-def frobenius_traces(field: FqField, a1, a2, a3, a4, a6, chunk: int = 1 << 16) -> np.ndarray:
+# entries of one (curves x q) block of frobenius_traces, and curves per block
+# of the normal-form sweep, so that neither grows with q^2
+_TRACE_BLOCK = 1 << 16
+
+
+def frobenius_traces(field: FqField, a1, a2, a3, a4, a6) -> np.ndarray:
     """Traces q + 1 - #E(F_q) of a batch of curves, one per entry of the
     coefficient code arrays (scalars broadcast against them).
 
     x runs over the whole field in a (curves x q) table, filled in blocks of
-    about chunk entries. With h = a1 x + a3 and f = x^3 + a2 x^2 + a4 x + a6,
-    each x carries 1 + chi(h^2 + 4 f) affine points in odd characteristic;
-    for p = 2 it carries one where h = 0, and otherwise two or none as
-    Tr(f / h^2) is 0 or 1.
+    about _TRACE_BLOCK entries. With h = a1 x + a3 and
+    f = x^3 + a2 x^2 + a4 x + a6, each x carries 1 + chi(h^2 + 4 f) affine
+    points in odd characteristic; for p = 2 it carries one where h = 0, and
+    otherwise two or none as Tr(f / h^2) is 0 or 1.
     """
     q, p = field.q, field.p
     vm, va = field.v_mul, field.v_add
@@ -259,7 +264,7 @@ def frobenius_traces(field: FqField, a1, a2, a3, a4, a6, chunk: int = 1 << 16) -
                                    for c in (a1, a2, a3, a4, a6)))
     xs = np.arange(q, dtype=np.int64)[None, :]
     out = np.empty(coeffs[0].shape, dtype=np.int64)
-    rows = max(1, chunk // q)
+    rows = max(1, _TRACE_BLOCK // q)
     for lo in range(0, out.size, rows):
         b1, b2, b3, b4, b6 = (c[lo : lo + rows, None] for c in coeffs)
         f = va(vm(va(vm(va(xs, b2), xs), b4), xs), b6)
@@ -594,12 +599,12 @@ def count_structures_general(
 #     to p carries mass H(4q - t^2)/2; the supersingular traces follow the
 #     Waterhouse list for p >= 5 and a batched sweep of the one j = 0 stratum
 #     for p = 2, 3.
-#   gamma0-2 and gamma1-4: one normal form per pair (E, P), swept in one
-#     batch (normal_form_route_masses).
-# Both sweeps count points with frobenius_traces. The j-line sweep runs only
-# when asked for by name, as a point-counting cross-check of the class
-# numbers. The per-curve family loop and the full isomorphism classification
-# are differential oracles in tests/oracles.py.
+#   gamma0-2 and gamma1-4: one normal form per pair (E, P), swept in blocks
+#     (normal_form_route_masses).
+# Every sweep counts points with frobenius_traces, the j-line sweep too; that
+# one runs only when asked for by name, as a point-counting cross-check of
+# the class numbers. The per-curve family loop and the full isomorphism
+# classification are differential oracles in tests/oracles.py.
 
 
 def _collapse(hist: Dict[int, Fraction]) -> List[Tuple[int, Fraction]]:
@@ -619,54 +624,33 @@ def _check_level1_mass(hist: Dict[int, Fraction], q: int, route: str) -> None:
         raise ArithmeticError(f"{route} route: level-1 mass is {total}, not q = {q}")
 
 
-def jline_route_masses(field: FqField, chunk: int = 1 << 18) -> List[Tuple[int, Fraction]]:
-    """Level-1 (a1, mass) data by sweeping the j-line (characteristic >= 5)."""
+def jline_route_masses(field: FqField) -> List[Tuple[int, Fraction]]:
+    """Level-1 (a1, mass) data by sweeping the j-line (characteristic >= 5),
+    point-counted in one frobenius_traces batch.
+
+    Each j other than 0 and 1728 gives y^2 = x^3 + 3j(1728 - j) x +
+    2j(1728 - j)^2 and its quadratic twist, of traces t and -t and mass 1/2
+    each. j = 1728 gives the quartic twists y^2 = x^3 + g^i x and j = 0 the
+    sextic twists y^2 = x^3 + g^i, each of mass 1/(number of twists).
+    """
     q, p = field.q, field.p
     if p < 5:
         raise ValueError("the j-line sweep needs characteristic >= 5")
-    hist: Dict[int, Fraction] = {}
-    t = field.tables()
     vm, va = field.v_mul, field.v_add
-    xs = np.arange(q, dtype=np.int64)
-    x3 = vm(vm(xs, xs), xs)
-
-    def chi_sum_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        # sum_x chi(x^3 + A x + B) for each row pair (A, B)
-        vals = va(va(x3[None, :], vm(A[:, None], xs[None, :])), B[:, None])
-        return field.v_chi(vals).sum(axis=1)
-
-    j1728 = field.coerce(1728)
-    # generic j, two quadratic twists of mass 1/2 each
-    half = Fraction(1, 2)
-    gen_js = np.array(
-        [j for j in range(1, q) if j != j1728.code], dtype=np.int64
-    )
-    neg = np.int64(field.coerce(-1).code)
-    c1728 = np.int64(j1728.code)
-    rows = max(1, chunk // q)
-    for start in range(0, gen_js.size, rows):
-        J = gen_js[start:start + rows]
-        Cm = va(np.full(J.shape, c1728, dtype=np.int64), vm(J, neg))  # 1728 - j
-        A = vm(vm(np.full(J.shape, np.int64(field.coerce(3).code)), J), Cm)
-        B = vm(vm(np.full(J.shape, np.int64(field.coerce(2).code)), J), vm(Cm, Cm))
-        sums = chi_sum_rows(A, B)
-        for sval in sums:
-            a1 = -int(sval)
-            hist[a1] = hist.get(a1, Fraction(0)) + half
-            hist[-a1] = hist.get(-a1, Fraction(0)) + half
-    # j = 1728: quartic twists y^2 = x^3 + g^i x
-    g = field.multiplicative_generator()
-    m4 = math.gcd(4, q - 1)
-    for i in range(m4):
-        c = (g ** i).code
-        s = int(field.v_chi(va(x3, vm(xs, np.int64(c)))).sum())
-        hist[-s] = hist.get(-s, Fraction(0)) + Fraction(1, m4)
-    # j = 0: sextic twists y^2 = x^3 + g^i
-    m6 = math.gcd(6, q - 1)
-    for i in range(m6):
-        c = (g ** i).code
-        s = int(field.v_chi(va(x3, np.int64(c))).sum())
-        hist[-s] = hist.get(-s, Fraction(0)) + Fraction(1, m6)
+    c1728 = field.coerce(1728).code
+    js = np.array([j for j in range(1, q) if j != c1728], dtype=np.int64)
+    cm = va(np.int64(c1728), vm(js, np.int64(field.coerce(-1).code)))  # 1728 - j
+    three, two = (np.int64(field.coerce(c).code) for c in (3, 2))
+    units = field.tables()["exp"]
+    m4, m6 = math.gcd(4, q - 1), math.gcd(6, q - 1)
+    A = np.concatenate([vm(vm(js, three), cm), units[:m4], np.zeros(m6, dtype=np.int64)])
+    B = np.concatenate([vm(vm(js, two), vm(cm, cm)), np.zeros(m4, dtype=np.int64), units[:m6]])
+    t = frobenius_traces(field, 0, 0, 0, A, B)
+    n = js.size
+    hist: Dict[int, Fraction] = {}
+    _tally(hist, np.concatenate([t[:n], -t[:n]]), Fraction(1, 2))
+    _tally(hist, t[n : n + m4], Fraction(1, m4))
+    _tally(hist, t[n + m4 :], Fraction(1, m6))
     _check_level1_mass(hist, q, "j-line")
     return _collapse(hist)
 
@@ -769,7 +753,9 @@ def normal_form_route_masses(field: FqField, H: LevelStructureSpec) -> List[Tupl
     y^2 + xy - by = x^3 - bx^2 with b not in {0, -1/16}, one per pair, and the
     pairs have no automorphisms: weight 1. A rational point of order N
     divides #E = q + 1 - t, which is checked for every trace (an
-    ArithmeticError otherwise, also under python -O).
+    ArithmeticError otherwise, also under python -O). The q^2 pairs (a, b)
+    of gamma0-2 are swept in blocks of about _TRACE_BLOCK curves, so memory
+    does not grow with q^2.
     """
     q = field.q
     if math.gcd(H.N, q) != 1:
@@ -777,23 +763,30 @@ def normal_form_route_masses(field: FqField, H: LevelStructureSpec) -> List[Tupl
     vm, va = field.v_mul, field.v_add
     codes = np.arange(q, dtype=np.int64)
     if H is GAMMA0_2:
-        a, b = np.repeat(codes, q), np.tile(codes, q)
-        smooth = vm(b, va(vm(a, a), vm(b, np.int64(field.coerce(-4).code)))) != 0
-        traces = frobenius_traces(field, 0, a[smooth], 0, b[smooth], 0)
-        weight = Fraction(1, q - 1)
+        minus4 = np.int64(field.coerce(-4).code)
+        rows = max(1, _TRACE_BLOCK // q)  # values of a per block
+
+        def blocks():
+            for lo in range(0, q, rows):
+                a = np.repeat(codes[lo : lo + rows], q)
+                b = np.tile(codes, a.size // q)
+                smooth = vm(b, va(vm(a, a), vm(b, minus4))) != 0
+                yield frobenius_traces(field, 0, a[smooth], 0, b[smooth], 0)
+
+        batches, weight = blocks(), Fraction(1, q - 1)
     elif H is GAMMA1_4:
         b = codes[(codes != 0) & (codes != (-field.one / field.coerce(16)).code)]
         minus_b = vm(b, np.int64(field.coerce(-1).code))
-        traces = frobenius_traces(field, 1, minus_b, minus_b, 0, 0)
-        weight = Fraction(1)
+        batches, weight = [frobenius_traces(field, 1, minus_b, minus_b, 0, 0)], Fraction(1)
     else:
         raise ValueError("the normal-form route covers gamma0-2 and gamma1-4")
-    orders = q + 1 - traces
-    if (orders % H.N).any():
-        bad = int(orders[orders % H.N != 0][0])
-        raise ArithmeticError(f"{H.name} route: #E = {bad} is not divisible by {H.N}")
     hist: Dict[int, Fraction] = {}
-    _tally(hist, traces, weight)
+    for traces in batches:
+        orders = q + 1 - traces
+        if (orders % H.N).any():
+            bad = int(orders[orders % H.N != 0][0])
+            raise ArithmeticError(f"{H.name} route: #E = {bad} is not divisible by {H.N}")
+        _tally(hist, traces, weight)
     return _collapse(hist)
 
 

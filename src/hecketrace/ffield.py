@@ -472,6 +472,10 @@ class FqField:
         return np.where(x == 0, y, np.where(y == 0, x, out))
 
     def v_mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Multiplication of code arrays: integer product mod p in a prime
+        field, and otherwise through the log and exp tables."""
+        if self.a == 1:
+            return np.asarray(x, dtype=np.int64) * y % self.p
         t = self.tables()
         log, exp = t["log"], t["exp"]
         out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)

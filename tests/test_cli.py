@@ -108,6 +108,7 @@ def test_ell_verify_period_budget_error(capsys):
     assert "max-weight" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python < 3.10.7 has no digit limit")
 def test_ell_trace_past_the_digit_limit(capsys):
     # `ell trace --q 100003 --weight 1800` prints about 4500 digits, past
     # Python's default limit of 4300; with the limit at its floor of 640, a

@@ -394,7 +394,7 @@ def test_nu_ell_matches_stabilizer_oracle():
         cv.nu_ell(cv.GAMMA0_2, fq_construct(2, 1), 2)  # gcd(2, q) != 1
 
 
-def test_frobenius_traces_match_naive_counts():
+def test_frobenius_traces_match_naive_counts(monkeypatch):
     # one batch of random curves per field, singular ones included: the
     # kernel counts the points of the equation either way
     rng = random.Random(5)
@@ -403,7 +403,8 @@ def test_frobenius_traces_match_naive_counts():
         els = list(F.elements())
         curves = [cv.WeierstrassCurve(F, *[rng.choice(els) for _ in range(5)]) for _ in range(12)]
         codes = np.array([E.coefficient_codes() for E in curves]).T
-        traces = cv.frobenius_traces(F, *codes, chunk=2 * F.q)  # several row blocks
+        monkeypatch.setattr(cv, "_TRACE_BLOCK", 2 * F.q)  # several row blocks
+        traces = cv.frobenius_traces(F, *codes)
         assert traces.tolist() == [F.q + 1 - _naive_count(E) for E in curves], F.q
 
 
@@ -444,6 +445,25 @@ def test_level_routes_check_torsion_divisibility(monkeypatch):
     for H in (cv.GAMMA0_2, cv.GAMMA1_4):
         with pytest.raises(ArithmeticError, match=f"not divisible by {H.N}"):
             cv.normal_form_route_masses(F, H)
+
+
+def test_gamma0_2_sweep_is_blocked(monkeypatch):
+    # the q^2 pairs (a, b) reach the kernel in blocks of at most _TRACE_BLOCK
+    # curves, so memory does not grow with q^2, and the blocks add up to the
+    # one-block result
+    F = fq_construct(31, 1)
+    whole = cv.normal_form_route_masses(F, cv.GAMMA0_2)
+    sizes = []
+    good = cv.frobenius_traces
+
+    def spy(field, *coeffs):
+        sizes.append(np.broadcast(*coeffs).size)
+        return good(field, *coeffs)
+
+    monkeypatch.setattr(cv, "frobenius_traces", spy)
+    monkeypatch.setattr(cv, "_TRACE_BLOCK", 4 * F.q)
+    assert cv.normal_form_route_masses(F, cv.GAMMA0_2) == whole
+    assert len(sizes) == 8 and max(sizes) <= 4 * F.q
 
 
 _WRONG_CLASS_NUMBER_P2 = """

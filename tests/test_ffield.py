@@ -114,14 +114,15 @@ def test_multiplicative_generator_and_tables():
 
 def test_vector_ops_match_scalar():
     rng = random.Random(3)
-    f = fq_construct(5, 2)
-    xs = np.array([rng.randrange(f.q) for _ in range(40)], dtype=np.int64)
-    ys = np.array([rng.randrange(f.q) for _ in range(40)], dtype=np.int64)
-    add = f.v_add(xs, ys)
-    mul = f.v_mul(xs, ys)
-    for i in range(40):
-        assert int(add[i]) == (f.decode(int(xs[i])) + f.decode(int(ys[i]))).code
-        assert int(mul[i]) == (f.decode(int(xs[i])) * f.decode(int(ys[i]))).code
+    # a prime field and characteristic 2 take their own add and mul paths
+    for f in (fq_construct(13, 1), fq_construct(2, 3), fq_construct(5, 2)):
+        xs = np.array([rng.randrange(f.q) for _ in range(40)], dtype=np.int64)
+        ys = np.array([rng.randrange(f.q) for _ in range(40)], dtype=np.int64)
+        add = f.v_add(xs, ys)
+        mul = f.v_mul(xs, ys)
+        for i in range(40):
+            assert int(add[i]) == (f.decode(int(xs[i])) + f.decode(int(ys[i]))).code
+            assert int(mul[i]) == (f.decode(int(xs[i])) * f.decode(int(ys[i]))).code
     coeffs = [2, 0, 3, 1]
     vals = f.v_poly_eval(coeffs, xs)
     for i in range(40):
