@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from hecketrace.ffield import FqElem, FqField, embed, fq_construct
+from hecketrace.ffield import FqElem, FqField, FqPoly, embed, fq_construct
 
 Point = Optional[Tuple[FqElem, FqElem]]
 
@@ -294,13 +294,6 @@ def curve_point_count(curve: WeierstrassCurve) -> int:
 # torsion
 
 
-def _poly_roots_scan(field: FqField, coeffs_ascending: Sequence[FqElem]) -> List[FqElem]:
-    codes = [c.code for c in coeffs_ascending]
-    xs = np.arange(field.q, dtype=np.int64)
-    vals = field.v_poly_eval(codes, xs)
-    return [field.decode(int(c)) for c in np.flatnonzero(vals == 0)]
-
-
 def two_torsion_points(curve: WeierstrassCurve) -> List[Point]:
     """Rational points of exact order 2."""
     f = curve.field
@@ -311,7 +304,7 @@ def two_torsion_points(curve: WeierstrassCurve) -> List[Point]:
         return [(x0, y) for y in y_solutions(curve, x0)]
     cubic = [curve.b6, 2 * curve.b4, curve.b2, f.coerce(4)]
     pts = []
-    for x0 in _poly_roots_scan(f, cubic):
+    for x0 in FqPoly(f, cubic).roots():
         y0 = -(curve.a1 * x0 + curve.a3) / 2
         if curve.contains(x0, y0):
             pts.append((x0, y0))
@@ -332,7 +325,7 @@ def _halves_of(curve: WeierstrassCurve, Q: Point) -> List[Point]:
         f.one,
     ]
     out = []
-    for x0 in _poly_roots_scan(f, poly):
+    for x0 in FqPoly(f, poly).roots():
         for y0 in y_solutions(curve, x0):
             P = (x0, y0)
             if add_points(curve, P, P) == Q:
@@ -358,7 +351,8 @@ def n_torsion_points(curve: WeierstrassCurve, N: int) -> List[Point]:
     if N == 2:
         return [None] + two_torsion_points(curve)
     if N == 4:
-        return [None] + two_torsion_points(curve) + exact_order_points(curve, 4)
+        twos = two_torsion_points(curve)
+        return [None] + twos + [P for Q in twos for P in _halves_of(curve, Q)]
     raise ValueError("only N in {1, 2, 4} supported")
 
 

@@ -5,16 +5,19 @@ phi_T = gamma(T) + g tau + delta tau^2; isomorphism classes are orbits under
 the twist (g, delta) -> (u^{q-1} g, u^{q^2-1} delta).  Every trace-side
 quantity is a weighted fold over those classes: the Frobenius polynomial
 X^2 - a X + b*wp_n of each class is found by a linear solve in the twisted
-polynomial ring, the trace of the n-th Hecke operator at wp = P^n comes from
-the [c_{k,l}] tables, and weight periodicity modulo powers of a prime l of
-F_q[T] is certified by recurrences run directly in F_q[T]/l^s.
+polynomial ring, and one kernel, `_h_kernel`, runs the recurrence
+h_k = a h_{k-1} - b wp h_{k-2} for all classes at once and folds each h_k
+into the requested types.  It gives the exact traces of the Hecke operator
+at wp = P^n in F_q[T], their residues mod powers of a prime l of F_q[T]
+(which certify weight periodicity), and, with the b wp term dropped, the
+[c_{k,l}] moment tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from hecketrace.ffield import (
     embed,
     factorize,
     fq_construct,
+    fq_poly_from_codes,
 )
 
 # unit-group enumeration cap: |l|^s residues, each a coefficient vector
@@ -60,7 +64,12 @@ def _norm_type(q: int, l: int) -> int:
 
 
 def _fold_add(field: FqField, arr: np.ndarray) -> np.ndarray:
-    """Tree-sum of code arrays along axis 0."""
+    """Sum of code arrays along axis 0: integers mod p in a prime field, XOR
+    for p = 2, and otherwise a tree of Zech additions."""
+    if field.a == 1:
+        return arr.sum(axis=0) % field.p
+    if field.p == 2:
+        return np.bitwise_xor.reduce(arr, axis=0)
     while arr.shape[0] > 1:
         n = arr.shape[0]
         half = n // 2
@@ -195,10 +204,11 @@ def drinfeld_params(P: FqPoly, n: int, max_field_size: Optional[int] = None) -> 
     lifted = FqPoly(L, [embed(c, L) for c in P.coeffs])
     roots = lifted.roots()
     if not roots:
-        raise AssertionError("P has no root in L")
+        raise ArithmeticError(f"P has no root in the field with {L.q} elements")
     gamma_t = roots[0]
     params = DrinfeldParams(base, P, n, L, gamma_t, poly_pow(P, n), m)
-    assert params.reduce(P).is_zero()
+    if not params.reduce(P).is_zero():
+        raise ArithmeticError("P does not reduce to 0 at its chosen root")
     return params
 
 
@@ -360,8 +370,9 @@ def enumerate_classes(params: DrinfeldParams) -> List[DrinfeldClass]:
     """All twist-orbit representatives of (g, delta) in L x L^*, lex-least.
 
     autOrder is the twist stabilizer size; the orbit-stabilizer identity and
-    the partition total sum(orbitSize) = |L|(|L|-1) are asserted, as is
-    autOrder = -1 mod p and the slope bound 2 deg(a) <= m for every class.
+    the partition total sum(orbitSize) = |L|(|L|-1) are checked, as are
+    autOrder = -1 mod p and the slope bound 2 deg(a) <= m for every class
+    (each failure raises ArithmeticError).
     """
     cached = _CLASS_CACHE.get(params)
     if cached is not None:
@@ -386,14 +397,18 @@ def enumerate_classes(params: DrinfeldParams) -> List[DrinfeldClass]:
             seen[orbit] = True
             aut = int(np.count_nonzero((gs == gcode) & (ds == dcode)))
             size = len(orbit)
-            assert aut * size == qL - 1
-            assert aut % p == p - 1
+            if aut * size != qL - 1:
+                raise ArithmeticError(f"autOrder {aut} times orbit size {size} is not {qL - 1}")
+            if aut % p != p - 1:
+                raise ArithmeticError(f"autOrder {aut} is not -1 mod p = {p}")
             total += size
             g, delta = L.decode(gcode), L.decode(dcode)
             a, b = frobenius_poly((g, delta), params)
-            assert 2 * a.degree <= params.m
+            if 2 * a.degree > params.m:
+                raise ArithmeticError(f"deg a = {a.degree} exceeds m/2 for m = {params.m}")
             classes.append(DrinfeldClass(g, delta, aut, size, a, b))
-    assert total == qL * (qL - 1)
+    if total != qL * (qL - 1):
+        raise ArithmeticError(f"orbits cover {total} pairs, not |L|(|L|-1) = {qL * (qL - 1)}")
     _CLASS_CACHE[params] = tuple(classes)
     return classes
 
@@ -472,7 +487,8 @@ def frobenius_mod_torsion(params: DrinfeldParams, klass, laux: FqPoly) -> Tuple[
     D = laux.degree
     q = params.q
     phi_l = drinfeld_phi(params, g, delta, laux)
-    assert phi_l.degree == 2 * D and not phi_l.coeffs[0].is_zero()
+    if phi_l.degree != 2 * D or phi_l.coeffs[0].is_zero():
+        raise ArithmeticError(f"phi_laux has degree {phi_l.degree}, not {2 * D}, or no x term")
     # U1 = phi_laux(x)/x, made monic; deg = q^{2D} - 1
     u1 = np.zeros(q ** (2 * D), dtype=np.int64)
     for j, c in enumerate(phi_l.coeffs):
@@ -532,122 +548,144 @@ def frobenius_mod_torsion(params: DrinfeldParams, klass, laux: FqPoly) -> Tuple[
 
 
 # ---------------------------------------------------------------------------
-# the [c_{k,l}] tables and the Hecke trace
+# the h-recurrence kernel and the Hecke trace
 
 
-@dataclass(frozen=True)
-class CLTable:
+def _class_weights(params: DrinfeldParams) -> Tuple[List[DrinfeldClass], np.ndarray]:
+    """The classes and the codes of their type scales b^e / autOrder.
+
+    Row e of the (q - 1, classes) table is b^e / autOrder for every class,
+    where 1/autOrder is the inverse of autOrder mod p inside F_p <= F_q; a
+    type l at weight index k reads row (l - 1 - k) mod (q - 1).
+    """
+    base, p, q = params.base, params.p, params.q
+    classes = enumerate_classes(params)
+    for cls in classes:
+        if cls.aut_order % p != p - 1:
+            raise ArithmeticError(f"autOrder {cls.aut_order} is not -1 mod p = {p}")
+    b = np.array([cls.frob_b.code for cls in classes], dtype=np.int64)
+    scales = np.empty((q - 1, len(classes)), dtype=np.int64)
+    scales[0] = [pow(cls.aut_order % p, p - 2, p) for cls in classes]
+    for e in range(1, q - 1):
+        scales[e] = base.v_mul(scales[e - 1], b)
+    return classes, scales
+
+
+def _trim_columns(arr: np.ndarray) -> np.ndarray:
+    """Drop the trailing all-zero columns of a (rows, digits) code array."""
+    nz = np.flatnonzero(arr.any(axis=0))
+    return arr[:, : nz[-1] + 1 if len(nz) else 1]
+
+
+def _mul_add(field: FqField, acc: np.ndarray, h: np.ndarray, f: np.ndarray) -> None:
+    """acc += h * f, as polynomials along the last (digit) axis and
+    broadcast along the others; the loop runs over the digits of f."""
+    width = h.shape[-1]
+    for i in range(f.shape[-1]):
+        window = acc[..., i : i + width]
+        acc[..., i : i + width] = field.v_add(window, field.v_mul(h, f[..., i : i + 1]))
+
+
+def _h_kernel(
+    params: DrinfeldParams,
+    kmax: int,
+    types: Sequence[int],
+    ring: Optional["ResidueRing"] = None,
+    moments: bool = False,
+) -> Iterator[np.ndarray]:
+    """Yield, for k = 0..kmax, the codes of trace(k, l) for every l in types.
+
+    One recurrence h_k = a h_{k-1} - b wp h_{k-2} (h_0 = 1, h_1 = a) runs
+    for all classes at once on (classes, T-digits) code arrays; h_k is the
+    symmetric kernel sum x^i y^{k-i} at the two Frobenius roots.  Each h_k is
+    folded into every type as soon as it is made,
+
+        trace(k, l) = -sum over classes of h_k b^{(l-1-k) mod (q-1)} / autOrder,
+
+    and only h_{k-1} and h_{k-2} are kept.  The row for k has shape
+    (len(types), width).  Without `ring` the arithmetic is exact in F_q[T]
+    with width floor(kmax m / 2) + 1, which bounds deg h_k, and a digit
+    spilling past it raises ArithmeticError; with `ring` every step is
+    reduced mod its modulus.  `moments` drops the b wp term and the sign,
+    which gives the table [c_{k,l}] = sum a^k b^{l-k-1} / autOrder.
+    """
+    base, q = params.base, params.q
+    classes, scales = _class_weights(params)
+    if ring is None:
+        width = kmax * params.m // 2 + 1
+        wp = np.array(params.wp.codes(), dtype=np.int64)
+        ncoef = max(1, max(len(cls.frob_a.coeffs) for cls in classes))
+        a = np.zeros((len(classes), ncoef), dtype=np.int64)
+        for c, cls in enumerate(classes):
+            a[c, : len(cls.frob_a.coeffs)] = cls.frob_a.codes()
+    else:
+        width = ring.d
+        wp = ring.encode(params.wp)
+        a = np.stack([ring.encode(cls.frob_a) for cls in classes])
+    a = _trim_columns(a)
+    neg_one = np.int64(base.coerce(-1).code)
+    neg_b = base.v_mul(np.array([cls.frob_b.code for cls in classes], dtype=np.int64), neg_one)
+    w = _trim_columns(base.v_mul(neg_b[:, None], wp[None, :]))
+    span = width + max(a.shape[1], w.shape[1]) - 1
+    lres = np.array([l - 1 for l in types], dtype=np.int64)
+    h_prev = None
+    h = np.zeros((len(classes), width), dtype=np.int64)
+    h[:, 0] = 1
+    for k in range(kmax + 1):
+        if k:
+            acc = np.zeros((len(classes), span), dtype=np.int64)
+            _mul_add(base, acc, h, a)
+            if h_prev is not None and not moments:
+                _mul_add(base, acc, h_prev, w)
+            if ring is not None:
+                h_next = ring.reduce(acc)
+            elif acc[:, width:].any():
+                raise ArithmeticError(f"h_{k} has a digit past degree {width - 1}")
+            else:
+                h_next = acc[:, :width]
+            h_prev, h = h, h_next
+        terms = base.v_mul(scales[(lres - k) % (q - 1)][:, :, None], h[None, :, :])
+        row = _fold_add(base, np.moveaxis(terms, 1, 0))
+        yield row if moments else base.v_mul(row, neg_one)
+
+
+def _code_degrees(rows: np.ndarray) -> np.ndarray:
+    """Degree of each code row along the last axis, -1 for the zero row."""
+    nz = rows != 0
+    top = rows.shape[-1] - 1 - np.argmax(nz[..., ::-1], axis=-1)
+    return np.where(nz.any(axis=-1), top, -1)
+
+
+def cl_table(params: DrinfeldParams, max_k: int) -> List[List[FqPoly]]:
     """[c_{k,l}] = sum over classes of a^k b^{l-k-1}/autOrder, for k <= max_k.
 
-    Entries are exact elements of F_q[T], indexed [k][(l-1) mod (q-1)];
-    1/autOrder means the inverse of autOrder mod p inside F_p <= F_q.
+    Entries are exact elements of F_q[T], indexed [k][(l-1) mod (q-1)]: the
+    moments case of `_h_kernel` (h_k = a^k, no sign).
     """
-
-    params: DrinfeldParams
-    max_k: int
-    entries: Tuple[Tuple[FqPoly, ...], ...]
-
-    def value(self, k: int, l: int) -> FqPoly:
-        return self.entries[k][(l - 1) % (self.params.q - 1)]
-
-
-_CL_CACHE: Dict[DrinfeldParams, CLTable] = {}
-
-
-def _class_weights(params: DrinfeldParams) -> List[Tuple[DrinfeldClass, FqElem, List[FqElem]]]:
-    """(class, 1/autOrder in F_q, powers of b) for every class."""
-    base, p, q = params.base, params.p, params.q
-    out = []
-    for cls in enumerate_classes(params):
-        inv_aut = base.coerce(pow(cls.aut_order % p, p - 2, p))
-        assert base.coerce(cls.aut_order) == base.coerce(-1)
-        bpow = [base.one]
-        for _ in range(q - 2):
-            bpow.append(bpow[-1] * cls.frob_b)
-        out.append((cls, inv_aut, bpow))
-    return out
-
-
-def cl_table(params: DrinfeldParams, max_k: int) -> CLTable:
-    cached = _CL_CACHE.get(params)
-    if cached is not None and cached.max_k >= max_k:
-        return cached
-    base, q = params.base, params.q
-    weights = _class_weights(params)
-    apow = [FqPoly(base, [base.one]) for _ in weights]
-    rows = []
-    for k in range(max_k + 1):
-        row = []
-        for lres in range(q - 1):
-            acc = FqPoly(base, [])
-            for ci, (cls, inv_aut, bpow) in enumerate(weights):
-                scale = inv_aut * bpow[(lres - k) % (q - 1)]
-                if not scale.is_zero():
-                    acc = acc + apow[ci] * scale
-            row.append(acc)
-        rows.append(tuple(row))
-        for ci, (cls, _, _) in enumerate(weights):
-            apow[ci] = apow[ci] * cls.frob_a
-    table = CLTable(params, max_k, tuple(rows))
-    _CL_CACHE[params] = table
-    return table
+    base = params.base
+    return [
+        [fq_poly_from_codes(base, r) for r in rows.tolist()]
+        for rows in _h_kernel(params, max_k, range(1, params.q), moments=True)
+    ]
 
 
 def trace_Tpn(params: DrinfeldParams, k: int, l: int) -> FqPoly:
     """Exact trace of the wp-Hecke operator on weight k+2, type l forms.
 
-    trace = -sum_j binom(k-j, j) (-wp)^j [c_{k-2j, l-j}], an element of
-    F_q[T]; the type is read mod q-1.
+    The last row of `_h_kernel` run to k, an element of F_q[T]; the type is
+    read mod q-1.  It equals -sum_j binom(k-j, j) (-wp)^j [c_{k-2j, l-j}].
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    base = params.base
-    table = cl_table(params, k)
-    neg_wp = -params.wp
-    wpj = FqPoly(base, [base.one])
-    acc = FqPoly(base, [])
-    for j in range(k // 2 + 1):
-        c = math.comb(k - j, j) % params.p
-        if c:
-            acc = acc + wpj * base.coerce(c) * table.value(k - 2 * j, l - j)
-        wpj = wpj * neg_wp
-    return -acc
+    for rows in _h_kernel(params, k, (l,)):
+        pass
+    return fq_poly_from_codes(params.base, rows[0].tolist())
 
 
 def _h_fold_traces(params: DrinfeldParams, kmax: int, l: int) -> List[FqPoly]:
-    """[trace(k, l) for k = 0..kmax] via the per-class h-recurrence.
-
-    h_k = a h_{k-1} - b wp h_{k-2} evaluates the symmetric kernel at the
-    Frobenius roots without ever representing them; much faster than the
-    [c] fold when a whole k-range is needed.
-    """
-    base, q = params.base, params.q
-    weights = _class_weights(params)
-    bwp = [params.wp * cls.frob_b for cls, _, _ in weights]
-    h1 = [FqPoly(base, [base.one]) for _ in weights]
-    h2 = [None for _ in weights]
-    out = []
-    for k in range(kmax + 1):
-        cur = []
-        for ci, (cls, _, _) in enumerate(weights):
-            if k == 0:
-                h = FqPoly(base, [base.one])
-            elif k == 1:
-                h = cls.frob_a
-            else:
-                h = cls.frob_a * h1[ci] - bwp[ci] * h2[ci]
-            cur.append(h)
-        acc = FqPoly(base, [])
-        for ci, (cls, inv_aut, bpow) in enumerate(weights):
-            acc = acc + cur[ci] * (inv_aut * bpow[(l - 1 - k) % (q - 1)])
-        out.append(-acc)
-        h2, h1 = h1, cur
-    return out
-
-
-def trace_via_classes(params: DrinfeldParams, k: int, l: int) -> FqPoly:
-    """Same trace as trace_Tpn, by the direct class fold (cross-check route)."""
-    return _h_fold_traces(params, k, l)[k]
+    """[trace_Tpn(params, k, l) for k = 0..kmax] from one run of `_h_kernel`."""
+    base = params.base
+    return [fq_poly_from_codes(base, rows[0].tolist()) for rows in _h_kernel(params, kmax, (l,))]
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +727,7 @@ def g_series_numerator(
 ) -> List[FqPoly]:
     """Numerator h(x) with sum_k g_k x^k = h(x) / ((1-x)^m - (-b wp x^2)^m).
 
-    Multiplies the truncated series by the denominator and asserts that all
+    Multiplies the truncated series by the denominator and checks that all
     coefficients beyond degree 2m-2 vanish through `terms`; returns the
     numerator coefficients (ascending in x, length <= 2m-1).
     """
@@ -706,7 +744,8 @@ def g_series_numerator(
             acc = acc + den[i] * series[t - i]
         prod.append(acc)
     for t in range(2 * m - 1, T + 1):
-        assert prod[t].is_zero(), f"series tail does not vanish at x^{t}"
+        if not prod[t].is_zero():
+            raise ArithmeticError(f"series tail does not vanish at x^{t}")
     return prod[: 2 * m - 1]
 
 
@@ -727,7 +766,8 @@ def h_series_numerator(
             acc = acc + den[i] * series[t - i]
         prod.append(acc)
     for t in range(2 * m - 1, T + 1):
-        assert prod[t].is_zero(), f"series tail does not vanish at x^{t}"
+        if not prod[t].is_zero():
+            raise ArithmeticError(f"series tail does not vanish at x^{t}")
     return FqPoly(field, prod[: 2 * m - 1])
 
 
@@ -788,11 +828,15 @@ class ResidueRing:
             return f.v_mul(a, b)
         shape = np.broadcast(a[..., :1], b[..., :1]).shape[:-1]
         acc = np.zeros(shape + (2 * d - 1,), dtype=np.int64)
-        for i in range(d):
-            acc[..., i : i + d] = f.v_add(acc[..., i : i + d], f.v_mul(a[..., i : i + 1], b))
-        for e in range(2 * d - 2, d - 1, -1):
-            ce = acc[..., e : e + 1]
-            acc[..., :d] = f.v_add(acc[..., :d], f.v_mul(ce, self.rows[e - d]))
+        _mul_add(f, acc, b, a)
+        return self.reduce(acc)
+
+    def reduce(self, acc: np.ndarray) -> np.ndarray:
+        """Residues of code arrays with d to 2d - 1 digits on the last axis;
+        overwrites the low digits of acc."""
+        f, d = self.field, self.d
+        for e in range(acc.shape[-1] - 1, d - 1, -1):
+            acc[..., :d] = f.v_add(acc[..., :d], f.v_mul(acc[..., e : e + 1], self.rows[e - d]))
         return acc[..., :d].copy()
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
@@ -811,34 +855,11 @@ def trace_sequence_mod(
 ) -> np.ndarray:
     """Trace residues mod lpoly^s for k = 0..kmax, shape (kmax+1, deg(lpoly^s)).
 
-    Runs the h-recurrence per class on residue vectors and folds with the
-    type weights; row k is the residue of trace_Tpn(params, k, l).
+    `_h_kernel` run on residues mod lpoly^s: row k is the residue of
+    trace_Tpn(params, k, l), without ever forming the exact trace.
     """
-    base, q = params.base, params.q
     ring = ResidueRing(poly_pow(lpoly, s))
-    weights = _class_weights(params)
-    C = len(weights)
-    A = np.stack([ring.encode(cls.frob_a) for cls, _, _ in weights])
-    W = np.stack([ring.encode(-(params.wp * cls.frob_b)) for cls, _, _ in weights])
-    sc = np.zeros((q - 1, C), dtype=np.int64)
-    for rho in range(q - 1):
-        for ci, (cls, inv_aut, bpow) in enumerate(weights):
-            sc[rho, ci] = (inv_aut * bpow[(l - 1 - rho) % (q - 1)]).code
-    hall = ring.zeros(kmax + 1, C)
-    hall[0] = ring.ones(C)
-    if kmax >= 1:
-        hall[1] = A
-    for k in range(2, kmax + 1):
-        hall[k] = ring.add(ring.mul(A, hall[k - 1]), ring.mul(W, hall[k - 2]))
-    out = ring.zeros(kmax + 1)
-    for rho in range(q - 1):
-        ks = np.arange(rho, kmax + 1, q - 1)
-        if len(ks) == 0:
-            continue
-        scaled = ring.scalar_mul(hall[ks], sc[rho][None, :, None])
-        folded = _fold_add(base, np.moveaxis(scaled, 1, 0))
-        out[ks] = ring.neg(folded)
-    return out
+    return np.stack([rows[0] for rows in _h_kernel(params, kmax, (l,), ring)])
 
 
 def minimal_period_mod(
@@ -940,20 +961,17 @@ def _split_parts(
     """
     base, q, p, s = params.base, params.q, params.p, spec.s
     m = spec.m_ls
-    weights = _class_weights(params)
+    classes, scales = _class_weights(params)
     nw = kmax - kmin + 1
     Nvals = ring.zeros(nw)
     Uvals = ring.zeros(nw)
 
-    ncls = [
-        (cls, inv_aut, bpow)
-        for cls, inv_aut, bpow in weights
-        if (cls.frob_a % spec.lpoly).is_zero()
-    ]
-    if ncls:
-        Cn = len(ncls)
-        abar = np.stack([ring.encode(cls.frob_a) for cls, _, _ in ncls])
-        wneg = np.stack([ring.encode(-(params.wp * cls.frob_b)) for cls, _, _ in ncls])
+    zero_a = [(cls.frob_a % spec.lpoly).is_zero() for cls in classes]
+    nidx = [ci for ci, z in enumerate(zero_a) if z]
+    if nidx:
+        Cn = len(nidx)
+        abar = np.stack([ring.encode(classes[ci].frob_a) for ci in nidx])
+        wneg = np.stack([ring.encode(-(params.wp * classes[ci].frob_b)) for ci in nidx])
         jtop = (s - 1) // 2
         apow = [ring.ones(Cn)]
         for _ in range(2 * jtop + 1):
@@ -962,10 +980,7 @@ def _split_parts(
         phalf[0] = ring.ones(Cn)
         for t in range(1, kmax + 1):
             phalf[t] = ring.mul(phalf[t - 1], wneg) if t % 2 == 0 else phalf[t - 1]
-        scn = np.zeros((q - 1, Cn), dtype=np.int64)
-        for rho in range(q - 1):
-            for ci, (cls, inv_aut, bpow) in enumerate(ncls):
-                scn[rho, ci] = (inv_aut * bpow[(l - 1 - rho) % (q - 1)]).code
+        scn = scales[(l - 1 - np.arange(q - 1)) % (q - 1)][:, nidx]
         for k in range(kmin, kmax + 1):
             delta = k % 2
             acc = ring.zeros(Cn)
@@ -977,21 +992,17 @@ def _split_parts(
             acc = ring.scalar_mul(acc, scn[k % (q - 1)][:, None])
             Nvals[k - kmin] = _fold_add(base, acc)
 
-    ucls = [
-        (cls, inv_aut, bpow)
-        for cls, inv_aut, bpow in weights
-        if not (cls.frob_a % spec.lpoly).is_zero()
-    ]
-    groups: Dict[int, List[Tuple[DrinfeldClass, FqElem, List[FqElem]]]] = {}
-    for item in ucls:
-        groups.setdefault(item[0].frob_b.code, []).append(item)
-    for bcode, items in groups.items():
+    groups: Dict[int, List[int]] = {}
+    for ci, cls in enumerate(classes):
+        if not zero_a[ci]:
+            groups.setdefault(cls.frob_b.code, []).append(ci)
+    for bcode, idx in groups.items():
         b = base.decode(bcode)
         wneg_b = ring.encode(-(params.wp * b))
-        abar = np.stack([ring.encode(cls.frob_a) for cls, _, _ in items])
-        inv_codes = np.array([inv_aut.code for _, inv_aut, _ in items], dtype=np.int64)
+        abar = np.stack([ring.encode(classes[ci].frob_a) for ci in idx])
+        inv_codes = scales[0, idx]
         spow = []
-        cur = ring.ones(len(items))
+        cur = ring.ones(len(idx))
         for e in range(2 * m):
             weighted = ring.scalar_mul(cur, inv_codes[:, None])
             spow.append(_fold_add(base, weighted))
@@ -1157,21 +1168,16 @@ def ramanujan_check(params: DrinfeldParams) -> RamanujanReport:
     s = two_s // 2
     st = s_tilde(p, s)
     k_limit = p ** (1 + st) * (q * q - 1) + s
+    degs = np.stack([_code_degrees(r) for r in _h_kernel(params, k_limit - 1, range(1, q))], axis=1)
     rows = []
     all_ok = True
     for l in range(1, q):
-        traces = _h_fold_traces(params, k_limit - 1, l)
         for k in range(k_limit):
-            tr = traces[k]
             bound = -(-k // 2) * params.wp.degree - s
-            if tr.is_zero():
-                ok = True
-                deg: Optional[int] = None
-            else:
-                deg = tr.degree
-                ok = deg <= bound
+            deg = int(degs[l - 1, k])
+            ok = deg <= bound or deg < 0
             all_ok = all_ok and ok
-            rows.append((k, l, deg, bound, ok))
+            rows.append((k, l, deg if deg >= 0 else None, bound, ok))
     return RamanujanReport(params, False, s, st, k_limit, tuple(rows), all_ok)
 
 
@@ -1205,17 +1211,17 @@ def verify_dim_congruence(
     if params.P.evaluate(alpha).is_zero():
         raise ValueError("alpha is a root of P; the modulus must avoid wp")
     wpa = params.wp.evaluate(alpha)
-    lpoly = FqPoly(base, [-alpha, base.one])
     records = []
     all_ok = True
+    if kmax < 2:
+        return records, all_ok
+    ring = ResidueRing(FqPoly(base, [-alpha, base.one]))
+    seq = np.stack(list(_h_kernel(params, kmax - 2, range(1, q), ring)))
     for l in range(1, q):
-        if kmax < 2:
-            break
-        seq = trace_sequence_mod(params, lpoly, 1, l, kmax - 2)
         for k in range(2, kmax + 1):
             if (k - 2 * l) % (q - 1):
                 continue
-            got = base.decode(int(seq[k - 2][0]))
+            got = base.decode(int(seq[k - 2, l - 1, 0]))
             want = wpa ** (l - 1) * base.coerce(dim_cusp_ff(q, k, l))
             ok = got == want
             all_ok = all_ok and ok
@@ -1254,7 +1260,8 @@ def _unit_array(lpoly: FqPoly, s: int, max_size: Optional[int]) -> Tuple[Residue
             red = field.v_add(red, field.v_mul(residues[..., e : e + 1], x_rows[e - d]))
         units = residues[red.any(axis=1)]
     expected_units = q ** (d * (s - 1)) * (q**d - 1)
-    assert len(units) == expected_units
+    if len(units) != expected_units:
+        raise ArithmeticError(f"found {len(units)} units, not {expected_units}")
     return ring, units
 
 
@@ -1286,7 +1293,8 @@ def unit_group_exponent(lpoly: FqPoly, s: int, max_size: Optional[int] = None) -
         return True
 
     order = len(units)
-    assert all_pass(order)
+    if not all_pass(order):
+        raise ArithmeticError(f"some unit has u^{order} != 1 for the group order {order}")
     exponent = order
     for prime in sorted(factorize(order)):
         while exponent % prime == 0:

@@ -6,6 +6,7 @@ optionally mirrored into numpy log/exp/Zech tables for bulk work. No floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -551,8 +552,9 @@ _EMBED_CACHE: dict = {}
 def embed(e: FqElem, target: FqField) -> FqElem:
     """Map e into an extension field along the canonical embedding.
 
-    The embedding sends the source generator to the lexicographically least
-    root of the source modulus in the target, found by exhaustive scan.
+    The embedding sends the source generator to the least root (by code) of
+    the source modulus in the target, found by `FqPoly.roots`; a prime
+    source field needs no root, as its elements are the constants.
     """
     src = e.field
     if src is target:
@@ -562,25 +564,15 @@ def embed(e: FqElem, target: FqField) -> FqElem:
     key = (src.p, src.a, target.a)
     powers = _EMBED_CACHE.get(key)
     if powers is None:
-        coeffs = list(src.modulus)
-        if target.q > 4096:
-            vals = target.v_poly_eval(coeffs, np.arange(target.q, dtype=np.int64))
-            roots = np.flatnonzero(vals == 0)
-            assert len(roots) == src.a
-            root = target.decode(int(roots[0]))
-        else:
-            root = None
-            for cand in target.elements():
-                acc = target.zero
-                for c in reversed(coeffs):
-                    acc = acc * cand + target.coerce(c)
-                if acc.is_zero():
-                    root = cand
-                    break
-            assert root is not None
         powers = [target.one]
-        for _ in range(src.a - 1):
-            powers.append(powers[-1] * root)
+        if src.a > 1:
+            roots = FqPoly(target, [target.coerce(c) for c in src.modulus]).roots()
+            if len(roots) != src.a:
+                raise ArithmeticError(
+                    f"the modulus of F_{src.q} has {len(roots)} roots in F_{target.q}"
+                )
+            for _ in range(src.a - 1):
+                powers.append(powers[-1] * roots[0])
         _EMBED_CACHE[key] = powers
     acc = target.zero
     for c, pw in zip(e.coeffs, powers):
@@ -671,7 +663,8 @@ class FqPoly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return FqPoly(f, []), self
-        inv_lead = other.coeffs[-1].inverse()
+        lead = other.coeffs[-1]
+        inv_lead = lead if lead == f.one else lead.inverse()  # monic divisors skip a power
         quo = [f.zero] * (dq + 1)
         for k in range(dq, -1, -1):
             c = rem[k + other.degree] * inv_lead
@@ -735,16 +728,45 @@ class FqPoly:
         return True
 
     def roots(self) -> List[FqElem]:
-        """All roots in the base field, by exhaustive scan."""
-        out = []
+        """All roots in the base field, sorted by code, by equal-degree
+        splitting (Cantor-Zassenhaus).
+
+        r = gcd(f, x^q - x) is the product of the distinct linear factors.
+        It is split by gcd(r, (x + d)^((q-1)/2) - 1) for odd q, and by
+        gcd(r, Tr(d x)) with Tr(y) = y + y^2 + ... + y^(q/2) for even q, with
+        d running over the codes 1, 2, ..., 0 until every factor is linear.
+        """
+        if self.is_zero():
+            raise ValueError("the zero polynomial has every element as a root")
         fld = self.field
-        if fld.q > 4096:
-            vals = fld.v_poly_eval([c.code for c in self.coeffs], np.arange(fld.q, dtype=np.int64))
-            return [fld.decode(int(c)) for c in np.flatnonzero(vals == 0)]
-        for x in fld.elements():
-            if self.evaluate(x).is_zero():
-                out.append(x)
-        return out
+        x = FqPoly(fld, [fld.zero, fld.one])
+
+        def probe(d: FqElem, r: "FqPoly") -> "FqPoly":
+            if fld.p != 2:
+                return (x + d).pow_mod((fld.q - 1) // 2, r) - FqPoly(fld, [fld.one])
+            t = (x * d) % r
+            acc = t
+            for _ in range(fld.a - 1):
+                t = (t * t) % r
+                acc = acc + t
+            return acc
+
+        f = self.monic()
+        todo = [f.gcd(x.pow_mod(fld.q, f) - x)] if f.degree > 0 else []
+        roots = []
+        while todo:
+            r = todo.pop()
+            if r.degree == 1:
+                roots.append(-r.coeffs[0])
+            elif r.degree > 1:
+                for code in itertools.chain(range(1, fld.q), [0]):
+                    g = r.gcd(probe(fld.decode(code), r))
+                    if 0 < g.degree < r.degree:
+                        todo += [g, r // g]
+                        break
+                else:
+                    raise ArithmeticError(f"no split of a product of {r.degree} linear factors")
+        return sorted(roots, key=lambda e: e.code)
 
     def codes(self) -> Tuple[int, ...]:
         return tuple(c.code for c in self.coeffs)
@@ -823,70 +845,6 @@ class ZMod:
 
     def __repr__(self):
         return f"ZMod({self.m})"
-
-
-class FqPolyQuotient:
-    """The ring F_q[T]/(M) with FqPoly elements reduced mod M."""
-
-    def __init__(self, modulus: FqPoly):
-        if modulus.degree < 1:
-            raise ValueError("modulus must have positive degree")
-        self.modulus = modulus.monic()
-        self.field = modulus.field
-        self.zero = FqPoly(self.field, [])
-        self.one = FqPoly(self.field, [self.field.one])
-
-    def from_int(self, n: int) -> FqPoly:
-        return FqPoly(self.field, [self.field.coerce(n)])
-
-    def reduce(self, f: FqPoly) -> FqPoly:
-        return f % self.modulus
-
-    def add(self, a: FqPoly, b: FqPoly) -> FqPoly:
-        return a + b
-
-    def sub(self, a: FqPoly, b: FqPoly) -> FqPoly:
-        return a - b
-
-    def neg(self, a: FqPoly) -> FqPoly:
-        return -a
-
-    def mul(self, a: FqPoly, b: FqPoly) -> FqPoly:
-        return (a * b) % self.modulus
-
-    def is_unit(self, a: FqPoly) -> bool:
-        return (not a.is_zero()) and self.modulus.gcd(a).degree == 0
-
-    def inv(self, a: FqPoly) -> FqPoly:
-        """Inverse by extended Euclid against the modulus."""
-        if not self.is_unit(a):
-            raise ZeroDivisionError("not a unit in the quotient ring")
-        f = self.field
-        r0, r1 = self.modulus, a % self.modulus
-        s0, s1 = FqPoly(f, []), FqPoly(f, [f.one])
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        lead = r0.coeffs[-1].inverse()
-        return (s0 * lead) % self.modulus
-
-    def is_zero(self, a: FqPoly) -> bool:
-        return self.reduce(a).is_zero()
-
-    def elements(self):
-        d = self.modulus.degree
-        f = self.field
-        for code in range(f.q ** d):
-            c = code
-            coeffs = []
-            for _ in range(d):
-                coeffs.append(c % f.q)
-                c //= f.q
-            yield FqPoly(f, [f.decode(x) for x in coeffs])
-
-    def __repr__(self):
-        return f"FqPolyQuotient({self.modulus!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Independent oracles: q-expansions that pin expected trace values, a
-full-range sieve of Hurwitz class numbers, a rational fold of mass lists, and
-the mass routes by enumeration (reduced families, the full isomorphism
-classification and its automorphism stabilizers).
+full-range sieve of Hurwitz class numbers, a rational fold of mass lists, the
+mass routes by enumeration (reduced families, the full isomorphism
+classification and its automorphism stabilizers), and Drinfeld traces from
+the [c_{k,l}] table.
 
-Everything but the enumeration routes is plain integer series or numpy
-arithmetic. Those routes use the package's curve arithmetic, but none of its
-mass routes; they import it when called, because perfbench/run.py loads this
-file without the package on the path.
+Everything but the enumeration routes and the [c_{k,l}] table is plain
+integer series or numpy arithmetic. Those use the package's curve and
+polynomial arithmetic and class data, but none of its mass routes or its
+h-recurrence kernel; they import it when called, because perfbench/run.py
+loads this file without the package on the path.
 """
 
 import math
@@ -508,3 +510,95 @@ def class_route_masses(
 def nonunit_class_count(field: "FqField", ell: int) -> int:
     """Unweighted number of isomorphism classes with a1 = 0 mod ell."""
     return sum(1 for c in iso_classes(field) if c.a1 % ell == 0)
+
+
+# ---------------------------------------------------------------------------
+# Drinfeld traces from the [c_{k,l}] table: FqPoly loops over the classes,
+# independent of the batched h-recurrence kernel in hecketrace.drinfeld
+
+
+@dataclass(frozen=True)
+class CLTable:
+    """[c_{k,l}] = sum over classes of a^k b^{l-k-1}/autOrder, for k <= max_k.
+
+    Entries are exact elements of F_q[T], indexed [k][(l-1) mod (q-1)];
+    1/autOrder means the inverse of autOrder mod p inside F_p <= F_q.
+    """
+
+    params: object  # a hecketrace.drinfeld.DrinfeldParams
+    max_k: int
+    entries: Tuple[Tuple[object, ...], ...]  # hecketrace.ffield.FqPoly entries
+
+    def value(self, k: int, l: int) -> "FqPoly":
+        return self.entries[k][(l - 1) % (self.params.q - 1)]
+
+
+_CL_CACHE: Dict["DrinfeldParams", CLTable] = {}
+
+
+def _class_weights(
+    params: "DrinfeldParams",
+) -> List[Tuple["DrinfeldClass", "FqElem", List["FqElem"]]]:
+    """(class, 1/autOrder in F_q, powers of b) for every class."""
+    from hecketrace.drinfeld import enumerate_classes
+
+    base, p, q = params.base, params.p, params.q
+    out = []
+    for cls in enumerate_classes(params):
+        inv_aut = base.coerce(pow(cls.aut_order % p, p - 2, p))
+        assert base.coerce(cls.aut_order) == base.coerce(-1)
+        bpow = [base.one]
+        for _ in range(q - 2):
+            bpow.append(bpow[-1] * cls.frob_b)
+        out.append((cls, inv_aut, bpow))
+    return out
+
+
+def cl_table(params: "DrinfeldParams", max_k: int) -> CLTable:
+    from hecketrace.ffield import FqPoly
+
+    cached = _CL_CACHE.get(params)
+    if cached is not None and cached.max_k >= max_k:
+        return cached
+    base, q = params.base, params.q
+    weights = _class_weights(params)
+    apow = [FqPoly(base, [base.one]) for _ in weights]
+    rows = []
+    for k in range(max_k + 1):
+        row = []
+        for lres in range(q - 1):
+            acc = FqPoly(base, [])
+            for ci, (cls, inv_aut, bpow) in enumerate(weights):
+                scale = inv_aut * bpow[(lres - k) % (q - 1)]
+                if not scale.is_zero():
+                    acc = acc + apow[ci] * scale
+            row.append(acc)
+        rows.append(tuple(row))
+        for ci, (cls, _, _) in enumerate(weights):
+            apow[ci] = apow[ci] * cls.frob_a
+    table = CLTable(params, max_k, tuple(rows))
+    _CL_CACHE[params] = table
+    return table
+
+
+def trace_from_cl_table(params: "DrinfeldParams", k: int, l: int) -> "FqPoly":
+    """Exact trace of the wp-Hecke operator on weight k+2, type l forms.
+
+    trace = -sum_j binom(k-j, j) (-wp)^j [c_{k-2j, l-j}], an element of
+    F_q[T]; the type is read mod q-1.
+    """
+    from hecketrace.ffield import FqPoly
+
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    base = params.base
+    table = cl_table(params, k)
+    neg_wp = -params.wp
+    wpj = FqPoly(base, [base.one])
+    acc = FqPoly(base, [])
+    for j in range(k // 2 + 1):
+        c = math.comb(k - j, j) % params.p
+        if c:
+            acc = acc + wpj * base.coerce(c) * table.value(k - 2 * j, l - j)
+        wpj = wpj * neg_wp
+    return -acc

@@ -1,16 +1,22 @@
 """Tests for Drinfeld classes, Frobenius data, traces, periods and exponents."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oracles
 from hecketrace import drinfeld as dr
 from hecketrace.ffield import BudgetError, FqPoly, fq_construct, fq_poly_from_codes
 
 F2 = fq_construct(2, 1)
 F3 = fq_construct(3, 1)
+F4 = fq_construct(2, 2)
+F9 = fq_construct(3, 2)
 
 
 def _poly(field, codes):
@@ -94,6 +100,61 @@ def test_class_partition_and_bounds():
             assert not c.frob_b.is_zero()
 
 
+_WIDE_FROBENIUS = """
+from hecketrace import drinfeld as dr
+from hecketrace.ffield import fq_construct, fq_poly_from_codes
+
+F3 = fq_construct(3, 1)
+pp = dr.drinfeld_params(fq_poly_from_codes(F3, (0, 1)), 1)
+good = dr.frobenius_poly
+dr.frobenius_poly = lambda klass, params: (
+    good(klass, params)[0] + fq_poly_from_codes(F3, (0,) * params.m + (1,)),
+    good(klass, params)[1],
+)
+try:
+    dr.enumerate_classes(pp)
+except ArithmeticError as exc:
+    print(exc)
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_enumeration_rejects_a_past_the_slope_bound(monkeypatch):
+    # a Frobenius a of degree m breaks 2 deg(a) <= m; the check is not an
+    # assert, so it also stops the enumeration under python -O
+    pp = _params(F3, (0, 1), 1)
+    good = dr.frobenius_poly
+    monkeypatch.setattr(dr, "_CLASS_CACHE", {})
+    monkeypatch.setattr(
+        dr,
+        "frobenius_poly",
+        lambda klass, params: (good(klass, params)[0] + _poly(F3, (0, 1)), good(klass, params)[1]),
+    )
+    with pytest.raises(ArithmeticError, match="exceeds m/2"):
+        dr.enumerate_classes(pp)
+    src = os.path.dirname(os.path.dirname(dr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", _WIDE_FROBENIUS],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "exceeds m/2" in res.stdout
+
+
+def test_kernel_rejects_a_digit_past_its_width(monkeypatch):
+    # the exact kernel's width floor(k m / 2) + 1 holds only under the slope
+    # bound; a class past it spills a digit, which is refused, not truncated
+    pp = _params(F3, (0, 1), 1)
+    T = _poly(F3, (0, 1))
+    wide = [
+        dr.DrinfeldClass(c.g, c.delta, c.aut_order, c.orbit_size, c.frob_a + T, c.frob_b)
+        for c in dr.enumerate_classes(pp)
+    ]
+    monkeypatch.setattr(dr, "enumerate_classes", lambda params: wide)
+    with pytest.raises(ArithmeticError, match="past degree"):
+        dr.trace_Tpn(pp, 6, 1)
+
+
 def test_frobenius_poly_accepts_bare_pair():
     pp = _params(F2, (0, 1), 1)
     a, b = dr.frobenius_poly((pp.L.one, pp.L.one), pp)
@@ -163,14 +224,24 @@ def test_trace_k0_and_weight8_values():
 
 
 def test_trace_type_invariance_and_dual_route():
-    for field, pcodes, n in ((F2, (1, 1, 1), 1), (F3, (2, 1), 1), (F3, (0, 1), 2)):
+    # F_4 and F_9 take the Zech-table path of the kernel
+    grid = (
+        (F2, (1, 1, 1), 1),
+        (F3, (2, 1), 1),
+        (F3, (0, 1), 2),
+        (F4, (0, 1), 1),
+        (F4, (1, 1), 2),
+        (F9, (0, 1), 1),
+    )
+    for field, pcodes, n in grid:
         pp = _params(field, pcodes, n)
         q = pp.q
+        oracles.cl_table(pp, 17)  # one table serves every k below
         for k in range(0, 18):
             for l in range(1, q):
                 t = dr.trace_Tpn(pp, k, l)
                 assert t == dr.trace_Tpn(pp, k, l + (q - 1))
-                assert t == dr.trace_via_classes(pp, k, l)
+                assert t == oracles.trace_from_cl_table(pp, k, l), (field.q, pcodes, n, k, l)
 
 
 def test_cl_table_values_are_constants_on_low_weights():
@@ -180,9 +251,11 @@ def test_cl_table_values_are_constants_on_low_weights():
         pp = _params(field, pcodes, n)
         q = pp.q
         table = dr.cl_table(pp, 3 * q - 2)
+        oracle = oracles.cl_table(pp, 3 * q - 2)
         for k in range(3 * q - 1):
             for lres in range(q - 1):
-                v = table.entries[k][lres]
+                v = table[k][lres]
+                assert v == oracle.entries[k][lres], (pcodes, n, k, lres)
                 assert v.degree <= 0
                 if not v.is_zero():
                     assert all(x == 0 for x in v.coeffs[0].coeffs[1:])
@@ -258,6 +331,7 @@ def test_trace_sequence_mod_matches_exact_traces():
         (F3, (1, 1), 1, (0, 1), 2, 2),
         (F3, (0, 1), 2, (1, 1), 2, 1),
         (F2, (0, 1), 1, (1, 1), 2, 1),
+        (F4, (1, 1), 2, (0, 1), 2, 2),
     ]
     for field, pcodes, n, lcodes, s, l in cases:
         pp = _params(field, pcodes, n)
@@ -387,6 +461,20 @@ def test_ramanujan_vacuous_and_basic_report():
     assert rep.all_ok
     for k, l, deg, bound, ok in rep.rows:
         assert ok and (deg is None or deg <= bound)
+
+
+def test_ramanujan_rows_match_oracle_degrees():
+    # the kernel's degrees, read off code rows for all types in one run,
+    # against the degrees of the [c_{k,l}] oracle's exact traces
+    for pcodes in ((0, 1), (1, 1)):
+        pp = _params(F3, pcodes, 1)
+        rep = dr.ramanujan_check(pp)
+        assert rep.k_limit == 25 and len(rep.rows) == 2 * 25
+        for k, l, deg, bound, ok in rep.rows:
+            tr = oracles.trace_from_cl_table(pp, k, l)
+            assert deg == (None if tr.is_zero() else tr.degree), (pcodes, k, l)
+            assert bound == -(-k // 2) - 1
+            assert ok == (tr.is_zero() or tr.degree <= bound)
 
 
 def test_dim_formula_small_table():

@@ -4,12 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
 
 from hecketrace.ffield import (
     BudgetError,
     FqField,
     FqPoly,
-    FqPolyQuotient,
     PrimePower,
     ZMod,
     canonical_irreducibles,
@@ -190,6 +193,42 @@ def test_fq_poly_ops():
     assert FqPoly(f, [2, 0, 1]).is_irreducible()   # x^2+2 irreducible mod 5
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13, 101, 65537]),
+    coeffs=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=7),
+    forced=st.lists(st.integers(0, 1 << 20), max_size=4),
+)
+def test_roots_match_sympy_factorization(p, coeffs, forced):
+    # over F_p the roots are the negated constants of sympy's monic linear
+    # factors; `forced` multiplies in linear factors so that roots occur
+    F = fq_construct(p, 1)
+    poly = FqPoly(F, [c % p for c in coeffs])
+    for r in forced:
+        poly = poly * FqPoly(F, [(-r) % p, 1])
+    assume(not poly.is_zero())
+    _, factors = gf_factor(list(reversed(poly.codes())), p, ZZ)
+    want = sorted((-fac[1]) % p for fac, _ in factors if len(fac) == 2)
+    assert [r.code for r in poly.roots()] == want
+
+
+def test_roots_match_scan_over_extensions():
+    # the evaluation scan's order is the code order; both splitting maps
+    # (odd q and the trace map for even q) run here
+    rng = random.Random(17)
+    for p, a in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)):
+        F = fq_construct(p, a)
+        for _ in range(25):
+            low = [F.decode(rng.randrange(F.q)) for _ in range(rng.randrange(1, 5))]
+            poly = FqPoly(F, low + [F.one])
+            for _ in range(rng.randrange(4)):
+                poly = poly * FqPoly(F, [F.decode(rng.randrange(F.q)), F.one])
+            scan = [x for x in F.elements() if poly.evaluate(x).is_zero()]
+            assert poly.roots() == scan, (p, a, poly)
+    with pytest.raises(ValueError):
+        FqPoly(fq_construct(3, 1), []).roots()
+
+
 def test_canonical_irreducibles():
     f2 = fq_construct(2, 1)
     deg2 = canonical_irreducibles(f2, 2)
@@ -198,18 +237,6 @@ def test_canonical_irreducibles():
     assert [p.codes() for p in deg1] == [(0, 1), (1, 1)]
     f3 = fq_construct(3, 1)
     assert len(canonical_irreducibles(f3, 2)) == 3
-
-
-def test_poly_quotient_ring():
-    f3 = fq_construct(3, 1)
-    t = FqPoly(f3, [0, 1])
-    ring = FqPolyQuotient(t * t)   # F_3[T]/T^2
-    a = ring.reduce(t + 1)
-    assert ring.mul(a, a) == ring.reduce(2 * t + 1)
-    assert ring.is_unit(a)
-    assert ring.mul(ring.inv(a), a) == ring.one
-    assert not ring.is_unit(ring.reduce(t))
-    assert len(list(ring.elements())) == 9
 
 
 def test_poly_divides_mod_frozen_examples():
