@@ -43,28 +43,6 @@ def is_square_mod_2s(q: int, s: int) -> bool:
 # of j mod m, where the class is anchored at floor(k/2) - r
 
 
-def f_coeff(q: int, r: int, m: int, k: int) -> int:
-    """Exact integer value of the weight-k family member for residue r mod m."""
-    half = k // 2
-    target = (half - r) % m
-    total = 0
-    for j in range(k // 2 + 1):
-        if j % m == target:
-            total += math.comb(k - j, j) * (-q) ** j
-    return total
-
-
-def f_coeff_truncated(q: int, r: int, m: int, k: int, terms: int) -> int:
-    """Same sum restricted to j <= terms - 1 (used when ell divides q)."""
-    half = k // 2
-    target = (half - r) % m
-    total = 0
-    for j in range(min(k // 2, terms - 1) + 1):
-        if j % m == target:
-            total += math.comb(k - j, j) * (-q) ** j
-    return total
-
-
 class CoeffFamily:
     """Rows of binom(k-j, j) mod M with cached incremental extension.
 
@@ -135,7 +113,10 @@ def f_numerator(q: int, r: int, m: int, delta: int, horizon_mult: int = 10) -> L
                 prod[i + k] += c * series[k]
     bound = 4 * m - 2 - delta
     for t in range(bound + 1, horizon + 1):
-        assert prod[t] == 0, f"series is not rational with the expected denominator at degree {t}"
+        if prod[t]:
+            raise ArithmeticError(
+                f"series is not rational with the expected denominator at degree {t}"
+            )
     out = prod[: bound + 1]
     while out and out[-1] == 0:
         out.pop()

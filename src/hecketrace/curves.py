@@ -1,12 +1,14 @@
-"""Weierstrass curves over finite fields: point counts, torsion, level
-structures, and the (a1, mass) data the trace formula folds.
+"""Point counts over finite fields, level structures, and the (a1, mass)
+data the trace formula folds.
 
 One batched point-count kernel, frobenius_traces, counts points on many
 curves at once over numpy code tables. Each (characteristic, level) pair has
 one mass route built on class numbers or on that kernel: deuring_route_masses
 at level 1 for every p (with a sweep of the j = 0 stratum for p = 2, 3) and
 normal_form_route_masses for gamma0-2 and gamma1-4. No route classifies
-curves up to isomorphism. Everything here is exact.
+curves up to isomorphism or handles a single curve; the scalar curve
+arithmetic the enumeration oracles need lives in tests/curve_arith.py.
+Everything here is exact.
 """
 
 from __future__ import annotations
@@ -14,233 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
-from hecketrace.ffield import FqElem, FqField, FqPoly, embed, fq_construct
-
-Point = Optional[Tuple[FqElem, FqElem]]
-
-
-class WeierstrassCurve:
-    """A long Weierstrass equation y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
-
-    __slots__ = ("field", "a1", "a2", "a3", "a4", "a6")
-
-    def __init__(self, field: FqField, a1, a2, a3, a4, a6):
-        self.field = field
-        self.a1 = field.coerce(a1)
-        self.a2 = field.coerce(a2)
-        self.a3 = field.coerce(a3)
-        self.a4 = field.coerce(a4)
-        self.a6 = field.coerce(a6)
-
-    # b-invariants are characteristic-free
-    @property
-    def b2(self):
-        return self.a1 * self.a1 + 4 * self.a2
-
-    @property
-    def b4(self):
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @property
-    def b6(self):
-        return self.a3 * self.a3 + 4 * self.a6
-
-    @property
-    def b8(self):
-        return (
-            self.a1 * self.a1 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3 * self.a3
-            - self.a4 * self.a4
-        )
-
-    @property
-    def c4(self):
-        return self.b2 * self.b2 - 24 * self.b4
-
-    @property
-    def discriminant(self):
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-    @property
-    def j_invariant(self):
-        d = self.discriminant
-        if d.is_zero():
-            raise ZeroDivisionError("singular curve has no j-invariant")
-        c4 = self.c4
-        return c4 * c4 * c4 / d
-
-    def is_smooth(self) -> bool:
-        return not self.discriminant.is_zero()
-
-    def coefficient_codes(self) -> Tuple[int, int, int, int, int]:
-        return (self.a1.code, self.a2.code, self.a3.code, self.a4.code, self.a6.code)
-
-    def contains(self, x: FqElem, y: FqElem) -> bool:
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x * x * x + self.a2 * x * x + self.a4 * x + self.a6
-        return lhs == rhs
-
-    def transformed(self, u, r, s, t) -> "WeierstrassCurve":
-        """Apply the substitution x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
-        f = self.field
-        u, r, s, t = f.coerce(u), f.coerce(r), f.coerce(s), f.coerce(t)
-        if u.is_zero():
-            raise ZeroDivisionError("transform scale must be a unit")
-        ui = u.inverse()
-        ui2 = ui * ui
-        ui3 = ui2 * ui
-        ui4 = ui2 * ui2
-        ui6 = ui4 * ui2
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        na1 = (a1 + 2 * s) * ui
-        na2 = (a2 - s * a1 + 3 * r - s * s) * ui2
-        na3 = (a3 + r * a1 + 2 * t) * ui3
-        na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) * ui4
-        na6 = (a6 + r * a4 + r * r * a2 + r * r * r - t * a3 - t * t - r * t * a1) * ui6
-        return WeierstrassCurve(f, na1, na2, na3, na4, na6)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeierstrassCurve)
-            and self.field is other.field
-            and self.coefficient_codes() == other.coefficient_codes()
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.a, self.coefficient_codes()))
-
-    def __repr__(self):
-        return f"WeierstrassCurve(F_{self.field.q}, a={self.coefficient_codes()})"
-
-
-# ---------------------------------------------------------------------------
-# scalar point arithmetic
-
-
-def negate_point(curve: WeierstrassCurve, P: Point) -> Point:
-    if P is None:
-        return None
-    x, y = P
-    return (x, -y - curve.a1 * x - curve.a3)
-
-
-def add_points(curve: WeierstrassCurve, P: Point, Q: Point) -> Point:
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    if x1 == x2:
-        if y2 == -y1 - a1 * x1 - a3:
-            return None
-        den = 2 * y1 + a1 * x1 + a3
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
-        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) / den
-    else:
-        den = x2 - x1
-        lam = (y2 - y1) / den
-        nu = (y1 * x2 - y2 * x1) / den
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
-    return (x3, y3)
-
-
-def mul_point(curve: WeierstrassCurve, n: int, P: Point) -> Point:
-    if n < 0:
-        return mul_point(curve, -n, negate_point(curve, P))
-    acc: Point = None
-    add = P
-    while n:
-        if n & 1:
-            acc = add_points(curve, acc, add)
-        add = add_points(curve, add, add)
-        n >>= 1
-    return acc
-
-
-def point_order(curve: WeierstrassCurve, P: Point, cap: int = 200) -> int:
-    cur = P
-    for n in range(1, cap + 1):
-        if cur is None:
-            return n
-        cur = add_points(curve, cur, P)
-    raise AssertionError(f"order exceeds cap {cap}")
-
-
-# ---------------------------------------------------------------------------
-# solving for y: cached square-root and Artin-Schreier tables per field
-
-_SOLVE_CACHE: Dict[Tuple[int, int], dict] = {}
-
-
-def _solver(field: FqField) -> dict:
-    key = (field.p, field.a)
-    tab = _SOLVE_CACHE.get(key)
-    if tab is not None:
-        return tab
-    t = field.tables()
-    out = {"log": t["log"], "exp": t["exp"]}
-    if field.p == 2:
-        z = np.arange(field.q, dtype=np.int64)
-        c = field.v_add(field.v_mul(z, z), z)
-        table = np.full(field.q, -1, dtype=np.int64)
-        table[c] = z  # any one solution per value is enough
-        out["artin_schreier"] = table
-    _SOLVE_CACHE[key] = out
-    return out
-
-
-def sqrt_element(x: FqElem) -> Optional[FqElem]:
-    """A square root of x, or None when x is a non-square (odd characteristic)."""
-    f = x.field
-    if f.p == 2:
-        return x.frobenius(f.a - 1)
-    if x.is_zero():
-        return f.zero
-    tab = _solver(f)
-    l = int(tab["log"][x.code])
-    if l % 2:
-        return None
-    return f.decode(int(tab["exp"][l // 2]))
-
-
-def y_solutions(curve: WeierstrassCurve, x: FqElem) -> List[FqElem]:
-    f = curve.field
-    h = curve.a1 * x + curve.a3
-    rhs = x * x * x + curve.a2 * x * x + curve.a4 * x + curve.a6
-    if f.p != 2:
-        disc = h * h + 4 * rhs
-        if disc.is_zero():
-            return [-h / 2]
-        root = sqrt_element(disc)
-        if root is None:
-            return []
-        return [(-h + root) / 2, (-h - root) / 2]
-    if h.is_zero():
-        return [sqrt_element(rhs)]
-    tab = _solver(f)
-    c = rhs / (h * h)
-    if int(f.trace_table()[c.code]) != 0:
-        return []
-    z = f.decode(int(tab["artin_schreier"][c.code]))
-    return [h * z, h * z + h]
-
-
-def all_points(curve: WeierstrassCurve) -> List[Point]:
-    pts: List[Point] = [None]
-    for x in curve.field.elements():
-        for y in y_solutions(curve, x):
-            pts.append((x, y))
-    return pts
+from hecketrace.ffield import FqField
 
 
 # entries of one (curves x q) block of frobenius_traces, and curves per block
@@ -281,81 +61,6 @@ def frobenius_traces(field: FqField, a1, a2, a3, a4, a6) -> np.ndarray:
     return out
 
 
-def trace_of_frobenius(curve: WeierstrassCurve) -> int:
-    return int(frobenius_traces(curve.field, *curve.coefficient_codes())[0])
-
-
-def curve_point_count(curve: WeierstrassCurve) -> int:
-    """#E(F_q) including the point at infinity."""
-    return curve.field.q + 1 - trace_of_frobenius(curve)
-
-
-# ---------------------------------------------------------------------------
-# torsion
-
-
-def two_torsion_points(curve: WeierstrassCurve) -> List[Point]:
-    """Rational points of exact order 2."""
-    f = curve.field
-    if f.p == 2:
-        if curve.a1.is_zero():
-            return []
-        x0 = curve.a3 / curve.a1
-        return [(x0, y) for y in y_solutions(curve, x0)]
-    cubic = [curve.b6, 2 * curve.b4, curve.b2, f.coerce(4)]
-    pts = []
-    for x0 in FqPoly(f, cubic).roots():
-        y0 = -(curve.a1 * x0 + curve.a3) / 2
-        if curve.contains(x0, y0):
-            pts.append((x0, y0))
-    return pts
-
-
-def _halves_of(curve: WeierstrassCurve, Q: Point) -> List[Point]:
-    """Rational points P with 2P = Q, for Q of order 2."""
-    f = curve.field
-    xq = Q[0]
-    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
-    # x(2P) = (x^4 - b4 x^2 - 2 b6 x - b8) / (4 x^3 + b2 x^2 + 2 b4 x + b6)
-    poly = [
-        -b8 - xq * b6,
-        -2 * b6 - xq * 2 * b4,
-        -b4 - xq * b2,
-        -4 * xq,
-        f.one,
-    ]
-    out = []
-    for x0 in FqPoly(f, poly).roots():
-        for y0 in y_solutions(curve, x0):
-            P = (x0, y0)
-            if add_points(curve, P, P) == Q:
-                out.append(P)
-    return out
-
-
-def exact_order_points(curve: WeierstrassCurve, N: int) -> List[Point]:
-    """Rational points of exact order N, N in {2, 4}."""
-    if N == 2:
-        return two_torsion_points(curve)
-    if N == 4:
-        pts = []
-        for Q in two_torsion_points(curve):
-            pts.extend(_halves_of(curve, Q))
-        return pts
-    raise ValueError("only N in {2, 4} supported")
-
-
-def n_torsion_points(curve: WeierstrassCurve, N: int) -> List[Point]:
-    if N == 1:
-        return [None]
-    if N == 2:
-        return [None] + two_torsion_points(curve)
-    if N == 4:
-        twos = two_torsion_points(curve)
-        return [None] + twos + [P for Q in twos for P in _halves_of(curve, Q)]
-    raise ValueError("only N in {1, 2, 4} supported")
-
-
 # ---------------------------------------------------------------------------
 # level structures
 
@@ -368,7 +73,6 @@ class LevelStructureSpec:
     N: int
     matrices: FrozenSet[Tuple[int, int, int, int]]
     representable: bool
-    contains_minus_id: bool
 
 
 LEVEL1 = LevelStructureSpec(
@@ -376,7 +80,6 @@ LEVEL1 = LevelStructureSpec(
     N=1,
     matrices=frozenset({(0, 0, 0, 0)}),
     representable=False,
-    contains_minus_id=True,
 )
 
 GAMMA1_4 = LevelStructureSpec(
@@ -386,7 +89,6 @@ GAMMA1_4 = LevelStructureSpec(
         {(1, b, 0, d) for b in range(4) for d in (1, 3)}
     ),
     representable=True,
-    contains_minus_id=False,
 )
 
 GAMMA0_2 = LevelStructureSpec(
@@ -394,7 +96,6 @@ GAMMA0_2 = LevelStructureSpec(
     N=2,
     matrices=frozenset({(1, 0, 0, 1), (1, 1, 0, 1)}),
     representable=False,
-    contains_minus_id=True,
 )
 
 _LEVEL_ALIASES = {
@@ -414,19 +115,6 @@ def level_structure(name: str) -> LevelStructureSpec:
         raise ValueError(
             f"unknown level structure {name!r}; choose from {sorted(_LEVEL_ALIASES)}"
         )
-
-
-def structure_count(curve: WeierstrassCurve, H: LevelStructureSpec) -> int:
-    """Number of rational H-structures on the curve."""
-    if H.N == 1:
-        return 1
-    if math.gcd(H.N, curve.field.q) != 1:
-        raise ValueError(f"level {H.N} requires gcd(N, q) = 1")
-    if H is GAMMA1_4:
-        return len(exact_order_points(curve, 4))
-    if H is GAMMA0_2:
-        return len(exact_order_points(curve, 2))
-    return count_structures_general(curve, H)
 
 
 def nu_ell(H: LevelStructureSpec, field: FqField, ell: int) -> int:
@@ -466,127 +154,6 @@ def nu_ell(H: LevelStructureSpec, field: FqField, ell: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius on N-torsion over a splitting field
-
-
-def _matmul(a, b, N):
-    return (
-        (a[0] * b[0] + a[1] * b[2]) % N,
-        (a[0] * b[1] + a[1] * b[3]) % N,
-        (a[2] * b[0] + a[3] * b[2]) % N,
-        (a[2] * b[1] + a[3] * b[3]) % N,
-    )
-
-
-def _matinv(m, N):
-    det = (m[0] * m[3] - m[1] * m[2]) % N
-    di = pow(det, -1, N)
-    return ((m[3] * di) % N, (-m[1] * di) % N, (-m[2] * di) % N, (m[0] * di) % N)
-
-
-_GL2_CACHE: Dict[int, List[Tuple[int, int, int, int]]] = {}
-
-
-def gl2_elements(N: int) -> List[Tuple[int, int, int, int]]:
-    out = _GL2_CACHE.get(N)
-    if out is None:
-        out = [
-            (a, b, c, d)
-            for a in range(N)
-            for b in range(N)
-            for c in range(N)
-            for d in range(N)
-            if math.gcd((a * d - b * c) % N, N) == 1
-        ]
-        _GL2_CACHE[N] = out
-    return out
-
-
-@dataclass(frozen=True)
-class TorsionFrobenius:
-    N: int
-    splitting_degree: int
-    matrix: Tuple[int, int, int, int]  # (m11, m12, m21, m22), columns are images
-
-
-def _point_key(P: Point):
-    return (0,) if P is None else (1, P[0].code, P[1].code)
-
-
-def frobenius_matrix(
-    curve: WeierstrassCurve, N: int, max_field_size: Optional[int] = None
-) -> TorsionFrobenius:
-    """Matrix of the ground-field Frobenius on E[N] in a fixed basis.
-
-    The splitting field is searched in degrees r <= 6, which suffices for
-    N <= 4 since element orders in GL2(Z/4) are at most 6.
-    """
-    base = curve.field
-    if math.gcd(N, base.q) != 1:
-        raise ValueError("torsion level must be coprime to the field size")
-    for r in range(1, 7):
-        ext = fq_construct(base.p, base.a * r, max_size=max_field_size)
-        ec = WeierstrassCurve(ext, *[embed(c, ext) for c in
-                                     (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)])
-        tors = n_torsion_points(ec, N)
-        if len(tors) == N * N:
-            break
-    else:
-        raise AssertionError("N-torsion did not split in degree <= 6")
-    exact = sorted(
-        (P for P in tors if P is not None and point_order(ec, P, cap=2 * N) == N),
-        key=_point_key,
-    )
-    P1 = exact[0]
-    span = None
-    P2 = None
-    for cand in exact[1:]:
-        table = {}
-        ok = True
-        for i in range(N):
-            for j in range(N):
-                pt = add_points(ec, mul_point(ec, i, P1), mul_point(ec, j, cand))
-                k = _point_key(pt)
-                if k in table:
-                    ok = False
-                    break
-                table[k] = (i, j)
-            if not ok:
-                break
-        if ok:
-            span, P2 = table, cand
-            break
-    assert span is not None, "no basis of the N-torsion found"
-
-    def frob(P: Point) -> Point:
-        if P is None:
-            return None
-        return (P[0].frobenius(base.a), P[1].frobenius(base.a))
-
-    i1, j1 = span[_point_key(frob(P1))]
-    i2, j2 = span[_point_key(frob(P2))]
-    m = (i1, i2, j1, j2)
-    tr = trace_of_frobenius(curve)
-    assert (m[0] * m[3] - m[1] * m[2]) % N == base.q % N, "det must be q mod N"
-    assert (m[0] + m[3]) % N == tr % N, "trace must match the Frobenius trace"
-    return TorsionFrobenius(N=N, splitting_degree=r, matrix=m)
-
-
-def count_structures_general(
-    curve: WeierstrassCurve, H: LevelStructureSpec, max_field_size: Optional[int] = None
-) -> int:
-    fr = frobenius_matrix(curve, H.N, max_field_size=max_field_size)
-    M = fr.matrix
-    hits = 0
-    for g in gl2_elements(H.N):
-        gi = _matinv(g, H.N)
-        if _matmul(_matmul(gi, M, H.N), g, H.N) in H.matrices:
-            hits += 1
-    assert hits % len(H.matrices) == 0
-    return hits // len(H.matrices)
-
-
-# ---------------------------------------------------------------------------
 # mass routes. Each (characteristic, level) pair has one production route,
 # chosen by elltrace.mass_data, and none of them classifies curves:
 #   level 1, every p: class numbers (deuring_route_masses). A trace t prime
@@ -596,9 +163,10 @@ def count_structures_general(
 #   gamma0-2 and gamma1-4: one normal form per pair (E, P), swept in blocks
 #     (normal_form_route_masses).
 # Every sweep counts points with frobenius_traces, the j-line sweep too; that
-# one runs only when asked for by name, as a point-counting cross-check of
-# the class numbers. The per-curve family loop and the full isomorphism
-# classification are differential oracles in tests/oracles.py.
+# one is no route of mass_data and runs only in the class-number-identity
+# selftest, as a point-counting cross-check of the class numbers. The
+# per-curve family loop and the full isomorphism classification are
+# differential oracles in tests/oracles.py.
 
 
 def _collapse(hist: Dict[int, Fraction]) -> List[Tuple[int, Fraction]]:
@@ -612,10 +180,10 @@ def _tally(hist: Dict[int, Fraction], traces: np.ndarray, weight: Fraction) -> N
         hist[t] = hist.get(t, Fraction(0)) + c * weight
 
 
-def _check_level1_mass(hist: Dict[int, Fraction], q: int, route: str) -> None:
+def _check_level1_mass(hist: Dict[int, Fraction], q: int, name: str) -> None:
     total = sum(hist.values())
     if total != q:
-        raise ArithmeticError(f"{route} route: level-1 mass is {total}, not q = {q}")
+        raise ArithmeticError(f"{name} route: level-1 mass is {total}, not q = {q}")
 
 
 def jline_route_masses(field: FqField) -> List[Tuple[int, Fraction]]:

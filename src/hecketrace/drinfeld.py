@@ -1086,23 +1086,6 @@ def verify_period_ff(
 # behaviour at infinity: integrality, periodicity, and the slope bound
 
 
-def tr_infty(params: DrinfeldParams, k: int, l: int) -> Tuple[FqPoly, float]:
-    """(trace, valuation of trace/(-wp)^{ceil(k/2)} at 1/T).
-
-    The valuation is ceil(k/2) deg(wp) - deg(trace), infinite for the zero
-    trace; a negative value violates the slope certificate and raises.
-    """
-    tr = trace_Tpn(params, k, l)
-    if tr.is_zero():
-        return tr, math.inf
-    val = -(-k // 2) * params.wp.degree - tr.degree
-    if val < 0:
-        raise ArithmeticError(
-            f"trace degree {tr.degree} exceeds ceil(k/2) deg(wp) at k={k}, l={l}"
-        )
-    return tr, val
-
-
 def infty_period(params: DrinfeldParams, s: int) -> int:
     """Weight period of the normalized trace mod the s-th power of 1/T."""
     return params.p ** (1 + s_tilde(params.p, s)) * (params.q**2 - 1)

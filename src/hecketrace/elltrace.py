@@ -19,7 +19,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,22 +35,14 @@ _MASS_CACHE: Dict[Tuple[int, int, str], MassData] = {}
 _MOMENT_CACHE: Dict[Tuple[int, int, str], "MomentTable"] = {}
 
 
-def mass_data(field: FqField, H: cv.LevelStructureSpec, route: str = "auto") -> MassData:
-    """Collapsed (a1, mass) pairs for one (field, H), mass = sum of 1/#Aut.
+def mass_data(field: FqField, H: cv.LevelStructureSpec) -> MassData:
+    """Collapsed (a1, mass) pairs for one (field, H), mass = sum of 1/#Aut,
+    cached per (field, H).
 
-    route="auto" takes the one production route for the (characteristic,
-    level) pair and caches it: class numbers (curves.deuring_route_masses) at
-    level 1 for every p, and one normal form per pair
-    (curves.normal_form_route_masses) for gamma0-2 and gamma1-4.
-    route="jline" sweeps the j-line instead (level 1, p >= 5), as a
-    point-counting cross-check; auto never takes it.
+    Each (characteristic, level) pair has one route: class numbers
+    (curves.deuring_route_masses) at level 1 for every p, and one normal form
+    per pair (curves.normal_form_route_masses) for gamma0-2 and gamma1-4.
     """
-    if route == "jline":
-        if H.N != 1:
-            raise ValueError("the j-line route is level 1 only")
-        return cv.jline_route_masses(field)
-    if route != "auto":
-        raise ValueError(f"unknown route {route!r}")
     key = (field.p, field.a, H.name)
     if key not in _MASS_CACHE:
         if H.N == 1:
@@ -121,10 +113,6 @@ def _fold(data: MassData, q: int, max_k: int, modulus: Optional[int] = None) -> 
             raise ArithmeticError(f"the mass fold at k={k} is not integral (lcm {D})")
         out.append(s // D)
     return out
-
-
-def _compute_moments(field: FqField, H, max_k: int, route: str) -> Tuple[int, ...]:
-    return tuple(_fold(mass_data(field, H, route=route), 0, max_k))
 
 
 def _cache_path(cache_dir: str, field: FqField, H) -> str:
@@ -215,7 +203,6 @@ def moments(
     field: FqField,
     H: cv.LevelStructureSpec,
     max_k: int,
-    route: str = "auto",
     cache_dir: Optional[str] = None,
 ) -> MomentTable:
     """The exact moments [a_1^k] for 0 <= k <= max_k, disk-cached on request."""
@@ -232,7 +219,7 @@ def moments(
         if disk is not None and disk.max_k >= max_k:
             _MOMENT_CACHE[key] = disk
             return disk
-    table = MomentTable(field, H, max_k, _compute_moments(field, H, max_k, route))
+    table = MomentTable(field, H, max_k, tuple(_fold(mass_data(field, H), 0, max_k)))
     _MOMENT_CACHE[key] = table
     if cache_dir is not None:
         _write_atomic(_cache_path(cache_dir, field, H), _table_payload(table))
@@ -243,23 +230,21 @@ def moments(
 # interior sums: I(k) = sum_j binom(k-j, j) (-q)^j [a_1^{k-2j}]
 
 
-def interior_sequence(field: FqField, H, max_k: int, route: str = "auto") -> List[int]:
+def interior_sequence(field: FqField, H, max_k: int) -> List[int]:
     """Exact I(0..max_k) via the per-class recurrence c_k = a1 c_{k-1} - q c_{k-2}."""
-    return _fold(mass_data(field, H, route=route), field.q, max_k)
+    return _fold(mass_data(field, H), field.q, max_k)
 
 
-def interior_sequence_mod(
-    field: FqField, H, max_k: int, modulus: int, route: str = "auto"
-) -> List[int]:
+def interior_sequence_mod(field: FqField, H, max_k: int, modulus: int) -> List[int]:
     """I(0..max_k) mod modulus, folded modulo modulus times the lcm of the
     mass denominators."""
-    return _fold(mass_data(field, H, route=route), field.q, max_k, modulus)
+    return _fold(mass_data(field, H), field.q, max_k, modulus)
 
 
-def trace_interior(field: FqField, H, k: int, route: str = "auto") -> int:
+def trace_interior(field: FqField, H, k: int) -> int:
     if k < 0:
         raise ValueError("k must be >= 0")
-    return interior_sequence(field, H, k, route=route)[k]
+    return interior_sequence(field, H, k)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +287,6 @@ def trace(
     H: cv.LevelStructureSpec,
     k: int,
     eis: Optional[EisSpec] = None,
-    route: str = "auto",
 ) -> TraceResult:
     """Tr(F_q | S[H, k+2]) = -eis_k - epsilon_k - I(k), exact.
 
@@ -311,7 +295,7 @@ def trace(
     """
     if eis is None:
         eis = eis_for(H)
-    interior = trace_interior(field, H, k, route=route)
+    interior = trace_interior(field, H, k)
     e = eis.value(k)
     if e is None:
         return TraceResult(field.q, H.name, k + 2, interior, interior_only=True)
@@ -323,8 +307,8 @@ def trace(
 # the unit / non-unit split modulo ell^s
 
 
-def split_mass_data(field: FqField, H, ell: int, route: str = "auto"):
-    data = mass_data(field, H, route=route)
+def split_mass_data(field: FqField, H, ell: int):
+    data = mass_data(field, H)
     part_n = [(a1, m) for a1, m in data if a1 % ell == 0]
     part_u = [(a1, m) for a1, m in data if a1 % ell != 0]
     return part_n, part_u
@@ -347,7 +331,6 @@ def split_trace(
     ell: int,
     s: int,
     eis: Optional[EisSpec] = None,
-    route: str = "auto",
 ) -> SplitTrace:
     """The interior sum split into its non-unit and unit parts mod ell^s.
 
@@ -360,7 +343,7 @@ def split_trace(
     if k < s - 1:
         raise ValueError("the split needs k >= s - 1")
     mod = ell ** s
-    part_n, part_u = split_mass_data(field, H, ell, route=route)
+    part_n, part_u = split_mass_data(field, H, ell)
     for a1, m in part_n + part_u:
         if math.gcd(m.denominator, ell) != 1:
             raise ValueError(
@@ -400,48 +383,6 @@ def split_trace(
 
 
 # ---------------------------------------------------------------------------
-# the factorial-product moment recurrence
-
-
-def _consecutive_product_coeffs(i: int) -> List[int]:
-    """Coefficients c_{i,j} with prod_{j=1}^i (x - j) = x^i + sum c_{i,j} x^{i-j}."""
-    poly = [1]
-    for j in range(1, i + 1):
-        nxt = [0] * (len(poly) + 1)
-        for d, c in enumerate(poly):
-            nxt[d + 1] += c
-            nxt[d] += -j * c
-        poly = nxt
-    # poly is ascending; return c_{i,1..i} (descending below the lead)
-    return [poly[i - j] for j in range(1, i + 1)]
-
-
-def moment_recurrence(
-    table: MomentTable, ell: int, i: int, upto: int
-) -> Tuple[int, List[int]]:
-    """Extend moments mod ell^{t_i}, t_i = v_ell(i!), by the length-i recurrence
-    [a_1^k] = -sum_j c_{i,j} [a_1^{k-j}]. Returns (t_i, values for k <= upto)."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    if table.max_k < i:
-        raise ValueError(
-            f"insufficient seed moments: need [a_1^k] up to k = {i}, have {table.max_k}"
-        )
-    t = 0
-    fact = math.factorial(i)
-    while fact % ell == 0:
-        fact //= ell
-        t += 1
-    mod = ell ** t
-    cs = _consecutive_product_coeffs(i)
-    vals = [m % mod for m in table.moments[: min(upto, table.max_k) + 1]]
-    for k in range(len(vals), upto + 1):
-        nxt = -sum(c * vals[k - j] for j, c in enumerate(cs, start=1)) % mod
-        vals.append(nxt)
-    return t, vals[: upto + 1]
-
-
-# ---------------------------------------------------------------------------
 # Kronecker class numbers and the non-unit locus
 
 
@@ -472,9 +413,9 @@ def kronecker_H(disc: int) -> Fraction:
     return Fraction(6 * a.size - 3 * halves - 4 * thirds, 6)
 
 
-def nonunit_mass(field: FqField, ell: int, route: str = "auto") -> Fraction:
+def nonunit_mass(field: FqField, ell: int) -> Fraction:
     """Total mass of classes with a1 = 0 mod ell."""
-    part_n, _ = split_mass_data(field, ell=ell, H=cv.LEVEL1, route=route)
+    part_n, _ = split_mass_data(field, cv.LEVEL1, ell)
     return sum((m for _, m in part_n), Fraction(0))
 
 

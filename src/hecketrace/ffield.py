@@ -408,18 +408,6 @@ class FqField:
                 return g
         raise AssertionError("no generator found")
 
-    def element_order(self, x: FqElem) -> int:
-        if x.is_zero():
-            raise ZeroDivisionError("zero has no multiplicative order")
-        n = self.q - 1
-        for r, e in factorize(n).items():
-            for _ in range(e):
-                if x ** (n // r) == self.one:
-                    n //= r
-                else:
-                    break
-        return n
-
     # numpy table layer -------------------------------------------------------
 
     def tables(self) -> dict:
@@ -859,38 +847,6 @@ def rp_trim(ring, f: list) -> list:
 
 def rp_coerce(ring, f: Sequence) -> list:
     return rp_trim(ring, [ring.from_int(c) if isinstance(c, int) else c for c in f])
-
-
-def rp_add(ring, f: Sequence, g: Sequence) -> list:
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else ring.zero
-        b = g[i] if i < len(g) else ring.zero
-        out.append(ring.add(a, b))
-    return rp_trim(ring, out)
-
-
-def rp_sub(ring, f: Sequence, g: Sequence) -> list:
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else ring.zero
-        b = g[i] if i < len(g) else ring.zero
-        out.append(ring.sub(a, b))
-    return rp_trim(ring, out)
-
-
-def rp_mul(ring, f: Sequence, g: Sequence) -> list:
-    if not f or not g:
-        return []
-    out = [ring.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if ring.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = ring.add(out[i + j], ring.mul(a, b))
-    return rp_trim(ring, out)
 
 
 def rp_divmod(ring, f: Sequence, d: Sequence) -> Tuple[list, list]:

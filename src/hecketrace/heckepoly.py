@@ -4,7 +4,9 @@ cusp-form spaces, recovered exactly from Frobenius power sums.
 Newton's identities turn Tr(F_{p^n}) for n = 1..2d into det(1 - F_p x); the
 Hecke polynomial drops out of that determinant triangularly. Computing the
 full 2d power sums over-determines the answer, so the upper half of the
-determinant doubles as a consistency check on every run.
+determinant doubles as a consistency check on every run. That check, the
+integrality of the symmetric functions, the functional equation and the
+eigenvalue bound raise ArithmeticError when they fail, also under python -O.
 """
 
 from __future__ import annotations
@@ -74,12 +76,14 @@ def charpoly_Tp(
         for i in range(1, n + 1):
             acc += (-1) ** (i - 1) * e[n - i] * psums[i - 1]
         val = acc / n
-        assert val.denominator == 1, f"non-integral symmetric function e_{n}"
+        if val.denominator != 1:
+            raise ArithmeticError(f"non-integral symmetric function e_{n}")
         e.append(val)
     C = [int(e[j]) * (-1 if j % 2 else 1) for j in range(2 * d + 1)]
     P = p ** (weight - 1)
     for j in range(d + 1):
-        assert C[2 * d - j] == P ** (d - j) * C[j], "functional equation failed"
+        if C[2 * d - j] != P ** (d - j) * C[j]:
+            raise ArithmeticError(f"functional equation failed at degree {2 * d - j}")
 
     def product_coeff(m: int, f: Sequence[int]) -> int:
         # x^m coefficient of prod_i (1 - a_i x + P x^2) given f_j = e_j(a)-signs
@@ -98,9 +102,11 @@ def charpoly_Tp(
         )
         f.append(C[m] - tail)
     for m in range(d + 1, 2 * d + 1):
-        assert product_coeff(m, f) == C[m], f"power sums inconsistent at degree {m}"
+        if product_coeff(m, f) != C[m]:
+            raise ArithmeticError(f"power sums inconsistent at degree {m}")
     for j in range(1, d + 1):
-        assert f[j] ** 2 <= math.comb(d, j) ** 2 * (4 * P) ** j, "eigenvalue bound"
+        if f[j] ** 2 > math.comb(d, j) ** 2 * (4 * P) ** j:
+            raise ArithmeticError(f"coefficient {j} breaks the eigenvalue bound")
     return HeckeCharPoly(p=p, weight=weight, poly=tuple(f))
 
 

@@ -1,14 +1,17 @@
 """Independent oracles: q-expansions that pin expected trace values, a
 full-range sieve of Hurwitz class numbers, a rational fold of mass lists, the
-mass routes by enumeration (reduced families, the full isomorphism
-classification and its automorphism stabilizers), and Drinfeld traces from
-the [c_{k,l}] table.
+f coefficient family summed term by term, the mass routes by enumeration
+(reduced families, the full isomorphism classification and its automorphism
+stabilizers), and Drinfeld traces from the [c_{k,l}] table.
 
 Everything but the enumeration routes and the [c_{k,l}] table is plain
-integer series or numpy arithmetic. Those use the package's curve and
-polynomial arithmetic and class data, but none of its mass routes or its
-h-recurrence kernel; they import it when called, because perfbench/run.py
-loads this file without the package on the path.
+integer series or numpy arithmetic. The enumeration routes handle single
+curves with the scalar arithmetic of curve_arith.py (long Weierstrass
+curves, the group law, exact-order torsion), and the [c_{k,l}] table uses
+the package's polynomial arithmetic and class data; none of them uses the
+package's mass routes or its h-recurrence kernel. They import what they need
+when called, because perfbench/run.py loads this file without the package or
+curve_arith.py on the path.
 """
 
 import math
@@ -191,18 +194,27 @@ def fraction_fold(pairs: Sequence[Tuple[int, Fraction]], q: int, max_k: int) -> 
     return sums
 
 
+def f_coeff(q: int, r: int, m: int, k: int) -> int:
+    """The f family member of weight k for residue r mod m, summed term by
+    term: binom(k-j, j) (-q)^j over the j = floor(k/2) - r mod m; the
+    reference for congruences.CoeffFamily."""
+    target = (k // 2 - r) % m
+    return sum(math.comb(k - j, j) * (-q) ** j for j in range(k // 2 + 1) if j % m == target)
+
+
 # ---------------------------------------------------------------------------
 # mass routes by enumeration: the per-curve loop over reduced Weierstrass
 # families and the full isomorphism classification, q^5 curves at a time.
-# They use the package's curve arithmetic and point counts but none of its
-# mass routes, and they stay usable for q <= 17.
+# They use the scalar curve arithmetic of curve_arith.py, which counts points
+# with the package's batched kernel, but none of the package's mass routes,
+# and they stay usable for q <= 17.
 
 DEFAULT_MAX_CLASSIFY = 1 << 21
 
 
 @dataclass
 class IsoClass:
-    rep: object  # a hecketrace.curves.WeierstrassCurve
+    rep: object  # a curve_arith.WeierstrassCurve
     class_size: int
     aut_order: int
     a1: int  # trace of Frobenius over the ground field
@@ -319,7 +331,7 @@ def iso_classes(field: "FqField", max_entries: int = DEFAULT_MAX_CLASSIFY) -> Li
     """All isomorphism classes of smooth curves over the field, with class
     sizes, automorphism group orders, and the automorphism tuples of each
     chosen representative."""
-    from hecketrace.curves import WeierstrassCurve, trace_of_frobenius
+    from curve_arith import WeierstrassCurve, trace_of_frobenius
     from hecketrace.ffield import BudgetError
 
     key = (field.p, field.a)
@@ -398,7 +410,8 @@ def apply_aut(curve: "WeierstrassCurve", tup: Tuple[int, int, int, int], P: "Poi
 
 def _structure_tokens(curve: "WeierstrassCurve", H: "LevelStructureSpec") -> "List[Point]":
     """Concrete objects the automorphisms act on, one per H-structure."""
-    from hecketrace.curves import GAMMA0_2, GAMMA1_4, exact_order_points
+    from curve_arith import exact_order_points
+    from hecketrace.curves import GAMMA0_2, GAMMA1_4
 
     if H.N == 1:
         return [None]
@@ -446,7 +459,8 @@ def family_route_masses(
     The group acting on each family is small enough that the orbit-stabilizer
     mass Sum 1/#Aut appears as (family size)/(group order) without classifying.
     """
-    from hecketrace.curves import GAMMA0_2, WeierstrassCurve, exact_order_points, trace_of_frobenius
+    from curve_arith import WeierstrassCurve, exact_order_points, trace_of_frobenius
+    from hecketrace.curves import GAMMA0_2
 
     q, p = field.q, field.p
     if H.N > 1 and math.gcd(H.N, q) != 1:
@@ -494,7 +508,7 @@ def class_route_masses(
     field: "FqField", H: "LevelStructureSpec", max_entries: int = DEFAULT_MAX_CLASSIFY
 ) -> List[Tuple[int, Fraction]]:
     """Weighted (a1, mass) data from the full isomorphism classification."""
-    from hecketrace.curves import structure_count
+    from curve_arith import structure_count
 
     if H.N > 1 and math.gcd(H.N, field.q) != 1:
         raise ValueError("level must be coprime to q")

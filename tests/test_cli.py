@@ -1,7 +1,12 @@
 """Tests for the command-line front end: formats, exit codes, known outputs."""
 
+import importlib
+import importlib.util
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +226,42 @@ def test_selftest_examples(capsys):
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 13 and all(l.startswith("ok ") for l in lines)
+
+
+_WRONG_TAU = """
+from hecketrace import cli
+
+cli.TAU[5] = 4831
+raise SystemExit(cli.run(["selftest", "paper-examples"]))
+"""
+
+
+def test_selftest_examples_fail_under_python_O():
+    # the selftest checks are not assert statements, so python -O keeps them
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", _WRONG_TAU],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stdout.splitlines()[-1] == "FAIL weight12-eigenvalues: 5"
+    assert "first mismatch: weight12-eigenvalues" in res.stderr
+
+
+def test_traced_benchmark_targets_exist():
+    # perfbench/traced.py wraps these names through getattr, so a name
+    # deleted from src/ would crash every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("hecketrace_traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    assert traced.TARGETS
+    for target in traced.TARGETS:
+        module, *attrs = target.split(".")
+        owner = importlib.import_module(f"hecketrace.{module}")
+        for attr in attrs:
+            assert hasattr(owner, attr), target
+            owner = getattr(owner, attr)
+        assert callable(owner), target
 
 
 def test_usage_and_value_errors(capsys):

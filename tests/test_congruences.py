@@ -7,8 +7,6 @@ from hecketrace.congruences import (
     CertificateRefused,
     CoeffFamily,
     d_qt_poly,
-    f_coeff,
-    f_coeff_truncated,
     f_denominator,
     f_numerator,
     is_square_mod_2s,
@@ -19,6 +17,7 @@ from hecketrace.congruences import (
     periodic_certificate,
 )
 from hecketrace.ffield import fq_construct
+from oracles import f_coeff
 
 
 def test_legendre_and_squares():
@@ -168,7 +167,7 @@ def test_root_of_unity_product():
         F = fq_construct(p, 1)
         g = F.multiplicative_generator()
         z = g ** ((p - 1) // m)
-        assert F.element_order(z) == m
+        assert [n for n in range(1, m + 1) if z ** n == F.one] == [m]
         for _ in range(5):
             A = F.decode(rng.randrange(p))
             B = F.decode(rng.randrange(p))
@@ -212,17 +211,6 @@ def test_coeff_family_matches_exact():
             fam[key] = CoeffFamily(M)
         got = fam[key].f_value(q, r, m, k)
         assert got == f_coeff(q, r, m, k) % M
-
-
-def test_f_coeff_truncation_matches_mod_prime_power():
-    # dropping terms with j >= s changes nothing mod ell^s when ell | q
-    for ell, a in ((2, 1), (2, 2), (3, 1)):
-        q = ell ** a
-        for s in (1, 2, 3):
-            for k in range(0, 30):
-                full = f_coeff(q, 0, 1, k)
-                trunc = f_coeff_truncated(q, 0, 1, k, s)
-                assert (full - trunc) % ell ** (a * s) == 0
 
 
 def test_f_sum_collapse():

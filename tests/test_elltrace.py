@@ -26,8 +26,6 @@ def test_moment_examples():
 def test_moments_reject_bad_level():
     with pytest.raises(ValueError):
         et.moments(fq_construct(2, 1), cv.GAMMA1_4, 2)
-    with pytest.raises(ValueError):
-        et.mass_data(fq_construct(2, 1), cv.LEVEL1, route="bogus")
 
 
 def test_interior_examples():
@@ -67,7 +65,7 @@ def test_fold_matches_fraction_oracle():
                 reduced = et.interior_sequence_mod(F, H, max_k, modulus)
                 assert reduced == [v % modulus for v in exact], (F.q, H.name, modulus)
             powers = oracles.fraction_fold(data, 0, max_k)
-            assert list(et._compute_moments(F, H, max_k, "auto")) == powers
+            assert list(et.moments(F, H, max_k).moments[: max_k + 1]) == powers
 
 
 def test_fold_large_modulus_matches_oracle():
@@ -134,14 +132,9 @@ def test_trace_without_known_eis_returns_interior():
 def test_mass_routes_consistent_through_mass_data():
     F7 = fq_construct(7, 1)
     a = sorted(oracles.family_route_masses(F7, cv.LEVEL1))
-    b = sorted(et.mass_data(F7, cv.LEVEL1, route="jline"))
+    b = sorted(cv.jline_route_masses(F7))
     c = sorted(oracles.class_route_masses(F7, cv.LEVEL1))
     assert a == b == c == et.mass_data(F7, cv.LEVEL1)
-    with pytest.raises(ValueError):
-        et.mass_data(F7, cv.GAMMA0_2, route="jline")
-    for retired in ("family", "class"):
-        with pytest.raises(ValueError):
-            et.mass_data(F7, cv.LEVEL1, route=retired)
 
 
 def test_split_trace_pinned_example():
@@ -185,16 +178,56 @@ def test_split_trace_guards():
         et.split_trace(F2, cv.LEVEL1, 10, 5, 0)
 
 
+# the factorial-product moment recurrence: prod_{j=1}^i (a_1 - j) is divisible
+# by i!, so the moments satisfy a length-i recurrence mod ell^{v_ell(i!)}
+
+
+def _consecutive_product_coeffs(i):
+    """Coefficients c_{i,j} with prod_{j=1}^i (x - j) = x^i + sum c_{i,j} x^{i-j}."""
+    poly = [1]
+    for j in range(1, i + 1):
+        nxt = [0] * (len(poly) + 1)
+        for d, c in enumerate(poly):
+            nxt[d + 1] += c
+            nxt[d] += -j * c
+        poly = nxt
+    # poly is ascending; return c_{i,1..i} (descending below the lead)
+    return [poly[i - j] for j in range(1, i + 1)]
+
+
+def moment_recurrence(table, ell, i, upto):
+    """Extend moments mod ell^{t_i}, t_i = v_ell(i!), by the length-i recurrence
+    [a_1^k] = -sum_j c_{i,j} [a_1^{k-j}]. Returns (t_i, values for k <= upto)."""
+    if i < 1:
+        raise ValueError("i must be >= 1")
+    if table.max_k < i:
+        raise ValueError(
+            f"insufficient seed moments: need [a_1^k] up to k = {i}, have {table.max_k}"
+        )
+    t = 0
+    fact = math.factorial(i)
+    while fact % ell == 0:
+        fact //= ell
+        t += 1
+    mod = ell ** t
+    cs = _consecutive_product_coeffs(i)
+    vals = [m % mod for m in table.moments[: min(upto, table.max_k) + 1]]
+    for k in range(len(vals), upto + 1):
+        nxt = -sum(c * vals[k - j] for j, c in enumerate(cs, start=1)) % mod
+        vals.append(nxt)
+    return t, vals[: upto + 1]
+
+
 def test_moment_recurrence_against_direct_moments():
     F2 = fq_construct(2, 1)
     table = et.moments(F2, cv.LEVEL1, 40)
-    t, vals = et.moment_recurrence(table, 5, 5, 40)
+    t, vals = moment_recurrence(table, 5, 5, 40)
     assert t == 1
     assert vals == [m % 5 for m in table.moments]
-    t, vals = et.moment_recurrence(table, 2, 2, 40)
+    t, vals = moment_recurrence(table, 2, 2, 40)
     assert t == 1
     assert vals == [m % 2 for m in table.moments]
-    t, _ = et.moment_recurrence(table, 3, 9, 12)
+    t, _ = moment_recurrence(table, 3, 9, 12)
     assert t == 4  # v_3(9!) = 4
 
 
@@ -203,9 +236,9 @@ def test_moment_recurrence_needs_seeds():
     full = et.moments(F2, cv.LEVEL1, 8)
     table = et.MomentTable(F2, cv.LEVEL1, 4, full.moments[:5])
     with pytest.raises(ValueError):
-        et.moment_recurrence(table, 5, 5, 20)
+        moment_recurrence(table, 5, 5, 20)
     with pytest.raises(ValueError):
-        et.moment_recurrence(table, 5, 0, 20)
+        moment_recurrence(table, 5, 0, 20)
 
 
 KRONECKER_VALUES = {
@@ -229,7 +262,8 @@ def test_class_number_identity():
         lhs, rhs = et.class_number_identity_sides(p, 11)
         assert lhs == rhs, p
         # lhs comes from class numbers; the j-line counts points instead
-        assert et.nonunit_mass(fq_construct(p, 1), 11, route="jline") == rhs, p
+        jline = cv.jline_route_masses(fq_construct(p, 1))
+        assert sum(m for a1, m in jline if a1 % 11 == 0) == rhs, p
     assert et.class_number_identity_sides(31, 11)[0] == Fraction(10, 3)
     with pytest.raises(ValueError):
         et.class_number_identity_sides(4, 11)
@@ -256,7 +290,7 @@ def test_moment_cache_roundtrip(tmp_path, monkeypatch):
     def boom(*a, **k):
         raise AssertionError("cache miss")
 
-    monkeypatch.setattr(et, "_compute_moments", boom)
+    monkeypatch.setattr(et, "_fold", boom)
     again = et.moments(F5, cv.LEVEL1, 12, cache_dir=cache)
     assert again.moments == table.moments
     monkeypatch.undo()

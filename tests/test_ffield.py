@@ -25,10 +25,19 @@ from hecketrace.ffield import (
     prime_power_decompose,
     rp_coerce,
     rp_divmod,
-    rp_mul,
     rp_series_quotient,
-    rp_sub,
+    rp_trim,
 )
+
+
+def rp_mul(ring, f, g):
+    if not f or not g:
+        return []
+    out = [ring.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+    return rp_trim(ring, out)
 
 
 def test_is_prime_small():
@@ -99,7 +108,7 @@ def test_multiplicative_generator_and_tables():
     for (p, a) in [(2, 1), (3, 1), (2, 4), (3, 2), (5, 2), (7, 2)]:
         f = fq_construct(p, a)
         g = f.multiplicative_generator()
-        assert f.element_order(g) == f.q - 1
+        assert [n for n in range(1, f.q) if g ** n == f.one] == [f.q - 1]
         t = f.tables()
         # exp/log are inverse bijections on nonzero codes
         assert sorted(int(c) for c in t["exp"]) == list(range(1, f.q))
@@ -280,7 +289,7 @@ def test_series_quotient():
     d = rp_coerce(ring, [1, 5, 2])
     s = rp_series_quotient(ring, f, d, 12)
     back = rp_mul(ring, s, d)
-    assert back[:12] == (list(f) + [0] * 12)[:12] or rp_sub(ring, back[:12], f) == []
+    assert back[:12] == (list(f) + [0] * 12)[:12]
 
 
 def test_rp_divmod_matches_int_oracle():
@@ -292,7 +301,7 @@ def test_rp_divmod_matches_int_oracle():
         d = [rng.randrange(-10, 10) for _ in range(2)] + [1]
         f = [rng.randrange(-40, 40) for _ in range(6)]
         quo, rem = rp_divmod(ring, rp_coerce(ring, f), rp_coerce(ring, d))
-        lhs = rp_add = rp_mul(ring, quo, rp_coerce(ring, d))
+        lhs = rp_mul(ring, quo, rp_coerce(ring, d))
         total = [0] * max(len(lhs), len(rem), len(f))
         for i, c in enumerate(lhs):
             total[i] = (total[i] + c) % m

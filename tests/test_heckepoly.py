@@ -1,5 +1,9 @@
 """Tests for Hecke characteristic polynomials and slope-0 multiplicities."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import oracles
@@ -49,6 +53,32 @@ def test_charpoly_guards():
         hp.charpoly_Tp(4, 12)
     with pytest.raises(BudgetError):
         hp.charpoly_Tp(5, 64)  # dim 5
+
+
+_CORRUPT_POWER_SUM = """
+import sys
+
+from hecketrace import cli
+from hecketrace import heckepoly as hp
+
+good, delta = hp._interior, int(sys.argv[1])
+hp._interior = lambda p, n, k, size: good(p, n, k, size) + (delta if n == 2 else 0)
+raise SystemExit(cli.run(["ell", "hecke-poly", "--p", "5", "--weight", "12"]))
+"""
+
+
+@pytest.mark.parametrize("delta,message", [
+    (1, "non-integral symmetric function e_2"),  # p_2 off by 1 halves e_2
+    (2, "functional equation failed"),
+], ids=["integrality", "functional-equation"])
+def test_corrupt_power_sum_raises_under_python_O(delta, message):
+    # a wrong Tr(F_{p^2}) fails a hard check, not an assert: exit 2 under -O
+    src = os.path.dirname(os.path.dirname(hp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_POWER_SUM, str(delta)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert res.stdout == "" and message in res.stderr
 
 
 def test_weight_periodicity_mod_p_spot_checks():
