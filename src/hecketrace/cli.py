@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -757,8 +758,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+# exit status when the reader of stdout goes away (`| head`): 128 + SIGPIPE,
+# the status a shell reports for a process that signal ended
+EXIT_CLOSED_PIPE = 141
+
+
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stop quietly; stdout now points at devnull, so that the interpreter's
+        # last flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_CLOSED_PIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

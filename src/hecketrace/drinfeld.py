@@ -1,16 +1,23 @@
 """Rank-2 Drinfeld modules over prime fields of F_q[T] and their Hecke traces.
 
-A module over the field with q^m elements is a pair (g, delta) through
+A module over the field L with q^m elements is a pair (g, delta) through
 phi_T = gamma(T) + g tau + delta tau^2; isomorphism classes are orbits under
 the twist (g, delta) -> (u^{q-1} g, u^{q^2-1} delta).  Every trace-side
-quantity is a weighted fold over those classes: the Frobenius polynomial
-X^2 - a X + b*wp_n of each class is found by a linear solve in the twisted
-polynomial ring, and one kernel, `_h_kernel`, runs the recurrence
-h_k = a h_{k-1} - b wp h_{k-2} for all classes at once and folds each h_k
-into the requested types.  It gives the exact traces of the Hecke operator
-at wp = P^n in F_q[T], their residues mod powers of a prime l of F_q[T]
-(which certify weight periodicity), and, with the b wp term dropped, the
-[c_{k,l}] moment tables.
+quantity is a weighted fold over those classes, and both steps run for all
+classes at once on int64 code arrays:
+
+- `enumerate_classes` names each orbit by a complete invariant of logarithms
+  (log g mod q-1 and log delta - (q+1) log g, or log delta alone when g = 0),
+  takes the lex-least pair of each, and finds the Frobenius polynomials
+  X^2 - a X + b wp of all classes with one stacked Gauss-Jordan solve over
+  F_p in the twisted polynomial ring (tau c = c^q tau);
+- `_h_kernel` runs the recurrence h_k = a h_{k-1} - b wp h_{k-2} and folds
+  each h_k into the requested types.
+
+Together they give the exact traces of the Hecke operator at wp = P^n in
+F_q[T], their residues mod powers of a prime l of F_q[T] (which certify
+weight periodicity), and, with the b wp term dropped, the [c_{k,l}] moment
+tables.
 """
 
 from __future__ import annotations
@@ -59,10 +66,6 @@ def poly_pow(poly: FqPoly, e: int) -> FqPoly:
     return result
 
 
-def _norm_type(q: int, l: int) -> int:
-    return (l - 1) % (q - 1) + 1
-
-
 def _fold_add(field: FqField, arr: np.ndarray) -> np.ndarray:
     """Sum of code arrays along axis 0: integers mod p in a prime field, XOR
     for p = 2, and otherwise a tree of Zech additions."""
@@ -76,81 +79,6 @@ def _fold_add(field: FqField, arr: np.ndarray) -> np.ndarray:
         top = field.v_add(arr[:half], arr[half : 2 * half])
         arr = np.concatenate([top, arr[2 * half :]], axis=0) if n % 2 else top
     return arr[0]
-
-
-# ---------------------------------------------------------------------------
-# twisted polynomials over L, tau c = c^q tau
-
-
-class TwistedPoly:
-    """Skew polynomial sum c_i tau^i with coefficients in one field.
-
-    `steps` is the number of x -> x^p iterations one tau conjugates by, so
-    tau c = c^{p^steps} tau; for a module over F_q this is the degree of F_q
-    over F_p regardless of the coefficient field.
-    """
-
-    __slots__ = ("field", "steps", "coeffs")
-
-    def __init__(self, field: FqField, steps: int, coeffs: Sequence):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.field = field
-        self.steps = steps
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistedPoly)
-            and self.field is other.field
-            and self.steps == other.steps
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.steps, self.coeffs))
-
-    def __add__(self, other: "TwistedPoly") -> "TwistedPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = a[i] + c
-        return TwistedPoly(self.field, self.steps, a)
-
-    def __mul__(self, other: "TwistedPoly") -> "TwistedPoly":
-        if self.is_zero() or other.is_zero():
-            return TwistedPoly(self.field, self.steps, [])
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.coeffs):
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y.frobenius(self.steps * i)
-        return TwistedPoly(self.field, self.steps, out)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "TwistedPoly(0)"
-        terms = [f"({c})t^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        return "TwistedPoly(" + " + ".join(terms) + ")"
-
-
-def _tw_const(field: FqField, steps: int, c) -> TwistedPoly:
-    return TwistedPoly(field, steps, [c])
-
-
-def _tw_monomial(field: FqField, steps: int, i: int) -> TwistedPoly:
-    return TwistedPoly(field, steps, [field.zero] * i + [field.one])
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +140,121 @@ def drinfeld_params(P: FqPoly, n: int, max_field_size: Optional[int] = None) -> 
     return params
 
 
-def drinfeld_phi(params: DrinfeldParams, g: FqElem, delta: FqElem, f: FqPoly) -> TwistedPoly:
-    """phi_f for the module with phi_T = gamma(T) + g tau + delta tau^2."""
-    L, steps = params.L, params.base.a
-    if f.is_zero():
-        return TwistedPoly(L, steps, [])
-    phi_t = TwistedPoly(L, steps, [params.gamma_t, g, delta])
-    acc = _tw_const(L, steps, embed(f.coeffs[-1], L))
-    for c in reversed(f.coeffs[:-1]):
-        acc = phi_t * acc + _tw_const(L, steps, embed(c, L))
+# ---------------------------------------------------------------------------
+# twisted polynomials over L as code arrays, tau c = c^q tau: one row per
+# module, the last axis holds the coefficients of tau^0, tau^1, ...
+
+
+def _tw_mul(L: FqField, q: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise products x y of twisted polynomials, from
+    (x_i tau^i)(y_j tau^j) = x_i y_j^{q^i} tau^{i+j}; y -> y^{q^i} is one
+    gather through the log and exp tables."""
+    t, n, ny = L.tables(), L.q - 1, y.shape[1]
+    log_y = t["log"][y]
+    out = np.zeros((max(len(x), len(y)), x.shape[1] + ny - 1), dtype=np.int64)
+    for i in range(x.shape[1]):
+        y_qi = np.where(y == 0, 0, t["exp"][log_y * (q**i % n) % n])
+        out[:, i : i + ny] = L.v_add(out[:, i : i + ny], L.v_mul(x[:, i : i + 1], y_qi))
+    return out
+
+
+def _embed_codes(params: DrinfeldParams, codes) -> np.ndarray:
+    """L-codes of base-field codes, digit by digit along the embedded F_p-basis."""
+    base, L = params.base, params.L
+    digits = np.asarray(codes, dtype=np.int64)[..., None] // base.p ** np.arange(base.a) % base.p
+    out = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for j in range(base.a):
+        eps = np.int64(embed(base.decode(base.p**j), L).code)
+        out = L.v_add(out, L.v_mul(digits[..., j], eps))
+    return out
+
+
+def _phi_t(params: DrinfeldParams, g: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """phi_T = gamma(T) + g tau + delta tau^2, one row per (g, delta)."""
+    return np.stack([np.full(len(g), params.gamma_t.code), g, delta], axis=1)
+
+
+def _phi(params: DrinfeldParams, phi_t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """phi_f by Horner, phi_f = phi_T phi_{f'} + f_0; f holds base-field codes,
+    one polynomial per row of phi_t (or one row for all)."""
+    ef = np.broadcast_to(_embed_codes(params, f), (len(phi_t), f.shape[-1]))
+    acc = ef[:, -1:].copy()
+    for i in range(f.shape[-1] - 2, -1, -1):
+        acc = _tw_mul(params.L, params.q, phi_t, acc)
+        acc[:, 0] = params.L.v_add(acc[:, 0], ef[:, i])
     return acc
+
+
+def _pad(x: np.ndarray, shift: int, width: int) -> np.ndarray:
+    """Rows of x moved right by shift (times tau^shift), zero-filled to width."""
+    out = np.zeros((len(x), width), dtype=np.int64)
+    out[:, shift : shift + x.shape[1]] = x
+    return out
+
+
+# ---------------------------------------------------------------------------
+# stacked linear algebra over F_p
+
+
+def _system(params: DrinfeldParams, polys: Sequence[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Augmented F_p systems sum_k x_k polys[k] = rhs, one per row, with each
+    x_k in F_q: a column eps_j polys[k] for every basis element eps_j of F_q
+    over F_p, every tau-coefficient unrolled into its F_p coordinates."""
+    L = params.L
+    eps = _embed_codes(params, params.p ** np.arange(params.base.a))
+    cols = [(poly, e) for poly in polys for e in eps] + [(rhs, 1)]
+    place = L.p ** np.arange(L.a, dtype=np.int64)
+    mats = np.empty((len(rhs), rhs.shape[1] * L.a, len(cols)), dtype=np.int64)
+    for k, (poly, e) in enumerate(cols):
+        codes = L.v_mul(poly, np.int64(e))
+        mats[:, :, k] = (codes[..., None] // place % L.p).reshape(len(rhs), -1)
+    return mats
+
+
+def _base_codes(params: DrinfeldParams, sol: np.ndarray) -> np.ndarray:
+    """Base-field codes of solution rows, [F_q : F_p] F_p digits per unknown."""
+    a = params.base.a
+    digits = sol.reshape(len(sol), sol.shape[1] // a, a)
+    return (digits * params.p ** np.arange(a, dtype=np.int64)).sum(axis=-1)
+
+
+# statuses of a linear system, and their names
+_UNIQUE, _NONE, _MANY = 0, 1, 2
+_STATUS = ("unique", "none", "many")
+
+
+def _gauss_jordan_mod_p(mats: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of augmented systems (systems, rows, unknowns + 1) mod p,
+    in place.
+
+    Every system keeps its own pivot row, so the column loops are the only
+    Python loops.  Returns the solutions (systems, unknowns), meaningful
+    where the status is _UNIQUE, and the statuses (_UNIQUE, _NONE or _MANY).
+    """
+    nsys, nrows, width = mats.shape
+    ncols = width - 1
+    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
+    rows = np.arange(nrows)
+    rank = np.zeros(nsys, dtype=np.int64)
+    for col in range(ncols):
+        cand = (mats[:, :, col] != 0) & (rows >= rank[:, None])
+        has = np.flatnonzero(cand.any(axis=1))
+        top = rank[has]
+        piv = np.argmax(cand[has], axis=1)
+        pivot_row = np.zeros((nsys, width), dtype=np.int64)
+        pivot_row[has] = mats[has, piv]
+        mats[has, piv] = mats[has, top]
+        pivot_row[has] = pivot_row[has] * inv[pivot_row[has, col]][:, None] % p
+        factors = mats[:, :, col].copy()
+        factors[has, top] = 0
+        # the pivot row is zero left of col, so the columns before it stay
+        for w in range(col, width):
+            mats[:, :, w] = (mats[:, :, w] - factors * pivot_row[:, w : w + 1]) % p
+        mats[has, top] = pivot_row[has]
+        rank[has] += 1
+    inconsistent = ((mats[:, :, ncols] != 0) & (rows >= rank[:, None])).any(axis=1)
+    status = np.where(inconsistent, _NONE, np.where(rank < ncols, _MANY, _UNIQUE))
+    return mats[:, :ncols, ncols], status
 
 
 # ---------------------------------------------------------------------------
@@ -240,127 +273,162 @@ class DrinfeldClass:
     frob_b: FqElem
 
 
-def _fp_coords(elems: Sequence[FqElem]) -> List[int]:
-    out: List[int] = []
-    for e in elems:
-        out.extend(e.coeffs)
-    return out
+# (g, delta) pairs per block when orbit sizes are counted
+_PAIR_BLOCK = 1 << 12
 
 
-def _solve_mod_p(cols: List[List[int]], rhs: List[int], p: int) -> Tuple[str, Optional[List[int]]]:
-    """Gauss-Jordan over F_p; returns ("unique"|"none"|"many", solution)."""
-    ncols = len(cols)
-    nrows = len(rhs)
-    mat = [[cols[c][r] % p for c in range(ncols)] + [rhs[r] % p] for r in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = pow(mat[row][col], p - 2, p) if p > 2 else 1
-        mat[row] = [(x * inv) % p for x in mat[row]]
-        for r in range(nrows):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nrows):
-        if mat[r][ncols]:
-            return "none", None
-    if len(pivots) < ncols:
-        return "many", None
-    sol = [0] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = mat[r][ncols]
-    return "unique", sol
+def _twist_key(L: FqField, q: int, g: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Class index of each (g, delta), from the complete twist invariant.
+
+    With u = zeta^t the twist adds t(q-1) to log g and t(q^2-1) to
+    log delta mod n = |L| - 1.  For g != 0 that leaves log g mod q-1 and
+    log delta - (q+1) log g mod n, indices [0, (q-1) n); for g = 0 it leaves
+    log delta mod gcd(q^2-1, n), indices after those.
+    """
+    n = L.q - 1
+    log = L.tables()["log"]
+    lg, ld = log[g], log[delta]
+    return np.where(
+        g == 0,
+        (q - 1) * n + ld % math.gcd(q * q - 1, n),
+        lg % (q - 1) * n + (ld - (q + 1) % n * lg) % n,
+    )
+
+
+def _first_of_each(codes: np.ndarray, residues: np.ndarray, k: int) -> np.ndarray:
+    """The first code of each residue class 0..k-1, in the order of codes."""
+    first = np.full(k, len(codes))
+    np.minimum.at(first, residues, np.arange(len(codes)))
+    keep = np.zeros(len(codes), dtype=bool)
+    keep[first] = True
+    return codes[keep]
+
+
+def _twist_orbits(L: FqField, q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Code arrays (g, delta, autOrder, orbitSize) of the lex-least orbit
+    representatives, in (g, delta) code order.
+
+    For g = 0 the representative of each invariant is the first delta that
+    carries it.  For g != 0 it is the first g of its class log g mod q-1,
+    with every delta: one g carries each value of the second invariant once.
+    Orbit sizes count every pair by its invariant, in blocks of g; a unit
+    fixes (g, delta) when u^{q^2-1} = 1 and, for g != 0, u^{q-1} = 1.
+    """
+    n = L.q - 1
+    log, exp = L.tables()["log"], L.tables()["exp"]
+    units = np.arange(1, L.q, dtype=np.int64)
+    g0 = math.gcd(q * q - 1, n)
+    d_first = _first_of_each(units, log[units] % g0, g0)
+    g_first = _first_of_each(units, log[units] % (q - 1), q - 1)
+    g = np.concatenate([np.zeros(len(d_first), dtype=np.int64), np.repeat(g_first, n)])
+    delta = np.concatenate([d_first, np.tile(units, len(g_first))])
+    counts = np.zeros((q - 1) * n + g0, dtype=np.int64)
+    rows = max(1, _PAIR_BLOCK // n)
+    for lo in range(0, L.q, rows):
+        gs = np.arange(lo, min(L.q, lo + rows), dtype=np.int64)[:, None]
+        counts += np.bincount(_twist_key(L, q, gs, units).ravel(), minlength=len(counts))
+    size = counts[_twist_key(L, q, g, delta)]
+    t = np.arange(n, dtype=np.int64)
+    fix_delta = exp[t * ((q * q - 1) % n) % n] == 1
+    fix_g = exp[t * ((q - 1) % n) % n] == 1
+    aut = np.where(g == 0, np.count_nonzero(fix_delta), np.count_nonzero(fix_delta & fix_g))
+    return g, delta, aut, size
+
+
+def _frobenius_solve(
+    params: DrinfeldParams, phi_t: np.ndarray, phi_wp: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Codes (a, b) with tau^{2m} + b phi_wp = phi_a tau^m for every row.
+
+    The unknowns are the F_q-coefficients of a (degree <= m/2) and of b; the
+    systems match tau-coefficients and are solved in one stack.  When tau^m
+    is phi_c for some c the relation admits every unit b, so for even m the
+    scalar case is solved first: there the characteristic polynomial is
+    (X - c)^2, i.e. a = 2c and b = c^2/wp.  Every solve must be unique.
+    """
+    base, L, m, p = params.base, params.L, params.m, params.p
+    nslots, half = 2 * m + 1, m // 2
+    tpow = [np.ones((len(phi_t), 1), dtype=np.int64)]
+    for _ in range(half):
+        tpow.append(_tw_mul(L, params.q, phi_t, tpow[-1]))
+    a = np.zeros((len(phi_t), half + 1), dtype=np.int64)
+    b = np.zeros(len(phi_t), dtype=np.int64)
+    todo = np.ones(len(phi_t), dtype=bool)
+    if m % 2 == 0:
+        rhs = np.zeros((len(phi_t), nslots), dtype=np.int64)
+        rhs[:, m] = 1
+        sol, status = _gauss_jordan_mod_p(_system(params, [_pad(t, 0, nslots) for t in tpow], rhs), p)
+        if (status == _MANY).any():
+            raise ArithmeticError("scalar Frobenius solve underdetermined")
+        scalar = status == _UNIQUE
+        c = _base_codes(params, sol[scalar])
+        norm = np.zeros((len(c), m + 1), dtype=np.int64)
+        _mul_add(base, norm, c, c)
+        unit = norm[:, m]
+        wp = np.array(params.wp.codes(), dtype=np.int64)
+        if not (unit.all() and np.array_equal(norm, base.v_mul(unit[:, None], wp))):
+            raise ArithmeticError("scalar Frobenius norm is not a unit times wp")
+        a[scalar], b[scalar], todo = base.v_add(c, c), unit, ~scalar
+    if todo.any():
+        # b phi_wp + sum_i a'_i phi_{T^i} tau^m = -tau^{2m}, and a = -a'
+        rhs = np.zeros((np.count_nonzero(todo), nslots), dtype=np.int64)
+        rhs[:, 2 * m] = p - 1
+        polys = [phi_wp[todo]] + [_pad(t[todo], m, nslots) for t in tpow]
+        sol, status = _gauss_jordan_mod_p(_system(params, polys, rhs), p)
+        bad = np.flatnonzero(status != _UNIQUE)
+        if len(bad):
+            g, delta = phi_t[todo][bad[0], 1:]
+            raise ArithmeticError(
+                f"Frobenius solve is {_STATUS[status[bad[0]]]} for (g, delta) = "
+                f"({L.decode(int(g))}, {L.decode(int(delta))})"
+            )
+        codes = _base_codes(params, sol)
+        b[todo] = codes[:, 0]
+        a[todo] = base.v_mul(codes[:, 1:], np.int64(p - 1))
+    return a, b
+
+
+def _frobenius_batch(
+    params: DrinfeldParams, g: np.ndarray, delta: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Checked codes (a, b) of X^2 - a X + b wp for every (g, delta).
+
+    After the solve b != 0 and 2 deg(a) <= m must hold, and the relation
+    tau^{2m} + b phi_wp = phi_a tau^m is re-substituted exactly, with phi_a
+    built by Horner from a; each failure raises ArithmeticError.
+    """
+    L, m = params.L, params.m
+    phi_t = _phi_t(params, g, delta)
+    phi_wp = _phi(params, phi_t, np.array(params.wp.codes(), dtype=np.int64))
+    a, b = _frobenius_solve(params, phi_t, phi_wp)
+    if not b.all():
+        raise ArithmeticError("Frobenius solve returned b = 0")
+    deg = int(_code_degrees(a).max())
+    if 2 * deg > m:
+        raise ArithmeticError(f"deg a = {deg} exceeds m/2 for m = {m}")
+    lhs = L.v_mul(phi_wp, _embed_codes(params, b)[:, None])
+    lhs[:, 2 * m] = L.v_add(lhs[:, 2 * m], np.int64(1))
+    rhs = _phi(params, phi_t, a)
+    width = max(lhs.shape[1], m + rhs.shape[1])
+    if not np.array_equal(_pad(lhs, 0, width), _pad(rhs, m, width)):
+        raise ArithmeticError("Frobenius relation re-substitution failed")
+    return a, b
 
 
 def frobenius_poly(klass, params: DrinfeldParams) -> Tuple[FqPoly, FqElem]:
-    """(a, b) with tau^{2m} + b phi_{wp} = phi_a tau^m, by linear solve.
+    """(a, b) with tau^{2m} + b phi_{wp} = phi_a tau^m for one module.
 
-    Accepts a DrinfeldClass or a bare (g, delta) pair.  The unknowns are the
-    F_q-coefficients of a (degree <= m/2) and b; the system matches tau-
-    coefficients and the solution is required to be unique with b != 0,
-    then re-substituted exactly.
+    Accepts a DrinfeldClass or a bare (g, delta) pair; the batched solve and
+    its checks on a single row.
     """
     if isinstance(klass, DrinfeldClass):
         g, delta = klass.g, klass.delta
     else:
         g, delta = klass
-    base, L, m = params.base, params.L, params.m
-    steps = base.a
     if delta.is_zero():
         raise ValueError("delta must be nonzero")
-    phi_wp = drinfeld_phi(params, g, delta, params.wp)
-    phi_t = TwistedPoly(L, steps, [params.gamma_t, g, delta])
-    tpow = [_tw_const(L, steps, L.one)]
-    for _ in range(m // 2):
-        tpow.append(phi_t * tpow[-1])
-    basis = [base.decode(base.p**j) for j in range(base.a)]
-    nslots = 2 * m + 1
-
-    def tau_coeffs(tw: TwistedPoly, shift: int = 0) -> List[FqElem]:
-        out = [L.zero] * nslots
-        for i, c in enumerate(tw.coeffs):
-            if i + shift < nslots:
-                out[i + shift] = c
-        return out
-
-    # when tau^m is phi_c for some c in A the general relation admits every
-    # unit b, so the scalar case is resolved first: there the characteristic
-    # polynomial is (X - c)^2, i.e. a = 2c and b = c^2/wp
-    if m % 2 == 0:
-        scols: List[List[int]] = []
-        for i in range(m // 2 + 1):
-            for j in range(base.a):
-                eps = embed(basis[j], L)
-                scols.append(_fp_coords([eps * c for c in tau_coeffs(tpow[i])]))
-        srhs = [L.zero] * nslots
-        srhs[m] = L.one
-        status, sol = _solve_mod_p(scols, _fp_coords(srhs), base.p)
-        if status == "many":
-            raise ArithmeticError("scalar Frobenius solve underdetermined")
-        if status == "unique":
-            c = FqPoly(
-                base,
-                [base.elem(sol[i * base.a : (i + 1) * base.a]) for i in range(m // 2 + 1)],
-            )
-            quo, rem = (c * c).divmod(params.wp)
-            if not rem.is_zero() or quo.degree != 0:
-                raise ArithmeticError("scalar Frobenius norm is not a unit times wp")
-            a, b = c + c, quo.coeffs[0]
-            lhs = _tw_monomial(L, steps, 2 * m) + _tw_const(L, steps, embed(b, L)) * phi_wp
-            rhs = drinfeld_phi(params, g, delta, a) * _tw_monomial(L, steps, m)
-            if lhs != rhs:
-                raise ArithmeticError("Frobenius relation re-substitution failed")
-            return a, b
-
-    cols: List[List[int]] = []
-    for j in range(base.a):
-        eps = embed(basis[j], L)
-        cols.append(_fp_coords([eps * c for c in tau_coeffs(phi_wp)]))
-    for i in range(m // 2 + 1):
-        for j in range(base.a):
-            eps = embed(basis[j], L)
-            cols.append(_fp_coords([-(eps * c) for c in tau_coeffs(tpow[i], shift=m)]))
-    rhs_elems = [L.zero] * nslots
-    rhs_elems[2 * m] = L.coerce(-1)
-    status, sol = _solve_mod_p(cols, _fp_coords(rhs_elems), base.p)
-    if status != "unique":
-        raise ArithmeticError(f"Frobenius solve is {status} for (g, delta) = ({g}, {delta})")
-    b = base.elem(sol[: base.a])
-    a_coeffs = [base.elem(sol[base.a + i * base.a : base.a + (i + 1) * base.a]) for i in range(m // 2 + 1)]
-    a = FqPoly(base, a_coeffs)
-    if b.is_zero():
-        raise ArithmeticError("Frobenius solve returned b = 0")
-    lhs = _tw_monomial(L, steps, 2 * m) + _tw_const(L, steps, embed(b, L)) * phi_wp
-    rhs = drinfeld_phi(params, g, delta, a) * _tw_monomial(L, steps, m)
-    if lhs != rhs:
-        raise ArithmeticError("Frobenius relation re-substitution failed")
-    return a, b
+    a, b = _frobenius_batch(params, np.array([g.code]), np.array([delta.code]))
+    return fq_poly_from_codes(params.base, a[0].tolist()), params.base.decode(int(b[0]))
 
 
 _CLASS_CACHE: Dict[DrinfeldParams, Tuple[DrinfeldClass, ...]] = {}
@@ -369,46 +437,37 @@ _CLASS_CACHE: Dict[DrinfeldParams, Tuple[DrinfeldClass, ...]] = {}
 def enumerate_classes(params: DrinfeldParams) -> List[DrinfeldClass]:
     """All twist-orbit representatives of (g, delta) in L x L^*, lex-least.
 
-    autOrder is the twist stabilizer size; the orbit-stabilizer identity and
-    the partition total sum(orbitSize) = |L|(|L|-1) are checked, as are
-    autOrder = -1 mod p and the slope bound 2 deg(a) <= m for every class
-    (each failure raises ArithmeticError).
+    The representatives are read off the complete orbit invariant of
+    `_twist_key`, without a bitmap of seen pairs, and the Frobenius data of
+    all classes come from one stacked solve; autOrder is the twist stabilizer
+    size.  Checked, each failure raising ArithmeticError: the orbit-stabilizer
+    identity autOrder * orbitSize = |L| - 1, autOrder = -1 mod p, the
+    partition total sum(orbitSize) = |L|(|L|-1), and, in `_frobenius_batch`,
+    a unique Frobenius solve with b != 0, the slope bound 2 deg(a) <= m and
+    the re-substituted relation, for every class.
     """
     cached = _CLASS_CACHE.get(params)
     if cached is not None:
         return list(cached)
-    L = params.L
-    qL, q, p = L.q, params.q, params.p
-    t = L.tables()
-    idx = np.arange(qL - 1, dtype=np.int64)
-    uq1 = t["exp"][(idx * (q - 1)) % (qL - 1)]
-    uq2 = t["exp"][(idx * (q * q - 1)) % (qL - 1)]
-    seen = np.zeros(qL * qL, dtype=bool)
-    classes: List[DrinfeldClass] = []
-    total = 0
-    for gcode in range(qL):
-        for dcode in range(1, qL):
-            if seen[gcode * qL + dcode]:
-                continue
-            gs = L.v_mul(uq1, np.int64(gcode))
-            ds = L.v_mul(uq2, np.int64(dcode))
-            keys = gs * qL + ds
-            orbit = np.unique(keys)
-            seen[orbit] = True
-            aut = int(np.count_nonzero((gs == gcode) & (ds == dcode)))
-            size = len(orbit)
-            if aut * size != qL - 1:
-                raise ArithmeticError(f"autOrder {aut} times orbit size {size} is not {qL - 1}")
-            if aut % p != p - 1:
-                raise ArithmeticError(f"autOrder {aut} is not -1 mod p = {p}")
-            total += size
-            g, delta = L.decode(gcode), L.decode(dcode)
-            a, b = frobenius_poly((g, delta), params)
-            if 2 * a.degree > params.m:
-                raise ArithmeticError(f"deg a = {a.degree} exceeds m/2 for m = {params.m}")
-            classes.append(DrinfeldClass(g, delta, aut, size, a, b))
+    base, L, p = params.base, params.L, params.p
+    qL = L.q
+    g, delta, aut, size = _twist_orbits(L, params.q)
+    bad = np.flatnonzero(aut * size != qL - 1)
+    if len(bad):
+        raise ArithmeticError(f"autOrder {aut[bad[0]]} times orbit size {size[bad[0]]} is not {qL - 1}")
+    bad = np.flatnonzero(aut % p != p - 1)
+    if len(bad):
+        raise ArithmeticError(f"autOrder {aut[bad[0]]} is not -1 mod p = {p}")
+    total = int(size.sum())
     if total != qL * (qL - 1):
         raise ArithmeticError(f"orbits cover {total} pairs, not |L|(|L|-1) = {qL * (qL - 1)}")
+    a, b = _frobenius_batch(params, g, delta)
+    classes = [
+        DrinfeldClass(L.decode(gc), L.decode(dc), ac, sc, fq_poly_from_codes(base, ar), base.decode(bc))
+        for gc, dc, ac, sc, ar, bc in zip(
+            g.tolist(), delta.tolist(), aut.tolist(), size.tolist(), a.tolist(), b.tolist()
+        )
+    ]
     _CLASS_CACHE[params] = tuple(classes)
     return classes
 
@@ -485,14 +544,15 @@ def frobenius_mod_torsion(params: DrinfeldParams, klass, laux: FqPoly) -> Tuple[
     if laux == params.P:
         raise ValueError("the auxiliary prime must not divide wp")
     D = laux.degree
-    q = params.q
-    phi_l = drinfeld_phi(params, g, delta, laux)
-    if phi_l.degree != 2 * D or phi_l.coeffs[0].is_zero():
-        raise ArithmeticError(f"phi_laux has degree {phi_l.degree}, not {2 * D}, or no x term")
+    q, p = params.q, params.p
+    phi_t = _phi_t(params, np.array([g.code]), np.array([delta.code]))
+    phi_l = _phi(params, phi_t, np.array(laux.codes(), dtype=np.int64))[0]
+    deg = int(_code_degrees(phi_l))
+    if deg != 2 * D or phi_l[0] == 0:
+        raise ArithmeticError(f"phi_laux has degree {deg}, not {2 * D}, or no x term")
     # U1 = phi_laux(x)/x, made monic; deg = q^{2D} - 1
     u1 = np.zeros(q ** (2 * D), dtype=np.int64)
-    for j, c in enumerate(phi_l.coeffs):
-        u1[q**j - 1] = c.code
+    u1[q ** np.arange(2 * D + 1) - 1] = phi_l
     lead_inv = L.decode(int(u1[-1])).inverse().code
     u1 = L.v_mul(u1, np.int64(lead_inv))
     n0 = len(u1) - 1
@@ -502,48 +562,38 @@ def frobenius_mod_torsion(params: DrinfeldParams, klass, laux: FqPoly) -> Tuple[
     w1 = _np_powmod(L, lam, q**params.m, u1)
     w2 = _np_powmod(L, w1, q**params.m, u1)
 
-    phi_tpow = [_tw_const(L, base.a, L.one)]
-    phi_t = TwistedPoly(L, base.a, [params.gamma_t, g, delta])
+    phi_tpow = [np.ones((1, 1), dtype=np.int64)]
     for _ in range(D - 1):
-        phi_tpow.append(phi_t * phi_tpow[-1])
+        phi_tpow.append(_tw_mul(L, q, phi_t, phi_tpow[-1]))
 
     def apply_phis(v: np.ndarray) -> List[np.ndarray]:
-        """[phi_{T^i}(v) mod U1 for i < D] via a q-power ladder."""
+        """[phi_{T^i}(v) mod U1 for i < D], each one row, via a q-power ladder."""
         ladder = [v]
         for _ in range(2 * (D - 1)):
             ladder.append(_np_powmod(L, ladder[-1], q, u1))
         out = []
         for tw in phi_tpow:
             acc = np.zeros(n0, dtype=np.int64)
-            for j, c in enumerate(tw.coeffs):
-                if not c.is_zero():
-                    acc = L.v_add(acc, L.v_mul(ladder[j], np.int64(c.code)))
-            out.append(acc)
+            for j, c in enumerate(tw[0].tolist()):
+                if c:
+                    acc = L.v_add(acc, L.v_mul(ladder[j], np.int64(c)))
+            out.append(acc[None, :])
         return out
 
-    def coords(v: np.ndarray) -> List[int]:
-        return _fp_coords([L.decode(int(c)) for c in v])
-
-    basis = [embed(base.decode(base.p**j), L) for j in range(base.a)]
     phis_lam = apply_phis(lam)
-    eig_cols = [coords(L.v_mul(phis_lam[i], np.int64(eps.code))) for i in range(D) for eps in basis]
-    status, sol = _solve_mod_p(eig_cols, coords(w1), base.p)
-    if status == "unique":
-        c = FqPoly(base, [base.elem(sol[i * base.a : (i + 1) * base.a]) for i in range(D)])
+    sol, status = _gauss_jordan_mod_p(_system(params, phis_lam, w1[None, :]), p)
+    if status[0] == _UNIQUE:
+        c = fq_poly_from_codes(base, _base_codes(params, sol)[0].tolist())
         return (c + c) % laux, (c * c) % laux
-    if status == "many":
+    if status[0] == _MANY:
         raise ArithmeticError("scalar solve underdetermined; laux not irreducible?")
-    phis_w1 = apply_phis(w1)
-    cols = [coords(L.v_mul(phis_w1[i], np.int64(eps.code))) for i in range(D) for eps in basis]
-    cols += [coords(L.v_mul(phis_lam[i], np.int64((-eps).code))) for i in range(D) for eps in basis]
-    status, sol = _solve_mod_p(cols, coords(w2), base.p)
-    if status != "unique":
-        raise ArithmeticError(f"companion solve is {status}")
-    half = D * base.a
-    alpha = FqPoly(base, [base.elem(sol[i * base.a : (i + 1) * base.a]) for i in range(D)])
-    chi = FqPoly(
-        base, [base.elem(sol[half + i * base.a : half + (i + 1) * base.a]) for i in range(D)]
-    )
+    neg_lam = [L.v_mul(v, np.int64(p - 1)) for v in phis_lam]
+    sol, status = _gauss_jordan_mod_p(_system(params, apply_phis(w1) + neg_lam, w2[None, :]), p)
+    if status[0] != _UNIQUE:
+        raise ArithmeticError(f"companion solve is {_STATUS[status[0]]}")
+    codes = _base_codes(params, sol)[0].tolist()
+    alpha = fq_poly_from_codes(base, codes[:D])
+    chi = fq_poly_from_codes(base, codes[D:])
     return alpha % laux, chi % laux
 
 
@@ -1162,54 +1212,6 @@ def ramanujan_check(params: DrinfeldParams) -> RamanujanReport:
             all_ok = all_ok and ok
             rows.append((k, l, deg if deg >= 0 else None, bound, ok))
     return RamanujanReport(params, False, s, st, k_limit, tuple(rows), all_ok)
-
-
-# ---------------------------------------------------------------------------
-# the degree-one congruence against the cusp-form dimension
-
-
-def dim_cusp_ff(q: int, k: int, l: int) -> int:
-    """Dimension of the weight-k, type-l cusp forms at full level.
-
-    Zero unless k = 2l mod q-1; otherwise floor((k + (q-1-l)(q+1))/(q^2-1))
-    with the type normalized to 1 <= l <= q-1.
-    """
-    l = _norm_type(q, l)
-    if (k - 2 * l) % (q - 1):
-        return 0
-    return (k + (q - 1 - l) * (q + 1)) // (q * q - 1)
-
-
-def verify_dim_congruence(
-    params: DrinfeldParams, alpha: FqElem, kmax: int = 50
-) -> Tuple[List[dict], bool]:
-    """Check trace = wp(alpha)^{l-1} dim(k, l) mod (T - alpha) for k <= kmax.
-
-    Runs over weights k and types l with k = 2l mod q-1 (the dimension
-    formula's domain); requires P(alpha) != 0 so that the modulus is prime
-    to wp.
-    """
-    base, q = params.base, params.q
-    alpha = base.coerce(alpha)
-    if params.P.evaluate(alpha).is_zero():
-        raise ValueError("alpha is a root of P; the modulus must avoid wp")
-    wpa = params.wp.evaluate(alpha)
-    records = []
-    all_ok = True
-    if kmax < 2:
-        return records, all_ok
-    ring = ResidueRing(FqPoly(base, [-alpha, base.one]))
-    seq = np.stack(list(_h_kernel(params, kmax - 2, range(1, q), ring)))
-    for l in range(1, q):
-        for k in range(2, kmax + 1):
-            if (k - 2 * l) % (q - 1):
-                continue
-            got = base.decode(int(seq[k - 2, l - 1, 0]))
-            want = wpa ** (l - 1) * base.coerce(dim_cusp_ff(q, k, l))
-            ok = got == want
-            all_ok = all_ok and ok
-            records.append({"k": k, "l": l, "got": got.code, "want": want.code, "ok": ok})
-    return records, all_ok
 
 
 # ---------------------------------------------------------------------------

@@ -485,7 +485,8 @@ class FqField:
 
     def v_chi(self, x: np.ndarray) -> np.ndarray:
         """Quadratic character of code array entries (odd characteristic)."""
-        assert self.p != 2
+        if self.p == 2:
+            raise ValueError("the quadratic character needs odd characteristic")
         log = self.tables()["log"]
         out = np.where(x == 0, 0, np.where(log[x] % 2 == 0, 1, -1))
         return out
@@ -689,12 +690,6 @@ class FqPoly:
             base = (base * base) % m
             e >>= 1
         return result
-
-    def evaluate(self, x: FqElem) -> FqElem:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def is_irreducible(self) -> bool:
         """Rabin irreducibility test over F_q."""

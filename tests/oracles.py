@@ -2,16 +2,19 @@
 full-range sieve of Hurwitz class numbers, a rational fold of mass lists, the
 f coefficient family summed term by term, the mass routes by enumeration
 (reduced families, the full isomorphism classification and its automorphism
-stabilizers), and Drinfeld traces from the [c_{k,l}] table.
+stabilizers), Drinfeld classes by a walk over all (g, delta) pairs, and
+Drinfeld traces from the [c_{k,l}] table.
 
 Everything but the enumeration routes and the [c_{k,l}] table is plain
 integer series or numpy arithmetic. The enumeration routes handle single
 curves with the scalar arithmetic of curve_arith.py (long Weierstrass
-curves, the group law, exact-order torsion), and the [c_{k,l}] table uses
-the package's polynomial arithmetic and class data; none of them uses the
-package's mass routes or its h-recurrence kernel. They import what they need
-when called, because perfbench/run.py loads this file without the package or
-curve_arith.py on the path.
+curves, the group law, exact-order torsion) and single Drinfeld modules with
+that of drinfeld_arith.py (twisted polynomials, a per-class linear solve),
+and the [c_{k,l}] table uses the package's polynomial arithmetic and class
+data; none of them uses the package's mass routes, its batched class
+enumeration or its h-recurrence kernel. They import what they need when
+called, because perfbench/run.py loads this file without the package,
+curve_arith.py or drinfeld_arith.py on the path.
 """
 
 import math
@@ -524,6 +527,22 @@ def class_route_masses(
 def nonunit_class_count(field: "FqField", ell: int) -> int:
     """Unweighted number of isomorphism classes with a1 = 0 mod ell."""
     return sum(1 for c in iso_classes(field) if c.a1 % ell == 0)
+
+
+# ---------------------------------------------------------------------------
+# Drinfeld classes, one orbit and one Frobenius solve at a time
+
+
+def enumerate_classes(params: "DrinfeldParams") -> "List[DrinfeldClass]":
+    """Twist-orbit representatives with their Frobenius data, lex-least.
+
+    Walks an |L|^2 bitmap of (g, delta) pairs and solves each class's
+    Frobenius relation on its own with TwistedPoly arithmetic: the reference
+    for the batched hecketrace.drinfeld.enumerate_classes.
+    """
+    from drinfeld_arith import enumerate_classes as bitmap_classes
+
+    return bitmap_classes(params)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,22 @@ def test_dr_enumerate_emission(capsys):
     assert out.splitlines()[0] == "q,P,n,g,delta,autOrder,orbitSize,a,b"
 
 
+def test_closed_pipe_exits_quietly():
+    # the reader goes away after one line, as under `| head -1`; the JSON
+    # rows of 2520 classes fill the pipe long before the program is done
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hecketrace.cli", "dr", "enumerate", "--q", "5", "--P", "T^2+2",
+         "--n", "2", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert json.loads(proc.stdout.readline())["q"] == 5
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_CLOSED_PIPE
+    assert b"Traceback" not in err and b"Error" not in err, err
+
+
 def test_dr_trace_residue(capsys):
     code, out, _ = _run(
         capsys,

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import drinfeld_arith as da
 import oracles
 from hecketrace import drinfeld as dr
 from hecketrace.ffield import BudgetError, FqPoly, fq_construct, fq_poly_from_codes
@@ -16,6 +17,8 @@ F2 = fq_construct(2, 1)
 F3 = fq_construct(3, 1)
 F4 = fq_construct(2, 2)
 F9 = fq_construct(3, 2)
+F5 = fq_construct(5, 1)
+F7 = fq_construct(7, 1)
 
 
 def _poly(field, codes):
@@ -52,7 +55,7 @@ def test_phi_is_a_ring_map():
         delta = rng.choice(els[1:])
         f1 = _poly(F3, tuple(rng.randrange(3) for _ in range(4)))
         f2 = _poly(F3, tuple(rng.randrange(3) for _ in range(3)))
-        phi = lambda f: dr.drinfeld_phi(pp, g, delta, f)
+        phi = lambda f: da.drinfeld_phi(pp, g, delta, f)
         assert phi(f1 + f2) == phi(f1) + phi(f2)
         assert phi(f1 * f2) == phi(f1) * phi(f2)
         if not f1.is_zero():
@@ -99,45 +102,185 @@ def test_class_partition_and_bounds():
             assert not c.frob_b.is_zero()
 
 
-_WIDE_FROBENIUS = """
-from hecketrace import drinfeld as dr
-from hecketrace.ffield import fq_construct, fq_poly_from_codes
-
-F3 = fq_construct(3, 1)
-pp = dr.drinfeld_params(fq_poly_from_codes(F3, (0, 1)), 1)
-good = dr.frobenius_poly
-dr.frobenius_poly = lambda klass, params: (
-    good(klass, params)[0] + fq_poly_from_codes(F3, (0,) * params.m + (1,)),
-    good(klass, params)[1],
+# (field, P codes, n) for the differential test against the bitmap
+# enumeration: q in {2, 3, 4, 5, 7, 9}, |L| <= 125, m odd and m even (the
+# scalar case)
+DIFFERENTIAL_GRID = (
+    (F2, (0, 1), 1),
+    (F2, (1, 1, 1), 2),
+    (F2, (1, 1, 0, 1), 1),
+    (F2, (1, 0, 1, 1), 2),
+    (F3, (1, 1), 1),
+    (F3, (2, 1, 1), 1),
+    (F3, (0, 1), 3),
+    (F3, (1, 0, 1), 2),
+    (F4, (1, 1), 1),
+    (F4, (2, 1, 1), 1),
+    (F4, (3, 0, 0, 1), 1),
+    (F5, (0, 1), 1),
+    (F5, (2, 0, 1), 1),
+    (F5, (1, 1), 3),
+    (F7, (1, 1), 1),
+    (F7, (0, 1), 2),
+    (F9, (0, 1), 1),
+    (F9, (1, 1), 2),
 )
-try:
-    dr.enumerate_classes(pp)
-except ArithmeticError as exc:
-    print(exc)
-    raise SystemExit(0)
-raise SystemExit(1)
+
+
+def test_enumeration_matches_bitmap_oracle():
+    # the batched route (orbit invariants, one stacked solve) against the
+    # |L|^2 bitmap walk with a per-class TwistedPoly solve
+    def rows(classes):
+        return [
+            (c.g.code, c.delta.code, c.aut_order, c.orbit_size, c.frob_a.codes(), c.frob_b.code)
+            for c in classes
+        ]
+
+    for field, pcodes, n in DIFFERENTIAL_GRID:
+        pp = _params(field, pcodes, n)
+        assert pp.L.q <= 125
+        assert rows(dr.enumerate_classes(pp)) == rows(oracles.enumerate_classes(pp)), (field.q, pcodes, n)
+
+
+def test_code_array_phi_matches_scalar_phi():
+    rng = random.Random(11)
+    for field, pcodes, n in ((F3, (0, 1), 2), (F4, (1, 1), 2), (F9, (0, 1), 1)):
+        pp = _params(field, pcodes, n)
+        for _ in range(4):
+            g, delta = rng.randrange(pp.L.q), rng.randrange(1, pp.L.q)
+            f = _poly(field, tuple(rng.randrange(field.q) for _ in range(3)) + (1,))
+            got = dr._phi(pp, dr._phi_t(pp, np.array([g]), np.array([delta])), np.array(f.codes()))
+            want = da.drinfeld_phi(pp, pp.L.decode(g), pp.L.decode(delta), f)
+            assert got[0].tolist() == [c.code for c in want.coeffs]
+
+
+# Failure injection: each fault breaks one check of the enumeration, which
+# must raise ArithmeticError with its own message (also under python -O).
+# A fault is (patch, match); patch(dr, install) installs it on module dr
+# through install(attribute name, value).
+
+
+def _orbit_fault(change):
+    def patch(dr, install):
+        good = dr._twist_orbits
+        install("_CLASS_CACHE", {})
+        install("_twist_orbits", lambda L, q: change(L, *good(L, q)))
+
+    return patch
+
+
+def _solve_fault(change):
+    def patch(dr, install):
+        good = dr._frobenius_solve
+        install("_CLASS_CACHE", {})
+        install("_frobenius_solve", lambda params, phi_t, phi_wp: change(params, *good(params, phi_t, phi_wp)))
+
+    return patch
+
+
+def _first_aut_one(L, g, delta, aut, size):
+    # autOrder 1 with orbit size |L| - 1 keeps the orbit-stabilizer identity
+    aut, size = aut.copy(), size.copy()
+    aut[0], size[0] = 1, L.q - 1
+    return g, delta, aut, size
+
+
+def _drop_b_column(dr, install):
+    good = dr._gauss_jordan_mod_p
+
+    def solve(mats, p):
+        mats = mats.copy()
+        mats[:, :, 0] = 0  # the first F_p digit of b
+        return good(mats, p)
+
+    install("_CLASS_CACHE", {})
+    install("_gauss_jordan_mod_p", solve)
+
+
+def _wide_a(params, a, b):
+    wide = np.zeros((len(a), params.m + 1), dtype=np.int64)
+    wide[:, : a.shape[1]] = a
+    wide[:, params.m] = 1
+    return wide, b
+
+
+def _shifted_a(params, a, b):
+    a = a.copy()
+    a[:, 0] = (a[:, 0] + 1) % params.p
+    return a, b
+
+
+FAULTS = {
+    "orbit-size": (_orbit_fault(lambda L, g, d, aut, size: (g, d, aut, 2 * size)), "times orbit size"),
+    "partition": (_orbit_fault(lambda L, g, d, aut, size: (g[:-1], d[:-1], aut[:-1], size[:-1])), "orbits cover"),
+    "aut-order": (_orbit_fault(_first_aut_one), "is not -1 mod p"),
+    "unique-solve": (_drop_b_column, "Frobenius solve is (none|many)"),
+    "b-zero": (_solve_fault(lambda params, a, b: (a, 0 * b)), "returned b = 0"),
+    "slope": (_solve_fault(_wide_a), "exceeds m/2"),
+    "re-substitution": (_solve_fault(_shifted_a), "re-substitution failed"),
+}
+
+_FAULTS_UNDER_O = """
+import re, sys
+sys.path.insert(0, {tests!r})
+import test_drinfeld as t
+from hecketrace import drinfeld as dr
+
+pp = t._params(t.F3, (0, 1), 1)
+failed = []
+for name in {names!r}:
+    patch, match = t.FAULTS[name]
+    saved = []
+    patch(dr, lambda attr, value: (saved.append((attr, getattr(dr, attr))), setattr(dr, attr, value)))
+    try:
+        dr.enumerate_classes(pp)
+        failed.append(name + ": no error")
+    except ArithmeticError as exc:
+        print(name, exc)
+        if not re.search(match, str(exc)):
+            failed.append(name + ": " + str(exc))
+    for attr, value in reversed(saved):
+        setattr(dr, attr, value)
+raise SystemExit("; ".join(failed) if failed else 0)
 """
+
+
+def _faults_under_python_O(names):
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(dr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = _FAULTS_UNDER_O.format(tests=tests, names=list(names))
+    res = subprocess.run([sys.executable, "-O", "-c", script],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stdout + res.stderr
+    return res.stdout
+
+
+def _inject(monkeypatch, name):
+    patch, match = FAULTS[name]
+    patch(dr, lambda attr, value: monkeypatch.setattr(dr, attr, value))
+    return match
 
 
 def test_enumeration_rejects_a_past_the_slope_bound(monkeypatch):
     # a Frobenius a of degree m breaks 2 deg(a) <= m; the check is not an
     # assert, so it also stops the enumeration under python -O
     pp = _params(F3, (0, 1), 1)
-    good = dr.frobenius_poly
-    monkeypatch.setattr(dr, "_CLASS_CACHE", {})
-    monkeypatch.setattr(
-        dr,
-        "frobenius_poly",
-        lambda klass, params: (good(klass, params)[0] + _poly(F3, (0, 1)), good(klass, params)[1]),
-    )
-    with pytest.raises(ArithmeticError, match="exceeds m/2"):
+    with pytest.raises(ArithmeticError, match=_inject(monkeypatch, "slope")):
         dr.enumerate_classes(pp)
-    src = os.path.dirname(os.path.dirname(dr.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-O", "-c", _WIDE_FROBENIUS],
-                         env=env, capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stdout + res.stderr
-    assert "exceeds m/2" in res.stdout
+    assert "exceeds m/2" in _faults_under_python_O(["slope"])
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_enumeration_rejects_injected_fault(monkeypatch, name):
+    pp = _params(F3, (0, 1), 1)
+    with pytest.raises(ArithmeticError, match=_inject(monkeypatch, name)):
+        dr.enumerate_classes(pp)
+
+
+def test_enumeration_checks_survive_python_O():
+    out = _faults_under_python_O(sorted(FAULTS))
+    assert len(out.splitlines()) == len(FAULTS)
 
 
 def test_kernel_rejects_a_digit_past_its_width(monkeypatch):
@@ -289,7 +432,7 @@ def test_h_family_matches_g_at_trivial_wp():
             for r in range(m):
                 for k in range(0, 12):
                     g = dr.g_coeff(b, r, m, k, pp)
-                    assert g.evaluate(minus_one) == dr.h_coeff(b, r, m, k)
+                    assert da.poly_evaluate(g, minus_one) == dr.h_coeff(b, r, m, k)
     with pytest.raises(ValueError):
         dr.h_coeff(F3.one, 0, 0, 4)
 
@@ -475,22 +618,64 @@ def test_ramanujan_rows_match_oracle_degrees():
             assert ok == (tr.is_zero() or tr.degree <= bound)
 
 
+def dim_cusp_ff(q: int, k: int, l: int) -> int:
+    """Dimension of the weight-k, type-l cusp forms at full level.
+
+    Zero unless k = 2l mod q-1; otherwise floor((k + (q-1-l)(q+1))/(q^2-1))
+    with the type normalized to 1 <= l <= q-1.
+    """
+    l = (l - 1) % (q - 1) + 1
+    if (k - 2 * l) % (q - 1):
+        return 0
+    return (k + (q - 1 - l) * (q + 1)) // (q * q - 1)
+
+
+def verify_dim_congruence(params, alpha, kmax=50):
+    """Check trace = wp(alpha)^{l-1} dim(k, l) mod (T - alpha) for k <= kmax.
+
+    Runs over weights k and types l with k = 2l mod q-1 (the dimension
+    formula's domain) on the kernel's residues mod T - alpha; requires
+    P(alpha) != 0 so that the modulus is prime to wp.
+    """
+    base, q = params.base, params.q
+    alpha = base.coerce(alpha)
+    if da.poly_evaluate(params.P, alpha).is_zero():
+        raise ValueError("alpha is a root of P; the modulus must avoid wp")
+    wpa = da.poly_evaluate(params.wp, alpha)
+    records = []
+    all_ok = True
+    if kmax < 2:
+        return records, all_ok
+    ring = dr.ResidueRing(FqPoly(base, [-alpha, base.one]))
+    seq = np.stack(list(dr._h_kernel(params, kmax - 2, range(1, q), ring)))
+    for l in range(1, q):
+        for k in range(2, kmax + 1):
+            if (k - 2 * l) % (q - 1):
+                continue
+            got = base.decode(int(seq[k - 2, l - 1, 0]))
+            want = wpa ** (l - 1) * base.coerce(dim_cusp_ff(q, k, l))
+            ok = got == want
+            all_ok = all_ok and ok
+            records.append({"k": k, "l": l, "got": got.code, "want": want.code, "ok": ok})
+    return records, all_ok
+
+
 def test_dim_formula_small_table():
     # q = 3: first cuspidal weights per type, from the explicit floor formula
-    assert [dr.dim_cusp_ff(3, k, 1) for k in (2, 4, 6, 8, 10, 12)] == [0, 1, 1, 1, 1, 2]
-    assert [dr.dim_cusp_ff(3, k, 2) for k in (2, 4, 6, 8, 10, 12)] == [0, 0, 0, 1, 1, 1]
-    assert dr.dim_cusp_ff(3, 5, 1) == 0  # parity mismatch
-    assert dr.dim_cusp_ff(2, 5, 1) == dr.dim_cusp_ff(2, 5, 4) == 1
+    assert [dim_cusp_ff(3, k, 1) for k in (2, 4, 6, 8, 10, 12)] == [0, 1, 1, 1, 1, 2]
+    assert [dim_cusp_ff(3, k, 2) for k in (2, 4, 6, 8, 10, 12)] == [0, 0, 0, 1, 1, 1]
+    assert dim_cusp_ff(3, 5, 1) == 0  # parity mismatch
+    assert dim_cusp_ff(2, 5, 1) == dim_cusp_ff(2, 5, 4) == 1
 
 
 def test_dim_congruence_degree_one():
     pp = _params(F3, (1, 1), 1)
     for alpha in (F3.zero, F3.one):
-        records, ok = dr.verify_dim_congruence(pp, alpha, kmax=40)
+        records, ok = verify_dim_congruence(pp, alpha, kmax=40)
         assert ok and records
     with pytest.raises(ValueError):
-        dr.verify_dim_congruence(pp, F3.coerce(2))  # root of P
-    records, ok = dr.verify_dim_congruence(_params(F2, (1, 1), 1), F2.zero, kmax=30)
+        verify_dim_congruence(pp, F3.coerce(2))  # root of P
+    records, ok = verify_dim_congruence(_params(F2, (1, 1), 1), F2.zero, kmax=30)
     assert ok and records
 
 
@@ -525,12 +710,18 @@ def test_twisted_poly_relations():
     pp = _params(F3, (0, 1), 2)
     L, steps = pp.L, 1
     c = L.gen
-    tau = dr.TwistedPoly(L, steps, [L.zero, L.one])
-    const = dr.TwistedPoly(L, steps, [c])
-    assert tau * const == dr.TwistedPoly(L, steps, [L.zero, c.frobenius(steps)])
-    x = dr.TwistedPoly(L, steps, [c, L.one, c * c])
-    y = dr.TwistedPoly(L, steps, [L.one, c])
-    z = dr.TwistedPoly(L, steps, [c * c, L.zero, L.one])
+    tau = da.TwistedPoly(L, steps, [L.zero, L.one])
+    const = da.TwistedPoly(L, steps, [c])
+    assert tau * const == da.TwistedPoly(L, steps, [L.zero, c.frobenius(steps)])
+    x = da.TwistedPoly(L, steps, [c, L.one, c * c])
+    y = da.TwistedPoly(L, steps, [L.one, c])
+    z = da.TwistedPoly(L, steps, [c * c, L.zero, L.one])
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
-    assert (x + y).degree == 2 and dr.TwistedPoly(L, steps, []).is_zero()
+    assert (x + y).degree == 2 and da.TwistedPoly(L, steps, []).is_zero()
+    # the code-array product agrees, one row per pair of factors
+    rows = lambda *ps: np.array([[e.code for e in t.coeffs] + [0] * (3 - len(t.coeffs)) for t in ps])
+    got = dr._tw_mul(L, pp.q, rows(x, y, tau), rows(z, x, const))
+    for row, want in zip(got.tolist(), (x * z, y * x, tau * const)):
+        want = [e.code for e in want.coeffs]
+        assert row == want + [0] * (len(row) - len(want))

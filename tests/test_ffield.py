@@ -1,6 +1,9 @@
 """Field construction, embeddings, residue rings, divisibility witnesses."""
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
 
+from drinfeld_arith import poly_evaluate
+from hecketrace import ffield
 from hecketrace.ffield import (
     BudgetError,
     FqField,
@@ -189,6 +194,29 @@ def test_embedding_tower_compatibility():
                 assert embed(embed(x, b), c) == embed(x, c)
 
 
+_CHI_IN_CHAR_TWO = """
+import numpy as np
+from hecketrace.ffield import fq_construct
+try:
+    fq_construct(2, 2).v_chi(np.arange(4))
+except ValueError as exc:
+    print(exc)
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_chi_rejects_characteristic_two():
+    # a ValueError, not an assert, so python -O refuses it too
+    with pytest.raises(ValueError, match="odd characteristic"):
+        fq_construct(2, 3).v_chi(np.arange(8, dtype=np.int64))
+    src = os.path.dirname(os.path.dirname(ffield.__file__))
+    res = subprocess.run([sys.executable, "-O", "-c", _CHI_IN_CHAR_TWO],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "odd characteristic" in res.stdout
+
+
 def test_fq_poly_ops():
     f = fq_construct(5, 1)
     x = FqPoly(f, [0, 1])
@@ -196,7 +224,7 @@ def test_fq_poly_ops():
     q, r = g.divmod(x + 1)
     assert r.is_zero() and q == x + 2
     assert g.gcd(x + 1) == (x + 1).monic()
-    assert g.evaluate(f.coerce(-1)).is_zero()
+    assert poly_evaluate(g, f.coerce(-1)).is_zero()
     assert set(root.code for root in g.roots()) == {4, 3}
     assert (x ** 2 + 1 if False else FqPoly(f, [1, 0, 1])).is_irreducible() is False  # x^2+1 = (x+2)(x+3) mod 5
     assert FqPoly(f, [2, 0, 1]).is_irreducible()   # x^2+2 irreducible mod 5
@@ -232,7 +260,7 @@ def test_roots_match_scan_over_extensions():
             poly = FqPoly(F, low + [F.one])
             for _ in range(rng.randrange(4)):
                 poly = poly * FqPoly(F, [F.decode(rng.randrange(F.q)), F.one])
-            scan = [x for x in F.elements() if poly.evaluate(x).is_zero()]
+            scan = [x for x in F.elements() if poly_evaluate(poly, x).is_zero()]
             assert poly.roots() == scan, (p, a, poly)
     with pytest.raises(ValueError):
         FqPoly(fq_construct(3, 1), []).roots()
