@@ -56,7 +56,10 @@ def parse_fq_poly(field: FqField, text: str) -> FqPoly:
     """Parse 'T^2+2*T+1' (integer coefficients) or '[c0,c1,...]' (codes).
 
     The bracket form takes ascending element codes and is the only way to
-    write coefficients outside the prime field.
+    write coefficients outside the prime field. Over a prime field integers
+    reduce mod p. Over F_{p^a} with a > 1 a written integer of p or more is
+    rejected, since it would look like an element code but reduce mod p; a
+    minus sign is negation in the field.
     """
     text = text.strip()
     if not text:
@@ -71,6 +74,11 @@ def parse_fq_poly(field: FqField, text: str) -> FqPoly:
         if m is None or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"cannot parse term {term!r} of {text!r}")
         c = int(m.group(2)) if m.group(2) else 1
+        if field.a > 1 and c >= field.p:
+            raise ValueError(
+                f"coefficient {c} of {text!r} is not below p = {field.p}; write "
+                f"elements of F_{field.q} outside F_{field.p} as codes, '[c0,c1,...]'"
+            )
         if m.group(1):
             c = -c
         e = (int(m.group(4)) if m.group(4) else 1) if m.group(3) else 0
@@ -630,6 +638,10 @@ def cmd_selftest_examples(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    p_help = (
+        "monic irreducible, e.g. 'T' or 'T^2+T+1'; integer coefficients must lie "
+        "in 0..p-1 when q is not prime, where '[c0,c1,...]' gives element codes"
+    )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "human"), default="human")
     common.add_argument("--cache-dir", default=None, help="moment cache directory")
@@ -700,13 +712,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = drp.add_parser("enumerate", parents=[common], help="twist-orbit classes with Frobenius data")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--P", required=True, help="monic irreducible, e.g. 'T' or 'T^2+T+1'")
+    p.add_argument("--P", required=True, help=p_help)
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(func=cmd_dr_enumerate)
 
     p = drp.add_parser("trace", parents=[common], help="Hecke trace at P^n as an F_q[T] element")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--P", required=True)
+    p.add_argument("--P", required=True, help=p_help)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--type", type=int, default=1)
@@ -714,7 +726,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = drp.add_parser("verify-period", parents=[common], help="weight periodicity mod l^s")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--P", required=True)
+    p.add_argument("--P", required=True, help=p_help)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--ell", required=True, help="monic irreducible modulus, e.g. 'T'")
     p.add_argument("--s", type=int, default=1)
@@ -725,7 +737,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = drp.add_parser("ramanujan", parents=[common], help="finite slope-bound window check")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--P", required=True)
+    p.add_argument("--P", required=True, help=p_help)
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(func=cmd_dr_ramanujan)
 

@@ -44,28 +44,23 @@ def is_square_mod_2s(q: int, s: int) -> bool:
 
 
 class CoeffFamily:
-    """Rows of binom(k-j, j) mod M with cached incremental extension.
+    """Rows of binom(k-j, j) mod M, each computed directly and cached per k.
 
-    Row k holds B_k[j] = binom(k-j, j) for 0 <= j <= k//2; rows satisfy
-    B_k[j] = B_{k-1}[j] + B_{k-2}[j-1].
+    Row k holds B_k[j] = binom(k-j, j) for 0 <= j <= k//2.
     """
 
     def __init__(self, modulus: Optional[int] = None):
         self.modulus = modulus
-        self._rows: List[List[int]] = [[1], [1]]
+        self._rows: Dict[int, List[int]] = {}
 
     def row(self, k: int) -> List[int]:
-        while len(self._rows) <= k:
-            kk = len(self._rows)
-            prev, prev2 = self._rows[kk - 1], self._rows[kk - 2]
-            row = [0] * (kk // 2 + 1)
-            for j in range(len(row)):
-                v = prev[j] if j < len(prev) else 0
-                if j >= 1 and j - 1 < len(prev2):
-                    v += prev2[j - 1]
-                row[j] = v % self.modulus if self.modulus else v
-            self._rows.append(row)
-        return self._rows[k]
+        row = self._rows.get(k)
+        if row is None:
+            row = [math.comb(k - j, j) for j in range(k // 2 + 1)]
+            if self.modulus:
+                row = [v % self.modulus for v in row]
+            self._rows[k] = row
+        return row
 
     def f_value(self, q: int, r: int, m: int, k: int) -> int:
         """Family value from the cached rows (mod modulus when one is set)."""

@@ -4,9 +4,12 @@ formula over F_q.
 The central object is the list of (a1, mass) pairs for one (field, level
 structure), with masses exact rationals; everything else (moments, interior
 sums, traces, splits) is a fold over that list. Moments and interior sums
-share one kernel, `_fold`: it scales the masses once by the lcm D of their
-denominators and runs the integer recurrence over all classes at once, either
-exactly on Python ints or modulo ell^s * D, and divides by D at the end.
+share one kernel. `_paired` scales the masses once by the lcm D of their
+denominators and pairs a1 with -a1, since c_k(-a) = (-1)^k c_k(a): the
+recurrence runs over b = |a1| only, with the weights w(b) + w(-b) at even k
+and w(b) - w(-b) at odd k. `_fold` runs that recurrence for every k up to a
+bound, exactly on Python ints or modulo ell^s * D; `_fold_at` reaches one k
+by Lucas doubling in O(log k) steps. Both divide by D at the end.
 """
 
 from __future__ import annotations
@@ -67,11 +70,38 @@ class MomentTable:
         return self.moments[k]
 
 
-# Classes per pass of the exact fold. The exact c_k grow by about log2(q)/2
-# bits a step, so all classes at once keep hundreds of big integers alive and
-# fragment the heap (about 5 MB more peak RSS at q = 10^4, k = 1000); modular
-# folds hold bounded integers and take every class in one pass.
-_EXACT_BLOCK = 32
+def _paired(data: MassData, modulus: Optional[int] = None):
+    """The (a1, mass) pairs folded onto b = |a1|, for c_k(-a) = (-1)^k c_k(a).
+
+    Returns (D, M, b, even, odd): D the lcm of the mass denominators, M =
+    modulus * D (None for an exact fold), and arrays over the distinct b of
+    the scaled weights w(b) + w(-b) and w(b) - w(-b), w = m * D (w(0) counts
+    once; c_k(0) = 0 at odd k). odd is None when every odd weight is 0, as
+    at level 1 in odd characteristic. Modulo M < 2^31 the arrays are int64,
+    so that no product of two entries reaches 2^62; else Python ints.
+    """
+    D = math.lcm(*(m.denominator for _, m in data))
+    M = None if modulus is None else modulus * D
+    even: Dict[int, int] = {}
+    odd: Dict[int, int] = {}
+    for a1, m in data:
+        a1, w = int(a1), m.numerator * (D // m.denominator)
+        even[abs(a1)] = even.get(abs(a1), 0) + w
+        odd[abs(a1)] = odd.get(abs(a1), 0) + ((a1 > 0) - (a1 < 0)) * w
+    keys = sorted(even)
+    cols = [keys, [even[b] for b in keys], [odd[b] for b in keys]]
+    if M is not None:
+        cols = [[v % M for v in col] for col in cols]
+    dtype = np.int64 if M is not None and M < 2**31 else object
+    b, ev, od = (np.array(col, dtype=dtype) for col in cols)
+    return D, M, b, ev, (od if any(cols[2]) else None)
+
+
+def _unscale(s: int, D: int, k: int) -> int:
+    """A scaled sum divided by D; one that D does not divide raises."""
+    if s % D:
+        raise ArithmeticError(f"the mass fold at k={k} is not integral (lcm {D})")
+    return s // D
 
 
 def _fold(data: MassData, q: int, max_k: int, modulus: Optional[int] = None) -> List[int]:
@@ -79,40 +109,45 @@ def _fold(data: MassData, q: int, max_k: int, modulus: Optional[int] = None) -> 
     reduced mod modulus when one is given, where c_0 = 1, c_1 = a1 and
     c_k = a1 c_{k-1} - q c_{k-2}; q = 0 gives the moments [a1^k].
 
-    The masses become integers w = m * D once, D the lcm of their
-    denominators, and the recurrence runs over a block of classes at once.
-    Modulo M = modulus * D the arrays are int64 when M < 2^31, so that no
-    product reaches 2^62, and Python ints otherwise. Every scaled sum must be
-    divisible by D; one that is not raises ArithmeticError.
+    The recurrence runs over the paired classes of `_paired`, all at once;
+    odd k need no dot product when every odd weight is 0. Every scaled sum
+    must be divisible by D; one that is not raises ArithmeticError.
     """
-    D = math.lcm(*(m.denominator for _, m in data))
-    M = None if modulus is None else modulus * D
-    w = np.array([m.numerator * (D // m.denominator) for _, m in data], dtype=object)
-    a = np.array([int(a1) for a1, _ in data], dtype=object)
-    block = _EXACT_BLOCK
+    D, M, b, even, odd = _paired(data, modulus)
     if M is not None:
-        w, a, q = w % M, a % M, q % M
-        block = max(len(a), 1)
-        if M < 2**31:
-            w, a = w.astype(np.int64), a.astype(np.int64)
+        q %= M
     sums = [0] * (max_k + 1)
-    for lo in range(0, len(a), block):
-        wb, ab = w[lo : lo + block], a[lo : lo + block]
-        prev, cur = np.zeros_like(ab), np.ones_like(ab)
-        for k in range(max_k + 1):
-            if k:
-                prev, cur = cur, ab * cur - q * prev
-                if M is not None:
-                    cur %= M
-            sums[k] += int(wb.dot(cur)) if M is None else int((wb * cur % M).sum())
-    out = []
-    for k, s in enumerate(sums):
-        if M is not None:
-            s %= M
-        if s % D:
-            raise ArithmeticError(f"the mass fold at k={k} is not integral (lcm {D})")
-        out.append(s // D)
-    return out
+    prev, cur = np.zeros_like(b), np.ones_like(b)
+    for k in range(max_k + 1):
+        if k:
+            prev, cur = cur, (b * cur - q * prev if q else b * cur)
+            if M is not None:
+                cur %= M
+        w = odd if k % 2 else even
+        if w is not None:
+            sums[k] = int(w.dot(cur)) if M is None else int((w * cur % M).sum()) % M
+    return [_unscale(s, D, k) for k, s in enumerate(sums)]
+
+
+def _fold_at(data: MassData, q: int, k: int) -> int:
+    """S_k alone, exact, without S_0..S_{k-1}.
+
+    c_k(a) = U_{k+1}(a, q), the Lucas sequence with P = a and Q = q, so
+    O(log k) doubling steps on the paired classes reach it:
+    U_{2n} = U_n (2 U_{n+1} - a U_n), U_{2n+1} = U_{n+1}^2 - q U_n^2 and
+    U_{n+2} = a U_{n+1} - q U_n, from (U_1, U_2) = (1, a) along the bits of
+    k + 1. One dot product with the paired weights of k's parity follows.
+    """
+    D, _, b, even, odd = _paired(data)
+    w = odd if k % 2 else even
+    if w is None:
+        return 0
+    u, v = np.ones_like(b), b.copy()  # (U_n, U_{n+1}) at n = 1
+    for bit in bin(k + 1)[3:]:
+        u, v = u * (2 * v - b * u), v * v - q * (u * u)
+        if bit == "1":
+            u, v = v, b * v - q * u
+    return _unscale(int(w.dot(u)), D, k)
 
 
 def _cache_path(cache_dir: str, field: FqField, H) -> str:
@@ -242,9 +277,10 @@ def interior_sequence_mod(field: FqField, H, max_k: int, modulus: int) -> List[i
 
 
 def trace_interior(field: FqField, H, k: int) -> int:
+    """Exact I(k) alone, by Lucas doubling on the paired classes (`_fold_at`)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return interior_sequence(field, H, k)[k]
+    return _fold_at(mass_data(field, H), field.q, k)
 
 
 # ---------------------------------------------------------------------------

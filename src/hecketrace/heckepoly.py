@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from hecketrace import curves as cv
 from hecketrace import elltrace as et
@@ -44,16 +44,9 @@ class HeckeCharPoly:
         return len(self.poly) - 1
 
 
-_SEQ_CACHE: Dict[Tuple[int, int], List[int]] = {}
-
-
 def _interior(p: int, n: int, k: int, max_field_size: Optional[int]) -> int:
-    seq = _SEQ_CACHE.get((p, n))
-    if seq is None or len(seq) <= k:
-        field = fq_construct(p, n, max_size=max_field_size)
-        seq = et.interior_sequence(field, cv.LEVEL1, k + 8)
-        _SEQ_CACHE[(p, n)] = seq
-    return seq[k]
+    field = fq_construct(p, n, max_size=max_field_size)
+    return et.trace_interior(field, cv.LEVEL1, k)
 
 
 def charpoly_Tp(

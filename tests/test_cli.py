@@ -39,6 +39,23 @@ def test_parse_fq_poly_forms():
         cli.parse_fq_poly(F3, "x+1")
     with pytest.raises(ValueError):
         cli.parse_fq_poly(F3, "T@2")
+    # over F_4 an integer past p would read as a code but reduce mod 2
+    assert cli.parse_fq_poly(F4, "-T+1") == fq_poly_from_codes(F4, (1, 1))
+    with pytest.raises(ValueError, match=r"not below p = 2.*\[c0,c1,\.\.\.\]"):
+        cli.parse_fq_poly(F4, "T^2+T+2")
+
+
+def test_dr_P_integer_and_code_forms_over_F4(capsys):
+    code, out, err = _run(capsys, ["dr", "enumerate", "--q", "4", "--P", "T^2+T+2"])
+    assert code == 2 and out == ""
+    assert "coefficient 2 of 'T^2+T+2' is not below p = 2" in err
+    assert "'[c0,c1,...]'" in err and "Traceback" not in err
+    code, out, _ = _run(capsys, ["dr", "enumerate", "--q", "4", "--P", "[2,1,1]"])
+    assert code == 0 and out.startswith("g=")
+    # integers below p and their codes name the same polynomial
+    code, by_int, _ = _run(capsys, ["dr", "enumerate", "--q", "4", "--P", "T+1"])
+    code2, by_code, _ = _run(capsys, ["dr", "enumerate", "--q", "4", "--P", "[1,1]"])
+    assert code == code2 == 0 and by_int == by_code != ""
 
 
 def test_ell_trace_known_value(capsys):

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hecketrace import curves as cv
@@ -66,6 +68,8 @@ def test_fold_matches_fraction_oracle():
                 assert reduced == [v % modulus for v in exact], (F.q, H.name, modulus)
             powers = oracles.fraction_fold(data, 0, max_k)
             assert list(et.moments(F, H, max_k).moments[: max_k + 1]) == powers
+        # the single-k doubling at every k <= 40; the gamma levels carry odd weights
+        assert [et.trace_interior(F, H, k) for k in range(41)] == exact, (F.q, H.name)
 
 
 def test_fold_large_modulus_matches_oracle():
@@ -74,6 +78,36 @@ def test_fold_large_modulus_matches_oracle():
     exact = oracles.fraction_fold(et.mass_data(F, cv.LEVEL1), F.q, 200)
     modulus = 7 ** 12
     assert et.interior_sequence_mod(F, cv.LEVEL1, 200, modulus) == [v % modulus for v in exact]
+
+
+# (a1, n, d) triples; a1 = 0, repeated a1 and masses of a1 != mass of -a1 all occur
+_TRIPLES = st.lists(
+    st.tuples(st.integers(-9, 9), st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6])),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples=_TRIPLES, whole=st.booleans(), q=st.sampled_from([0, 2, 9, 25]),
+       modulus=st.sampled_from([None, 7, 2**40]))
+def test_folds_match_fraction_oracle_on_random_pairs(triples, whole, q, modulus):
+    # whole: each (a1, n/d) is listed d times, so that every sum is integral
+    pairs = [(a1, Fraction(n, d)) for a1, n, d in triples for _ in range(d if whole else 1)]
+    max_k = 20
+    exact = oracles.fraction_fold(pairs, q, max_k)
+    bad = [k for k, v in enumerate(exact) if v.denominator != 1]
+    if bad:
+        with pytest.raises(ArithmeticError, match=f"k={bad[0]} is not integral"):
+            et._fold(pairs, q, max_k, modulus)
+    else:
+        want = [int(v) if modulus is None else int(v) % modulus for v in exact]
+        assert et._fold(pairs, q, max_k, modulus) == want
+    for k, v in enumerate(exact):
+        if v.denominator != 1:
+            with pytest.raises(ArithmeticError, match=f"k={k} is not integral"):
+                et._fold_at(pairs, q, k)
+        else:
+            assert et._fold_at(pairs, q, k) == v, k
 
 
 _NON_INTEGRAL_FOLD = """
@@ -101,6 +135,41 @@ def test_fold_rejects_non_integral_masses():
                          env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stdout + res.stderr
     assert res.stdout.count("k=0 is not integral") == 2
+
+
+_NON_INTEGRAL_SINGLE_K = """
+from fractions import Fraction
+from hecketrace import curves as cv
+from hecketrace import elltrace as et
+from hecketrace.ffield import fq_construct
+
+et.mass_data = lambda field, H: [(1, Fraction(1, 2)), (-2, Fraction(1, 3))]
+for k in (0, 3, 998):
+    try:
+        et.trace_interior(fq_construct(5, 1), cv.LEVEL1, k)
+    except ArithmeticError as exc:
+        print(exc)
+    else:
+        raise SystemExit(1)
+"""
+
+
+def test_single_k_rejects_non_integral_masses(monkeypatch):
+    # an injected mass list whose fold at these k is not integral: 6 does not
+    # divide the scaled sums 5, -3 and (at k = 998) the doubling's result
+    data = [(1, Fraction(1, 2)), (-2, Fraction(1, 3))]
+    monkeypatch.setattr(et, "mass_data", lambda field, H: data)
+    for k in (0, 3, 998):
+        with pytest.raises(ArithmeticError, match=f"k={k} is not integral"):
+            et.trace_interior(fq_construct(5, 1), cv.LEVEL1, k)
+    # the check is not an assert: it still runs under python -O
+    src = os.path.dirname(os.path.dirname(et.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", _NON_INTEGRAL_SINGLE_K],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert [line.split(" is ")[0] for line in res.stdout.splitlines()] == [
+        "the mass fold at k=0", "the mass fold at k=3", "the mass fold at k=998"]
 
 
 def test_trace_matches_tau_oracle():
