@@ -6,6 +6,13 @@ three formats.  All numbers are exact decimals; polynomial ring elements of
 F_q[T] appear as ascending coefficient arrays, each F_q coefficient itself
 an ascending F_p coefficient vector.  Verification subcommands exit nonzero
 when any check fails.
+
+Each job is one process, so it imports only the layer it runs: this module
+imports `ffield` (and numpy) at the top, and each handler imports the modules
+it calls when it runs.  A `dr` job then never compiles the elliptic modules, an
+`ell` job never compiles `drinfeld`, and only the selftest commands compile
+`selftest`.  Handlers call through the module (`et.trace`), never through a
+name bound at import, so that a wrapper installed on the module is seen.
 """
 
 from __future__ import annotations
@@ -13,40 +20,27 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import random
 import re
 import sys
-from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
-from hecketrace import congruences as cg
-from hecketrace import curves as cv
-from hecketrace import drinfeld as dr
-from hecketrace import elltrace as et
-from hecketrace import heckepoly as hp
 from hecketrace.ffield import (
-    BudgetError,
     DEFAULT_MAX_FIELD_SIZE,
     DEFAULT_MAX_WEIGHT,
+    CertificateRefused,
     FqElem,
     FqField,
     FqPoly,
-    canonical_irreducibles,
-    fq_construct,
+    field_for,
     fq_poly_from_codes,
-    prime_power_decompose,
+    unlimited_int_digits,
 )
 
 
 # ---------------------------------------------------------------------------
 # parsing and emission helpers
-
-
-def field_for(q: int, max_field_size: Optional[int]) -> FqField:
-    pp = prime_power_decompose(q)
-    return fq_construct(pp.p, pp.a, max_size=max_field_size)
 
 
 _TERM_RE = re.compile(r"(-)?(\d+)?\*?(?:(T)(?:\^(\d+))?)?")
@@ -130,6 +124,9 @@ def emit(rows: Sequence[dict], fmt: str, human: Callable[[dict], str]) -> None:
 
 
 def cmd_ell_moments(args) -> int:
+    from hecketrace import curves as cv
+    from hecketrace import elltrace as et
+
     field = field_for(args.q, args.max_field_size)
     H = cv.level_structure(args.level)
     table = et.moments(field, H, args.kmax, cache_dir=args.cache_dir)
@@ -142,6 +139,9 @@ def cmd_ell_moments(args) -> int:
 
 
 def cmd_ell_trace(args) -> int:
+    from hecketrace import curves as cv
+    from hecketrace import elltrace as et
+
     if args.weight < 2:
         raise ValueError("weight must be >= 2")
     field = field_for(args.q, args.max_field_size)
@@ -163,6 +163,9 @@ def cmd_ell_trace(args) -> int:
 
 
 def cmd_ell_split(args) -> int:
+    from hecketrace import curves as cv
+    from hecketrace import elltrace as et
+
     if args.weight < 2:
         raise ValueError("weight must be >= 2")
     field = field_for(args.q, args.max_field_size)
@@ -189,6 +192,9 @@ def cmd_ell_split(args) -> int:
 
 
 def cmd_ell_verify_period(args) -> int:
+    from hecketrace import congruences as cg
+    from hecketrace import curves as cv
+
     field = field_for(args.q, args.max_field_size)
     H = cv.level_structure(args.level)
     spec, records, ok = cg.verify_periodicity(
@@ -206,6 +212,8 @@ def cmd_ell_verify_period(args) -> int:
 
 
 def cmd_ell_hecke_poly(args) -> int:
+    from hecketrace import heckepoly as hp
+
     cp = hp.charpoly_Tp(args.p, args.weight, max_field_size=args.max_field_size)
     coeffs = list(hp.poly_mod(cp.poly, args.mod)) if args.mod else list(cp.poly)
     rows = [
@@ -222,6 +230,8 @@ def cmd_ell_hecke_poly(args) -> int:
 
 
 def cmd_ell_class_number(args) -> int:
+    from hecketrace import elltrace as et
+
     lhs, rhs = et.class_number_identity_sides(args.p, args.ell)
     ok = lhs == rhs
     rows = [{"p": args.p, "ell": args.ell, "lhs": str(lhs), "rhs": str(rhs), "pass": ok}]
@@ -237,13 +247,17 @@ def cmd_ell_class_number(args) -> int:
 # dr subcommands
 
 
-def _dr_params(args) -> dr.DrinfeldParams:
+def _dr_params(args):
+    from hecketrace import drinfeld as dr
+
     field = field_for(args.q, args.max_field_size)
     P = parse_fq_poly(field, args.P)
     return dr.drinfeld_params(P, args.n, max_field_size=args.max_field_size)
 
 
 def cmd_dr_enumerate(args) -> int:
+    from hecketrace import drinfeld as dr
+
     params = _dr_params(args)
     pvec = poly_vectors(params.P)
     rows = [
@@ -273,6 +287,8 @@ def cmd_dr_enumerate(args) -> int:
 
 
 def cmd_dr_trace(args) -> int:
+    from hecketrace import drinfeld as dr
+
     if args.weight < 2:
         raise ValueError("weight must be >= 2")
     params = _dr_params(args)
@@ -292,10 +308,13 @@ def cmd_dr_trace(args) -> int:
 
 
 def cmd_dr_verify_period(args) -> int:
+    from hecketrace import drinfeld as dr
+
     params = _dr_params(args)
     lpoly = parse_fq_poly(params.base, args.ell)
     spec, records, ok = dr.verify_period_ff(
-        params, lpoly, args.s, args.type, kmin=args.kmin, kmax=args.kmax
+        params, lpoly, args.s, args.type, kmin=args.kmin, kmax=args.kmax,
+        max_weight=args.max_weight,
     )
     rows = [
         {
@@ -323,6 +342,8 @@ def cmd_dr_verify_period(args) -> int:
 
 
 def cmd_dr_ramanujan(args) -> int:
+    from hecketrace import drinfeld as dr
+
     params = _dr_params(args)
     rep = dr.ramanujan_check(params)
     pvec = poly_vectors(params.P)
@@ -352,111 +373,17 @@ def cmd_dr_ramanujan(args) -> int:
 # selftest subcommands
 
 
-def check(cond: bool, *msg) -> None:
-    """Fail a selftest case: raise AssertionError(*msg) unless cond holds.
-    Unlike an assert statement it also runs under python -O."""
-    if not cond:
-        raise AssertionError(*msg)
-
-
-def _lemma_trials(rng: random.Random, trials: int) -> Iterable[Tuple[str, Callable[[], None]]]:
-    """One (name, thunk) per property instance; thunks raise on failure."""
-
-    def binom_rows():
-        fam = cg.CoeffFamily()
-        k = rng.randrange(2, 60)
-        row = fam.row(k)
-        for j in range(len(row)):
-            check(row[j] == math.comb(k - j, j))
-
-    def series_rational_int():
-        q = rng.choice([2, 3, 4, 5, 7, 9])
-        m = rng.randrange(1, 4)
-        num = cg.f_numerator(q, rng.randrange(2 * m), m, rng.randrange(2))
-        check(len(num) - 1 <= 4 * m - 2)
-
-    def series_rational_ff():
-        field = fq_construct(rng.choice([2, 3]), 1)
-        P = rng.choice(canonical_irreducibles(field, rng.randrange(1, 3)))
-        params = dr.drinfeld_params(P, rng.randrange(1, 3))
-        b = field.decode(rng.randrange(1, field.q))
-        m = rng.randrange(1, 4)
-        dr.g_series_numerator(b, rng.randrange(m), m, params)
-        dr.h_series_numerator(b, rng.randrange(m), m)
-
-    def unit_period_certificate():
-        ell, q = rng.choice([(3, 2), (3, 7), (5, 2), (5, 4), (2, 3), (2, 5), (2, 9)])
-        s = rng.randrange(1, 3)
-        t = rng.randrange(1, s + 1)
-        nu = cg.n_u_value(ell, s, q)
-        d = cg.d_qt_poly(q, ell, t)
-        f = [1] if ell == 2 and t == 1 else cg.f_numerator(q, 0, cg.m_ls_value(ell, t), 0)
-        check(cg.periodic_certificate(f, d, nu, ell ** (s + 1 - t)) is True)
-
-    def split_rejoin():
-        q = rng.choice([2, 3, 4, 5, 7, 9])
-        field = field_for(q, None)
-        H = cv.LEVEL1
-        # level-1 automorphism masses carry the primes 2 and 3, so ell >= 5
-        ell = rng.choice([x for x in (5, 7, 11, 13) if x != field.p])
-        s = rng.randrange(1, 3)
-        k = rng.randrange(s - 1, 14)
-        interior = et.interior_sequence_mod(field, H, k, ell**s)
-        st = et.split_trace(field, H, k, ell, s)
-        check((st.n_part + st.u_part) % ell**s == interior[k])
-
-    def twist_partition():
-        field = fq_construct(rng.choice([2, 3]), 1)
-        P = rng.choice(canonical_irreducibles(field, rng.randrange(1, 3)))
-        params = dr.drinfeld_params(P, 1)
-        classes = dr.enumerate_classes(params)
-        qL = params.L.q
-        check(sum(c.orbit_size for c in classes) == qL * (qL - 1))
-
-    def torsion_oracle():
-        field = fq_construct(rng.choice([2, 3]), 1)
-        P = rng.choice(canonical_irreducibles(field, 1))
-        params = dr.drinfeld_params(P, rng.randrange(1, 3))
-        classes = dr.enumerate_classes(params)
-        cls = classes[rng.randrange(len(classes))]
-        deg = rng.randrange(1, 3)
-        pool = [f for f in canonical_irreducibles(field, deg) if f != P]
-        laux = pool[rng.randrange(len(pool))]
-        tr, nrm = dr.frobenius_mod_torsion(params, cls, laux)
-        check(tr == cls.frob_a % laux)
-        check(nrm == (params.wp * cls.frob_b) % laux)
-
-    def unit_exponent():
-        field = fq_construct(rng.choice([2, 3]), 1)
-        deg = rng.randrange(1, 3)
-        lpoly = rng.choice(canonical_irreducibles(field, deg))
-        s = rng.randrange(1, 3) if field.q**deg <= 9 else 1
-        check(dr.exponent_check(lpoly, s))
-
-    props = [
-        ("binom-rows", binom_rows),
-        ("series-rational-int", series_rational_int),
-        ("series-rational-ff", series_rational_ff),
-        ("unit-period-certificate", unit_period_certificate),
-        ("split-rejoin", split_rejoin),
-        ("twist-partition", twist_partition),
-        ("torsion-oracle", torsion_oracle),
-        ("unit-exponent", unit_exponent),
-    ]
-    for name, fn in props:
-        for i in range(trials):
-            yield f"{name}[{i}]", fn
-
-
 def cmd_selftest_lemmas(args) -> int:
+    from hecketrace import selftest
+
     rng = random.Random(args.seed)
     rows = []
     failed = False
-    for name, fn in _lemma_trials(rng, args.trials):
+    for name, fn in selftest.lemma_trials(rng, args.trials):
         try:
             fn()
             ok, detail = True, ""
-        except (AssertionError, ArithmeticError, cg.CertificateRefused) as exc:
+        except (AssertionError, ArithmeticError, CertificateRefused) as exc:
             ok, detail = False, str(exc)
             failed = True
         rows.append({"name": name, "pass": ok, "detail": detail})
@@ -469,151 +396,12 @@ def cmd_selftest_lemmas(args) -> int:
     return 1 if failed else 0
 
 
-# classical weight-12 eigenvalues; the test suite re-derives them from a
-# q-expansion oracle, here they are pinned constants
-TAU = {2: -24, 3: 252, 5: 4830, 7: -16744, 11: 534612, 13: -577738}
-
-MOMENT_CLOSED_FORMS = {
-    0: lambda q: q,
-    2: lambda q: q * q - 1,
-    4: lambda q: 2 * q**3 - 3 * q - 1,
-    6: lambda q: 5 * q**4 - 9 * q * q - 5 * q - 1,
-    8: lambda q: 14 * q**5 - 28 * q**3 - 20 * q * q - 7 * q - 1,
-}
-
-
-def _example_checks() -> Iterable[Tuple[str, Callable[[], None]]]:
-    def moment_closed_forms():
-        for q in (2, 3, 4, 5, 7, 9):
-            field = field_for(q, None)
-            table = et.moments(field, cv.LEVEL1, 8)
-            for k, form in MOMENT_CLOSED_FORMS.items():
-                check(table.moments[k] == form(q), (q, k))
-            for k in (1, 3, 5, 7):
-                check(table.moments[k] == 0, (q, k))
-
-    def weight12_eigenvalues():
-        for p, tau in TAU.items():
-            check(et.trace(field_for(p, None), cv.LEVEL1, 10).value == tau, p)
-        check(et.trace(field_for(4, None), cv.LEVEL1, 10).value == TAU[2] ** 2 - 2 * 2**11)
-
-    def weight28_congruences():
-        for q in (2, 3, 4, 5, 7, 9):
-            field = field_for(q, None)
-            tr = et.trace(field, cv.LEVEL1, 26).value
-            for tag, (modulus, coeffs) in cg.WEIGHT28_TRACE_POLYS.items():
-                if tag == "mod2r":
-                    modulus = 2 ** cg.two_power_exponent_for_weight28(field.p)
-                want = sum(c * pow(q, i, modulus) for i, c in enumerate(coeffs)) % modulus
-                check(tr % modulus == want, (q, tag))
-
-    def even_moment_recurrence():
-        for q in (2, 3):
-            field = field_for(q, None)
-            table = et.moments(field, cv.LEVEL1, 14)
-            mom = table.moments
-            for ell in (3, 7):
-                r = cg.recurrence_modulus_exponent(ell, field.p)
-                mod = ell**r
-                for i in (0, 1):
-                    lhs = mom[10 + 2 * i]
-                    rhs = -sum(
-                        c * mom[8 + 2 * i - 2 * j]
-                        for j, c in enumerate(cg.EVEN_MOMENT_RECURRENCE)
-                    )
-                    check((lhs - rhs) % mod == 0, (q, ell, i))
-
-    def elliptic_period_table():
-        spec, _, ok = cg.verify_periodicity(field_for(2, None), cv.LEVEL1, 5, 1)
-        check(ok and spec.n == 24 and not spec.shift_applied)
-        # level 1 is not rigid, so ell in {2, 3} picks up the s -> s + nu shift
-        spec, _, ok = cg.verify_periodicity(field_for(3, None), cv.LEVEL1, 2, 1)
-        check(ok and spec.n == 12 and spec.s_eff == 2)
-        spec, _, ok = cg.verify_periodicity(field_for(2, None), cv.LEVEL1, 2, 2)
-        check(ok and spec.case == "ell-divides-q" and spec.n == 8)
-
-    def hecke_charpoly():
-        check(hp.charpoly_Tp(5, 12).poly == (1, -4830))
-        mod5 = [hp.poly_mod(hp.charpoly_Tp(5, w).poly, 5) for w in (16, 20)]
-        check(mod5[0] == mod5[1])
-        check(hp.slope0_mult(5, 16) == hp.slope0_mult(5, 20))
-
-    def class_number_identity():
-        for p in (5, 31, 101):
-            lhs, rhs = et.class_number_identity_sides(p, 11)
-            check(lhs == rhs, p)
-            # lhs comes from class numbers; the j-line counts points instead
-            jline = cv.jline_route_masses(fq_construct(p, 1))
-            check(sum(m for a1, m in jline if a1 % 11 == 0) == rhs, p)
-        check(et.class_number_identity_sides(31, 11)[0] == Fraction(10, 3))
-
-    def drinfeld_classes():
-        field = fq_construct(2, 1)
-        params = dr.drinfeld_params(parse_fq_poly(field, "T"), 1)
-        got = [
-            (c.g.code, c.delta.code, c.aut_order, c.frob_a.codes(), c.frob_b.code)
-            for c in dr.enumerate_classes(params)
-        ]
-        check(got == [(0, 1, 1, (), 1), (1, 1, 1, (1,), 1)])
-
-    def drinfeld_weight8_residue():
-        field = fq_construct(3, 1)
-        tsq = parse_fq_poly(field, "T^2")
-        one = parse_fq_poly(field, "1")
-        for ptext, n in (("T+1", 1), ("T+2", 1), ("T+1", 2)):
-            params = dr.drinfeld_params(parse_fq_poly(field, ptext), n)
-            check(dr.trace_Tpn(params, 6, 1) % tsq == one, (ptext, n))
-
-    def drinfeld_period_table():
-        field = fq_construct(3, 1)
-        params = dr.drinfeld_params(parse_fq_poly(field, "T+1"), 1)
-        lpoly = parse_fq_poly(field, "T")
-        spec, _, ok = dr.verify_period_ff(params, lpoly, 1, 1)
-        check(ok and spec.period == 24)
-        check(dr.minimal_period_mod(params, lpoly, 1, 1, 120) == 24)
-        for s, period in ((1, 2), (2, 6)):
-            spec, _, ok = dr.verify_period_ff(params, params.P, s, 2)
-            check(ok and spec.case == "equal-prime" and spec.period == period)
-
-    def infinity_period():
-        field = fq_construct(3, 1)
-        params = dr.drinfeld_params(parse_fq_poly(field, "T+1"), 1)
-        n, _, ok = dr.verify_infty_period(params, 1, 1, kmax=50)
-        check(ok and n == 24)
-
-    def ramanujan_window():
-        field = fq_construct(3, 1)
-        rep = dr.ramanujan_check(dr.drinfeld_params(parse_fq_poly(field, "T"), 1))
-        check(not rep.vacuous and rep.k_limit == 25 and rep.all_ok)
-
-    def unit_exponent_values():
-        f3 = fq_construct(3, 1)
-        f2 = fq_construct(2, 1)
-        check(dr.unit_group_exponent(parse_fq_poly(f3, "T"), 1) == 2)
-        check(dr.unit_group_exponent(parse_fq_poly(f3, "T"), 2) == 6)
-        check(dr.unit_group_exponent(parse_fq_poly(f2, "T^2+T+1"), 1) == 3)
-
-    return [
-        ("moment-closed-forms", moment_closed_forms),
-        ("weight12-eigenvalues", weight12_eigenvalues),
-        ("weight28-congruences", weight28_congruences),
-        ("even-moment-recurrence", even_moment_recurrence),
-        ("elliptic-period-table", elliptic_period_table),
-        ("hecke-charpoly", hecke_charpoly),
-        ("class-number-identity", class_number_identity),
-        ("drinfeld-classes", drinfeld_classes),
-        ("drinfeld-weight8-residue", drinfeld_weight8_residue),
-        ("drinfeld-period-table", drinfeld_period_table),
-        ("infinity-period", infinity_period),
-        ("ramanujan-window", ramanujan_window),
-        ("unit-exponent-values", unit_exponent_values),
-    ]
-
-
 def cmd_selftest_examples(args) -> int:
+    from hecketrace import selftest
+
     rows = []
     status = 0
-    for name, fn in _example_checks():
+    for name, fn in selftest.example_checks():
         try:
             fn()
             rows.append({"name": name, "pass": True, "detail": ""})
@@ -642,22 +430,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "monic irreducible, e.g. 'T' or 'T^2+T+1'; integer coefficients must lie "
         "in 0..p-1 when q is not prime, where '[c0,c1,...]' gives element codes"
     )
+    # each subcommand takes only the flags its handler reads: every one takes
+    # --format, those that build fields --max-field-size, the two
+    # verify-period commands --max-weight
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    common.add_argument("--cache-dir", default=None, help="moment cache directory")
-    common.add_argument(
+    fields = argparse.ArgumentParser(add_help=False, parents=[common])
+    fields.add_argument(
         "--max-field-size",
         type=int,
         default=DEFAULT_MAX_FIELD_SIZE,
         help="largest finite field the run may construct",
     )
-    common.add_argument(
+    window = argparse.ArgumentParser(add_help=False, parents=[fields])
+    window.add_argument(
         "--max-weight",
         type=int,
         default=DEFAULT_MAX_WEIGHT,
         help="largest weight a verification window may reach",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
     top = argparse.ArgumentParser(prog="hecketrace", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="group", required=True)
@@ -666,19 +457,20 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="cmd", required=True
     )
 
-    p = ell.add_parser("moments", parents=[common], help="weighted power moments of a_1")
+    p = ell.add_parser("moments", parents=[fields], help="weighted power moments of a_1")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--level", default="1")
     p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--cache-dir", default=None, help="moment cache directory")
     p.set_defaults(func=cmd_ell_moments)
 
-    p = ell.add_parser("trace", parents=[common], help="exact Frobenius trace on cusp forms")
+    p = ell.add_parser("trace", parents=[fields], help="exact Frobenius trace on cusp forms")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--level", default="1")
     p.add_argument("--weight", type=int, required=True)
     p.set_defaults(func=cmd_ell_trace)
 
-    p = ell.add_parser("split", parents=[common], help="non-unit/unit split mod ell^s")
+    p = ell.add_parser("split", parents=[fields], help="non-unit/unit split mod ell^s")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--level", default="1")
     p.add_argument("--weight", type=int, required=True)
@@ -686,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1)
     p.set_defaults(func=cmd_ell_split)
 
-    p = ell.add_parser("verify-period", parents=[common], help="weight periodicity mod ell^s")
+    p = ell.add_parser("verify-period", parents=[window], help="weight periodicity mod ell^s")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--level", default="1")
     p.add_argument("--ell", type=int, required=True)
@@ -695,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(func=cmd_ell_verify_period)
 
-    p = ell.add_parser("hecke-poly", parents=[common], help="Hecke characteristic polynomial")
+    p = ell.add_parser("hecke-poly", parents=[fields], help="Hecke characteristic polynomial")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--mod", type=int, default=None)
@@ -710,13 +502,13 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="cmd", required=True
     )
 
-    p = drp.add_parser("enumerate", parents=[common], help="twist-orbit classes with Frobenius data")
+    p = drp.add_parser("enumerate", parents=[fields], help="twist-orbit classes with Frobenius data")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--P", required=True, help=p_help)
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(func=cmd_dr_enumerate)
 
-    p = drp.add_parser("trace", parents=[common], help="Hecke trace at P^n as an F_q[T] element")
+    p = drp.add_parser("trace", parents=[fields], help="Hecke trace at P^n as an F_q[T] element")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--P", required=True, help=p_help)
     p.add_argument("--n", type=int, default=1)
@@ -724,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", type=int, default=1)
     p.set_defaults(func=cmd_dr_trace)
 
-    p = drp.add_parser("verify-period", parents=[common], help="weight periodicity mod l^s")
+    p = drp.add_parser("verify-period", parents=[window], help="weight periodicity mod l^s")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--P", required=True, help=p_help)
     p.add_argument("--n", type=int, default=1)
@@ -735,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(func=cmd_dr_verify_period)
 
-    p = drp.add_parser("ramanujan", parents=[common], help="finite slope-bound window check")
+    p = drp.add_parser("ramanujan", parents=[fields], help="finite slope-bound window check")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--P", required=True, help=p_help)
     p.add_argument("--n", type=int, default=1)
@@ -747,6 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = st.add_parser("lemmas", parents=[common], help="randomized property checks")
     p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.set_defaults(func=cmd_selftest_lemmas)
 
     p = st.add_parser("paper-examples", parents=[common], help="re-check published reference values")
@@ -760,12 +553,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     _echo(args, f"{args.group} {args.cmd}")
     try:
-        with et.unlimited_int_digits():
+        with unlimited_int_digits():
             return args.func(args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError, cg.CertificateRefused) as exc:
+    except (ValueError, ArithmeticError, CertificateRefused) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

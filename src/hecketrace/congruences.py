@@ -7,11 +7,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from hecketrace.ffield import (
+    CertificateRefused,
     ZMod,
     is_prime,
     poly_divides_mod,
     rp_coerce,
     rp_series_quotient,
+    weight_budget_check,
 )
 
 
@@ -211,10 +213,6 @@ def period_for(
 # certificates
 
 
-class CertificateRefused(Exception):
-    """The certificate preconditions failed, as opposed to a value mismatch."""
-
-
 def periodic_certificate(
     f: Sequence[int],
     d: Sequence[int],
@@ -292,14 +290,7 @@ def verify_periodicity(
     kmin = spec.k0 if kmin is None else max(kmin, spec.k0)
     if kmax is None:
         kmax = spec.k0 + 2 * spec.n
-    top_weight = kmax + spec.n + 2
-    cap = 1 << 62 if max_weight is None else max_weight
-    from hecketrace.ffield import BudgetError
-
-    if top_weight > cap:
-        raise BudgetError(
-            f"weight {top_weight} exceeds max_weight={cap}; raise it with --max-weight"
-        )
+    weight_budget_check(kmax + spec.n + 2, max_weight)
     modulus = ell ** s
     interior = elltrace.interior_sequence_mod(field, H, kmax + spec.n, modulus)
     records = []

@@ -245,7 +245,11 @@ def hurwitz6(ds: np.ndarray) -> np.ndarray:
         six += 6 * np.searchsorted(keys, base + ds, "right")
         six -= 6 * np.searchsorted(keys, base, "left")
     g = np.arange(1, amax + 1, dtype=np.int64)
-    return six - 3 * np.isin(ds, 4 * g * g) - 4 * np.isin(ds, 3 * g * g)
+    # 4g^2 and 3g^2 are sorted without repeats, so each D occurs 0 or 1 times
+    # in them (np.isin would give the same, but it loads numpy.ma)
+    for loss, forms in ((3, 4 * g * g), (4, 3 * g * g)):
+        six -= loss * (np.searchsorted(forms, ds, "right") - np.searchsorted(forms, ds, "left"))
+    return six
 
 
 def _j0_stratum(field: FqField) -> Tuple[np.ndarray, Fraction]:

@@ -37,6 +37,7 @@ from hecketrace.ffield import (
     factorize,
     fq_construct,
     fq_poly_from_codes,
+    weight_budget_check,
 )
 
 # unit-group enumeration cap: |l|^s residues, each a coefficient vector
@@ -1092,12 +1093,14 @@ def verify_period_ff(
     l: int,
     kmin: Optional[int] = None,
     kmax: Optional[int] = None,
+    max_weight: Optional[int] = None,
 ) -> Tuple[DPeriodSpec, List[dict], bool]:
     """Check trace(k) = trace(k + period) mod lpoly^s over a k-window.
 
     Also recomputes each window trace as -(N + U) from the split parts and
     records that agreement.  Returns (spec, one record per k, overall flag);
-    a window reaching below the spec floor k0 is an error.
+    a window reaching below the spec floor k0 is an error, and one whose
+    shifted end passes weight max_weight raises BudgetError.
     """
     spec = dperiod_for(params, lpoly, s)
     if kmin is None:
@@ -1108,6 +1111,7 @@ def verify_period_ff(
         kmax = spec.k0 + 2 * spec.period
     if kmax < kmin:
         raise ValueError("empty window")
+    weight_budget_check(kmax + spec.period + 2, max_weight)
     ring = ResidueRing(poly_pow(lpoly, s))
     seq = trace_sequence_mod(params, lpoly, s, l, kmax + spec.period)
     nvals, uvals = _split_parts(params, spec, ring, l, kmin, kmax)

@@ -14,11 +14,9 @@ by Lucas doubling in O(log k) steps. Both divide by D at the end.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
-import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +26,7 @@ import numpy as np
 
 from hecketrace import curves as cv
 from hecketrace.congruences import CoeffFamily, binom_mod, m_ls_value
-from hecketrace.ffield import FqField, fraction_mod
+from hecketrace.ffield import FqField, fraction_mod, unlimited_int_digits
 
 MassData = List[Tuple[int, Fraction]]
 
@@ -176,21 +174,6 @@ def _table_header(field: FqField, H) -> dict:
         "N": H.N,
         "H_generators": sorted(H.matrices),
     }
-
-
-@contextlib.contextmanager
-def unlimited_int_digits():
-    """Lift Python's limit on int <-> decimal string conversions (4300 digits
-    by default) inside the block: exact traces and moments can be longer."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def _max_moment_digits(q: int, k: int) -> int:

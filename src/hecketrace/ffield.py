@@ -6,8 +6,10 @@ optionally mirrored into numpy log/exp/Zech tables for bulk work. No floats.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -20,6 +22,34 @@ DEFAULT_MAX_WEIGHT = 2048
 
 class BudgetError(ValueError):
     """Raised when a computation would exceed a configured resource cap."""
+
+
+class CertificateRefused(Exception):
+    """The certificate preconditions failed, as opposed to a value mismatch."""
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift Python's limit on int <-> decimal string conversions (4300 digits
+    by default) inside the block: exact traces and moments can be longer."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def weight_budget_check(top_weight: int, max_weight: Optional[int]) -> None:
+    """Raise BudgetError when a verification window reaches past weight
+    max_weight; None sets no cap."""
+    if max_weight is not None and top_weight > max_weight:
+        raise BudgetError(
+            f"weight {top_weight} exceeds max_weight={max_weight}; raise it with --max-weight"
+        )
 
 
 def _budget_check(size: int, max_size: Optional[int], cap_name: str, flag: str) -> None:
@@ -388,14 +418,6 @@ class FqField:
             code //= self.p
         return FqElem(self, tuple(c))
 
-    def elements(self):
-        for code in range(self.q):
-            yield self.decode(code)
-
-    def units(self):
-        for code in range(1, self.q):
-            yield self.decode(code)
-
     # multiplicative structure -----------------------------------------------
 
     def multiplicative_generator(self) -> FqElem:
@@ -533,6 +555,12 @@ def fq_construct(p: int, a: int, max_size: Optional[int] = None) -> FqField:
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = FqField(p, a)
     return _FIELD_CACHE[key]
+
+
+def field_for(q: int, max_size: Optional[int] = None) -> FqField:
+    """The cached field of order q; ValueError unless q is a prime power."""
+    pp = prime_power_decompose(q)
+    return fq_construct(pp.p, pp.a, max_size=max_size)
 
 
 _EMBED_CACHE: dict = {}

@@ -205,6 +205,16 @@ def f_coeff(q: int, r: int, m: int, k: int) -> int:
     return sum(math.comb(k - j, j) * (-q) ** j for j in range(k // 2 + 1) if j % m == target)
 
 
+def elements(field: "FqField"):
+    """Every element of the field, in code order."""
+    return (field.decode(code) for code in range(field.q))
+
+
+def units(field: "FqField"):
+    """Every nonzero element of the field, in code order."""
+    return (field.decode(code) for code in range(1, field.q))
+
+
 # ---------------------------------------------------------------------------
 # mass routes by enumeration: the per-curve loop over reduced Weierstrass
 # families and the full isomorphism classification, q^5 curves at a time.
@@ -483,24 +493,24 @@ def family_route_masses(
 
     if p >= 5:
         w = Fraction(1, q - 1)
-        for A in field.elements():
-            for B in field.elements():
+        for A in elements(field):
+            for B in elements(field):
                 push(WeierstrassCurve(field, 0, 0, 0, A, B), w)
     elif p == 3:
         w = Fraction(1, q * (q - 1))
-        for a2 in field.elements():
-            for a4 in field.elements():
-                for a6 in field.elements():
+        for a2 in elements(field):
+            for a4 in elements(field):
+                for a6 in elements(field):
                     push(WeierstrassCurve(field, 0, a2, 0, a4, a6), w)
     else:
         w = Fraction(1, q)
-        for a2 in field.elements():
-            for a6 in field.units():
+        for a2 in elements(field):
+            for a6 in units(field):
                 push(WeierstrassCurve(field, 1, a2, 0, 0, a6), w)
         w = Fraction(1, q * q * (q - 1))
-        for a3 in field.units():
-            for a4 in field.elements():
-                for a6 in field.elements():
+        for a3 in units(field):
+            for a4 in elements(field):
+                for a6 in elements(field):
                     push(WeierstrassCurve(field, 0, 0, a3, a4, a6), w)
     if H.N == 1:
         assert sum(hist.values()) == q, "level-1 mass formula"

@@ -230,6 +230,18 @@ def test_dr_verify_period(capsys):
     assert "case=odd-deg" in err
 
 
+def test_dr_verify_period_budget_error(capsys):
+    # the default window reaches k = k0 + 3 * period = 72, weight 74
+    argv = ["dr", "verify-period", "--q", "3", "--P", "T+1", "--ell", "T"]
+    code, out, err = _run(capsys, argv + ["--max-weight", "73"])
+    assert code == 2 and out == ""
+    assert "weight 74 exceeds max_weight=73; raise it with --max-weight" in err
+    code, out, _ = _run(capsys, argv + ["--max-weight", "74"])
+    assert code == 0 and out.splitlines()[-1] == "period 24: all pass"
+    code, _, err = _run(capsys, argv + ["--max-weight", "100", "--kmax", "80"])
+    assert code == 2 and "weight 106 exceeds max_weight=100" in err
+
+
 def test_dr_ramanujan_lines(capsys):
     code, out, _ = _run(capsys, ["dr", "ramanujan", "--q", "3", "--P", "T", "--n", "1"])
     assert code == 0
@@ -262,9 +274,9 @@ def test_selftest_examples(capsys):
 
 
 _WRONG_TAU = """
-from hecketrace import cli
+from hecketrace import cli, selftest
 
-cli.TAU[5] = 4831
+selftest.TAU[5] = 4831
 raise SystemExit(cli.run(["selftest", "paper-examples"]))
 """
 
@@ -320,6 +332,60 @@ def test_usage_and_value_errors(capsys):
 def test_echo_lists_every_flag(capsys):
     _, _, err = _run(capsys, ["ell", "moments", "--q", "2", "--kmax", "2"])
     echo = err.splitlines()[0]
-    for part in ("q=2", "kmax=2", "format=human", "seed=0"):
+    for part in ("q=2", "kmax=2", "format=human", "cache-dir=None", "max-field-size=1048576"):
         assert part in echo
-    assert "threads" not in echo
+    assert "threads" not in echo and "seed" not in echo
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ell", "trace", "--q", "5", "--weight", "12", "--seed", "1"],
+        ["ell", "trace", "--q", "5", "--weight", "12", "--cache-dir", "x"],
+        ["ell", "trace", "--q", "5", "--weight", "12", "--max-weight", "100"],
+        ["ell", "class-number", "--p", "31", "--max-field-size", "100"],
+        ["dr", "enumerate", "--q", "2", "--P", "T", "--max-weight", "100"],
+        ["selftest", "paper-examples", "--seed", "1"],
+        ["selftest", "lemmas", "--max-field-size", "100"],
+    ],
+)
+def test_flags_a_command_ignores_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# runs the CLI job given as arguments (none: only imports the CLI), then
+# prints the package modules and numpy.ma if the process has loaded them
+_LOADED = """
+import sys
+from hecketrace import cli
+
+if len(sys.argv) > 1:
+    cli.run(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("hecketrace") or m == "numpy.ma")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        ([], {"hecketrace.congruences", "hecketrace.curves", "hecketrace.drinfeld",
+              "hecketrace.elltrace", "hecketrace.heckepoly", "hecketrace.selftest", "numpy.ma"}),
+        (["ell", "trace", "--q", "10039", "--weight", "12"],
+         {"hecketrace.drinfeld", "hecketrace.heckepoly", "hecketrace.selftest", "numpy.ma"}),
+        (["dr", "enumerate", "--q", "5", "--P", "T^3+T+1"],
+         {"hecketrace.congruences", "hecketrace.curves", "hecketrace.elltrace",
+          "hecketrace.heckepoly", "hecketrace.selftest"}),
+    ],
+)
+def test_each_job_loads_only_its_layer(argv, absent):
+    # one fresh process per case: pytest itself has imported every module
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    res = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.splitlines()[-1].split())
+    assert {"hecketrace", "hecketrace.ffield", "hecketrace.cli"} <= loaded
+    assert not loaded & absent, loaded & absent

@@ -49,7 +49,7 @@ def test_params_reduction_and_guards():
 def test_phi_is_a_ring_map():
     rng = random.Random(5)
     pp = _params(F3, (0, 1), 2)
-    els = list(pp.L.elements())
+    els = list(oracles.elements(pp.L))
     for _ in range(5):
         g = rng.choice(els)
         delta = rng.choice(els[1:])
