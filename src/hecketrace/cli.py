@@ -59,7 +59,14 @@ def parse_fq_poly(field: FqField, text: str) -> FqPoly:
     if not text:
         raise ValueError("empty polynomial")
     if text.startswith("["):
-        return fq_poly_from_codes(field, json.loads(text))
+        try:
+            codes = json.loads(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a list of element codes") from None
+        bad = [c for c in codes if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < field.q]
+        if bad:
+            raise ValueError(f"entry {json.dumps(bad[0])} of {text!r} is not a code in 0..{field.q - 1}")
+        return fq_poly_from_codes(field, codes)
     coeffs: dict = {}
     for term in text.replace(" ", "").replace("-", "+-").split("+"):
         if not term:
@@ -256,23 +263,25 @@ def _dr_params(args):
 
 
 def cmd_dr_enumerate(args) -> int:
+    import numpy as np
+
     from hecketrace import drinfeld as dr
 
     params = _dr_params(args)
-    pvec = poly_vectors(params.P)
+    t = dr.enumerate_classes(params)
+
+    def digits(field: FqField, codes) -> list:
+        """F_p digit lists of element codes, as elem_vector prints them."""
+        return (codes[..., None] // field.p ** np.arange(field.a) % field.p).tolist()
+
+    pvec, L, base = poly_vectors(params.P), params.L, params.base
+    # a prints its T-digits up to its degree, as an FqPoly does
+    cols = zip(digits(L, t.g), digits(L, t.delta), t.aut.tolist(), t.size.tolist(),
+               digits(base, t.a), (dr._code_degrees(t.a) + 1).tolist(), digits(base, t.b))
     rows = [
-        {
-            "q": args.q,
-            "P": pvec,
-            "n": args.n,
-            "g": elem_vector(c.g),
-            "delta": elem_vector(c.delta),
-            "autOrder": c.aut_order,
-            "orbitSize": c.orbit_size,
-            "a": poly_vectors(c.frob_a),
-            "b": elem_vector(c.frob_b),
-        }
-        for c in dr.enumerate_classes(params)
+        {"q": args.q, "P": pvec, "n": args.n, "g": g, "delta": delta, "autOrder": aut,
+         "orbitSize": size, "a": a[:na], "b": b}
+        for g, delta, aut, size, a, na, b in cols
     ]
     emit(
         rows,

@@ -10,14 +10,19 @@ classes at once on int64 code arrays:
   (log g mod q-1 and log delta - (q+1) log g, or log delta alone when g = 0),
   takes the lex-least pair of each, and finds the Frobenius polynomials
   X^2 - a X + b wp of all classes with one stacked Gauss-Jordan solve over
-  F_p in the twisted polynomial ring (tau c = c^q tau);
+  F_p in the twisted polynomial ring (tau c = c^q tau).  It returns one
+  `ClassTable`: read-only code arrays of g, delta, autOrder, orbit size and
+  the Frobenius data a (T-digits) and b, which every later step reads as
+  they are; only `dr enumerate` decodes them, to print;
 - `_h_kernel` runs the recurrence h_k = a h_{k-1} - b wp h_{k-2} and folds
   each h_k into the requested types.
 
 Together they give the exact traces of the Hecke operator at wp = P^n in
 F_q[T], their residues mod powers of a prime l of F_q[T] (which certify
 weight periodicity), and, with the b wp term dropped, the [c_{k,l}] moment
-tables.
+tables.  One `ResidueRing` serves every quotient ring on code arrays:
+F_q[T]/l^s for the periods and the split parts, F_q[T]/l for the unit
+filter of the exponent check, and L[x]/(u1) for the torsion oracle.
 """
 
 from __future__ import annotations
@@ -262,16 +267,30 @@ def _gauss_jordan_mod_p(mats: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarra
 # class enumeration and Frobenius polynomials
 
 
-@dataclass(frozen=True)
-class DrinfeldClass:
-    """One twist-orbit representative with its Frobenius data."""
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """The twist-orbit representatives and their Frobenius data, one entry
+    per class in (g, delta) code order, as read-only int64 code arrays.
 
-    g: FqElem
-    delta: FqElem
-    aut_order: int
-    orbit_size: int
-    frob_a: FqPoly
-    frob_b: FqElem
+    g and delta are L-codes, aut the twist stabilizer size (autOrder), size
+    the orbit size; a holds the base-field codes of the T-digits of a
+    (classes x digits, trailing all-zero columns trimmed, at least one) and
+    b the base-field code of b.
+    """
+
+    g: np.ndarray
+    delta: np.ndarray
+    aut: np.ndarray
+    size: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.g, self.delta, self.aut, self.size, self.a, self.b):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.g)
 
 
 # (g, delta) pairs per block when orbit sizes are counted
@@ -416,26 +435,20 @@ def _frobenius_batch(
     return a, b
 
 
-def frobenius_poly(klass, params: DrinfeldParams) -> Tuple[FqPoly, FqElem]:
-    """(a, b) with tau^{2m} + b phi_{wp} = phi_a tau^m for one module.
-
-    Accepts a DrinfeldClass or a bare (g, delta) pair; the batched solve and
-    its checks on a single row.
-    """
-    if isinstance(klass, DrinfeldClass):
-        g, delta = klass.g, klass.delta
-    else:
-        g, delta = klass
+def frobenius_poly(pair, params: DrinfeldParams) -> Tuple[FqPoly, FqElem]:
+    """(a, b) with tau^{2m} + b phi_{wp} = phi_a tau^m for the module given
+    by the pair (g, delta): the batched solve and its checks on one row."""
+    g, delta = pair
     if delta.is_zero():
         raise ValueError("delta must be nonzero")
     a, b = _frobenius_batch(params, np.array([g.code]), np.array([delta.code]))
     return fq_poly_from_codes(params.base, a[0].tolist()), params.base.decode(int(b[0]))
 
 
-_CLASS_CACHE: Dict[DrinfeldParams, Tuple[DrinfeldClass, ...]] = {}
+_CLASS_CACHE: Dict[DrinfeldParams, ClassTable] = {}
 
 
-def enumerate_classes(params: DrinfeldParams) -> List[DrinfeldClass]:
+def enumerate_classes(params: DrinfeldParams) -> ClassTable:
     """All twist-orbit representatives of (g, delta) in L x L^*, lex-least.
 
     The representatives are read off the complete orbit invariant of
@@ -445,14 +458,14 @@ def enumerate_classes(params: DrinfeldParams) -> List[DrinfeldClass]:
     identity autOrder * orbitSize = |L| - 1, autOrder = -1 mod p, the
     partition total sum(orbitSize) = |L|(|L|-1), and, in `_frobenius_batch`,
     a unique Frobenius solve with b != 0, the slope bound 2 deg(a) <= m and
-    the re-substituted relation, for every class.
+    the re-substituted relation, for every class.  The table is cached per
+    params; its arrays are read-only.
     """
     cached = _CLASS_CACHE.get(params)
     if cached is not None:
-        return list(cached)
-    base, L, p = params.base, params.L, params.p
-    qL = L.q
-    g, delta, aut, size = _twist_orbits(L, params.q)
+        return cached
+    p, qL = params.p, params.L.q
+    g, delta, aut, size = _twist_orbits(params.L, params.q)
     bad = np.flatnonzero(aut * size != qL - 1)
     if len(bad):
         raise ArithmeticError(f"autOrder {aut[bad[0]]} times orbit size {size[bad[0]]} is not {qL - 1}")
@@ -463,82 +476,27 @@ def enumerate_classes(params: DrinfeldParams) -> List[DrinfeldClass]:
     if total != qL * (qL - 1):
         raise ArithmeticError(f"orbits cover {total} pairs, not |L|(|L|-1) = {qL * (qL - 1)}")
     a, b = _frobenius_batch(params, g, delta)
-    classes = [
-        DrinfeldClass(L.decode(gc), L.decode(dc), ac, sc, fq_poly_from_codes(base, ar), base.decode(bc))
-        for gc, dc, ac, sc, ar, bc in zip(
-            g.tolist(), delta.tolist(), aut.tolist(), size.tolist(), a.tolist(), b.tolist()
-        )
-    ]
-    _CLASS_CACHE[params] = tuple(classes)
-    return classes
+    table = ClassTable(g, delta, aut, size, _trim_columns(a), b)
+    _CLASS_CACHE[params] = table
+    return table
 
 
 # ---------------------------------------------------------------------------
 # torsion oracle: Frobenius char poly mod an auxiliary prime, computed from
 # the action on the torsion scheme without factoring anything
 
-def _np_trim(arr: np.ndarray) -> np.ndarray:
-    n = len(arr)
-    while n > 1 and arr[n - 1] == 0:
-        n -= 1
-    return arr[:n]
 
-
-def _mul_code(field: FqField, c1: int, c2: int) -> int:
-    return (field.decode(c1) * field.decode(c2)).code
-
-
-def _np_mod(field: FqField, arr: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    d = len(mod) - 1  # mod monic, degree d >= 1
-    arr = arr.copy()
-    negone = field.coerce(-1).code
-    body = mod[:d]
-    for e in range(len(arr) - 1, d - 1, -1):
-        c = int(arr[e])
-        if c:
-            arr[e] = 0
-            negc = _mul_code(field, c, negone)
-            arr[e - d : e] = field.v_add(arr[e - d : e], field.v_mul(body, np.int64(negc)))
-    out = np.zeros(d, dtype=np.int64)
-    out[: min(d, len(arr))] = arr[: min(d, len(arr))]
-    return out
-
-
-def _np_mulmod(field: FqField, a: np.ndarray, b: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    a, b = _np_trim(a), _np_trim(b)
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    for j in range(len(b)):
-        c = int(b[j])
-        if c:
-            out[j : j + len(a)] = field.v_add(out[j : j + len(a)], field.v_mul(a, np.int64(c)))
-    return _np_mod(field, out, mod)
-
-
-def _np_powmod(field: FqField, a: np.ndarray, e: int, mod: np.ndarray) -> np.ndarray:
-    d = len(mod) - 1
-    result = np.zeros(d, dtype=np.int64)
-    result[0] = 1
-    base = _np_mod(field, a, mod)
-    while e:
-        if e & 1:
-            result = _np_mulmod(field, result, base, mod)
-        base = _np_mulmod(field, base, base, mod)
-        e >>= 1
-    return result
-
-
-def frobenius_mod_torsion(params: DrinfeldParams, klass, laux: FqPoly) -> Tuple[FqPoly, FqPoly]:
-    """(trace, norm) of the Frobenius acting on the laux-torsion, mod laux.
+def frobenius_mod_torsion(
+    params: DrinfeldParams, g: int, delta: int, laux: FqPoly
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Codes of (trace, norm) of the Frobenius acting on the laux-torsion of
+    the module with L-codes (g, delta), as residues mod laux.
 
     Works in L[x]/(phi_laux(x)/x): if tau^m acts as a scalar phi_c there the
     matrix is c*Id (trace 2c, norm c^2); otherwise (x, tau^m x) is a basis
     and the unique (alpha, chi) with tau^{2m} x = phi_alpha(tau^m x) -
     phi_chi(x) gives the companion matrix.  No factoring, no extensions.
     """
-    if isinstance(klass, DrinfeldClass):
-        g, delta = klass.g, klass.delta
-    else:
-        g, delta = klass
     base, L = params.base, params.L
     if laux.degree < 1 or laux.coeffs[-1] != base.one or not laux.is_irreducible():
         raise ValueError("laux must be monic irreducible")
@@ -546,7 +504,7 @@ def frobenius_mod_torsion(params: DrinfeldParams, klass, laux: FqPoly) -> Tuple[
         raise ValueError("the auxiliary prime must not divide wp")
     D = laux.degree
     q, p = params.q, params.p
-    phi_t = _phi_t(params, np.array([g.code]), np.array([delta.code]))
+    phi_t = _phi_t(params, np.array([g]), np.array([delta]))
     phi_l = _phi(params, phi_t, np.array(laux.codes(), dtype=np.int64))[0]
     deg = int(_code_degrees(phi_l))
     if deg != 2 * D or phi_l[0] == 0:
@@ -555,13 +513,12 @@ def frobenius_mod_torsion(params: DrinfeldParams, klass, laux: FqPoly) -> Tuple[
     u1 = np.zeros(q ** (2 * D), dtype=np.int64)
     u1[q ** np.arange(2 * D + 1) - 1] = phi_l
     lead_inv = L.decode(int(u1[-1])).inverse().code
-    u1 = L.v_mul(u1, np.int64(lead_inv))
-    n0 = len(u1) - 1
+    ring = ResidueRing(L, L.v_mul(u1, np.int64(lead_inv)))
 
-    lam = np.zeros(n0, dtype=np.int64)
+    lam = ring.zeros()
     lam[1] = 1
-    w1 = _np_powmod(L, lam, q**params.m, u1)
-    w2 = _np_powmod(L, w1, q**params.m, u1)
+    w1 = ring.pow(lam, q**params.m)
+    w2 = ring.pow(w1, q**params.m)
 
     phi_tpow = [np.ones((1, 1), dtype=np.int64)]
     for _ in range(D - 1):
@@ -571,55 +528,47 @@ def frobenius_mod_torsion(params: DrinfeldParams, klass, laux: FqPoly) -> Tuple[
         """[phi_{T^i}(v) mod U1 for i < D], each one row, via a q-power ladder."""
         ladder = [v]
         for _ in range(2 * (D - 1)):
-            ladder.append(_np_powmod(L, ladder[-1], q, u1))
-        out = []
-        for tw in phi_tpow:
-            acc = np.zeros(n0, dtype=np.int64)
-            for j, c in enumerate(tw[0].tolist()):
-                if c:
-                    acc = L.v_add(acc, L.v_mul(ladder[j], np.int64(c)))
-            out.append(acc[None, :])
-        return out
+            ladder.append(ring.pow(ladder[-1], q))
+        ladder = np.stack(ladder)
+        return [_fold_add(L, L.v_mul(ladder[: tw.shape[1]], tw[0][:, None]))[None, :] for tw in phi_tpow]
 
     phis_lam = apply_phis(lam)
     sol, status = _gauss_jordan_mod_p(_system(params, phis_lam, w1[None, :]), p)
     if status[0] == _UNIQUE:
-        c = fq_poly_from_codes(base, _base_codes(params, sol)[0].tolist())
-        return (c + c) % laux, (c * c) % laux
+        c = _base_codes(params, sol)
+        return base.v_add(c, c)[0], ResidueRing(base, laux.codes()).mul(c, c)[0]
     if status[0] == _MANY:
         raise ArithmeticError("scalar solve underdetermined; laux not irreducible?")
     neg_lam = [L.v_mul(v, np.int64(p - 1)) for v in phis_lam]
     sol, status = _gauss_jordan_mod_p(_system(params, apply_phis(w1) + neg_lam, w2[None, :]), p)
     if status[0] != _UNIQUE:
         raise ArithmeticError(f"companion solve is {_STATUS[status[0]]}")
-    codes = _base_codes(params, sol)[0].tolist()
-    alpha = fq_poly_from_codes(base, codes[:D])
-    chi = fq_poly_from_codes(base, codes[D:])
-    return alpha % laux, chi % laux
+    # alpha and chi have D coefficients each, so they are residues already
+    codes = _base_codes(params, sol)[0]
+    return codes[:D], codes[D:]
 
 
 # ---------------------------------------------------------------------------
 # the h-recurrence kernel and the Hecke trace
 
 
-def _class_weights(params: DrinfeldParams) -> Tuple[List[DrinfeldClass], np.ndarray]:
-    """The classes and the codes of their type scales b^e / autOrder.
+def _class_weights(params: DrinfeldParams) -> Tuple[ClassTable, np.ndarray]:
+    """The class table and the codes of its type scales b^e / autOrder.
 
     Row e of the (q - 1, classes) table is b^e / autOrder for every class,
     where 1/autOrder is the inverse of autOrder mod p inside F_p <= F_q; a
     type l at weight index k reads row (l - 1 - k) mod (q - 1).
     """
     base, p, q = params.base, params.p, params.q
-    classes = enumerate_classes(params)
-    for cls in classes:
-        if cls.aut_order % p != p - 1:
-            raise ArithmeticError(f"autOrder {cls.aut_order} is not -1 mod p = {p}")
-    b = np.array([cls.frob_b.code for cls in classes], dtype=np.int64)
-    scales = np.empty((q - 1, len(classes)), dtype=np.int64)
-    scales[0] = [pow(cls.aut_order % p, p - 2, p) for cls in classes]
+    table = enumerate_classes(params)
+    bad = np.flatnonzero(table.aut % p != p - 1)
+    if len(bad):
+        raise ArithmeticError(f"autOrder {table.aut[bad[0]]} is not -1 mod p = {p}")
+    scales = np.empty((q - 1, len(table)), dtype=np.int64)
+    scales[0] = p - 1  # autOrder = -1 mod p, so 1/autOrder = -1
     for e in range(1, q - 1):
-        scales[e] = base.v_mul(scales[e - 1], b)
-    return classes, scales
+        scales[e] = base.v_mul(scales[e - 1], table.b)
+    return table, scales
 
 
 def _trim_columns(arr: np.ndarray) -> np.ndarray:
@@ -628,13 +577,25 @@ def _trim_columns(arr: np.ndarray) -> np.ndarray:
     return arr[:, : nz[-1] + 1 if len(nz) else 1]
 
 
+def _nonzero_digits(x: np.ndarray) -> List[int]:
+    """Indices of the digits (last axis) of x that are nonzero in some row."""
+    return [i for i, nz in enumerate(x.reshape(-1, x.shape[-1]).any(axis=0).tolist()) if nz]
+
+
 def _mul_add(field: FqField, acc: np.ndarray, h: np.ndarray, f: np.ndarray) -> None:
     """acc += h * f, as polynomials along the last (digit) axis and
-    broadcast along the others; the loop runs over the digits of f."""
+    broadcast along the others; the loop runs over the digits of f, skipping
+    those that are zero in every row."""
     width = h.shape[-1]
-    for i in range(f.shape[-1]):
+    for i in _nonzero_digits(f):
         window = acc[..., i : i + width]
         acc[..., i : i + width] = field.v_add(window, field.v_mul(h, f[..., i : i + 1]))
+
+
+def _neg_b_wp(params: DrinfeldParams, b: np.ndarray, wp: np.ndarray) -> np.ndarray:
+    """Codes of -b wp, one row per entry of b, wp given by its T-digits."""
+    base = params.base
+    return base.v_mul(base.v_mul(b, np.int64(base.coerce(-1).code))[:, None], wp[None, :])
 
 
 def _h_kernel(
@@ -661,30 +622,22 @@ def _h_kernel(
     which gives the table [c_{k,l}] = sum a^k b^{l-k-1} / autOrder.
     """
     base, q = params.base, params.q
-    classes, scales = _class_weights(params)
+    table, scales = _class_weights(params)
+    wp = np.array(params.wp.codes(), dtype=np.int64)
     if ring is None:
-        width = kmax * params.m // 2 + 1
-        wp = np.array(params.wp.codes(), dtype=np.int64)
-        ncoef = max(1, max(len(cls.frob_a.coeffs) for cls in classes))
-        a = np.zeros((len(classes), ncoef), dtype=np.int64)
-        for c, cls in enumerate(classes):
-            a[c, : len(cls.frob_a.coeffs)] = cls.frob_a.codes()
+        width, a = kmax * params.m // 2 + 1, table.a
     else:
-        width = ring.d
-        wp = ring.encode(params.wp)
-        a = np.stack([ring.encode(cls.frob_a) for cls in classes])
-    a = _trim_columns(a)
-    neg_one = np.int64(base.coerce(-1).code)
-    neg_b = base.v_mul(np.array([cls.frob_b.code for cls in classes], dtype=np.int64), neg_one)
-    w = _trim_columns(base.v_mul(neg_b[:, None], wp[None, :]))
+        width, wp, a = ring.d, ring.reduce(wp), _trim_columns(ring.reduce(table.a))
+    w = _trim_columns(_neg_b_wp(params, table.b, wp))
     span = width + max(a.shape[1], w.shape[1]) - 1
     lres = np.array([l - 1 for l in types], dtype=np.int64)
+    neg_one = np.int64(base.coerce(-1).code)
     h_prev = None
-    h = np.zeros((len(classes), width), dtype=np.int64)
+    h = np.zeros((len(table), width), dtype=np.int64)
     h[:, 0] = 1
     for k in range(kmax + 1):
         if k:
-            acc = np.zeros((len(classes), span), dtype=np.int64)
+            acc = np.zeros((len(table), span), dtype=np.int64)
             _mul_add(base, acc, h, a)
             if h_prev is not None and not moments:
                 _mul_add(base, acc, h_prev, w)
@@ -731,12 +684,6 @@ def trace_Tpn(params: DrinfeldParams, k: int, l: int) -> FqPoly:
     for rows in _h_kernel(params, k, (l,)):
         pass
     return fq_poly_from_codes(params.base, rows[0].tolist())
-
-
-def _h_fold_traces(params: DrinfeldParams, kmax: int, l: int) -> List[FqPoly]:
-    """[trace_Tpn(params, k, l) for k = 0..kmax] from one run of `_h_kernel`."""
-    base = params.base
-    return [fq_poly_from_codes(base, rows[0].tolist()) for rows in _h_kernel(params, kmax, (l,))]
 
 
 # ---------------------------------------------------------------------------
@@ -823,38 +770,27 @@ def h_series_numerator(
 
 
 # ---------------------------------------------------------------------------
-# residues of F_q[T]: vectorized arithmetic on coefficient-code arrays
+# residue rings: vectorized arithmetic on coefficient-code arrays
 
 
 class ResidueRing:
-    """F_q[T]/(modulus) on numpy int64 code arrays, last axis = T-digits."""
+    """field[x]/(modulus) on int64 code arrays whose last axis holds the
+    x-digits, for a monic modulus given by its ascending codes.
 
-    def __init__(self, modulus: FqPoly):
-        if modulus.degree < 1:
+    Row i of the reduction table holds the residue of x^(d+i), made from
+    row i - 1 when an input first reaches that digit, so inputs of any width
+    reduce.
+    """
+
+    def __init__(self, field: FqField, modulus_codes: Sequence[int]):
+        codes = np.asarray(modulus_codes, dtype=np.int64)
+        if len(codes) < 2:
             raise ValueError("modulus must have positive degree")
-        if modulus.coeffs[-1] != modulus.field.one:
+        if codes[-1] != 1:
             raise ValueError("modulus must be monic")
-        self.field = modulus.field
-        self.modulus = modulus
-        self.d = modulus.degree
-        x = FqPoly(self.field, [self.field.zero, self.field.one])
-        rows = []
-        cur = x.pow_mod(self.d, modulus)
-        for _ in range(self.d - 1):
-            row = np.zeros(self.d, dtype=np.int64)
-            row[: len(cur.coeffs)] = [c.code for c in cur.coeffs]
-            rows.append(row)
-            cur = (cur * x) % modulus
-        self.rows = rows
-
-    def encode(self, poly: FqPoly) -> np.ndarray:
-        poly = poly % self.modulus
-        out = np.zeros(self.d, dtype=np.int64)
-        out[: len(poly.coeffs)] = [c.code for c in poly.coeffs]
-        return out
-
-    def decode(self, row: np.ndarray) -> FqPoly:
-        return FqPoly(self.field, [self.field.decode(int(c)) for c in row])
+        self.field = field
+        self.d = len(codes) - 1
+        self.rows = [field.v_mul(codes[:-1], np.int64(field.coerce(-1).code))]
 
     def zeros(self, *shape: int) -> np.ndarray:
         return np.zeros(shape + (self.d,), dtype=np.int64)
@@ -864,31 +800,31 @@ class ResidueRing:
         out[..., 0] = 1
         return out
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.field.v_add(a, b)
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """Residues of code arrays of any width along the last axis.
 
-    def neg(self, a: np.ndarray) -> np.ndarray:
-        return self.field.v_mul(a, np.int64(self.field.coerce(-1).code))
-
-    def scalar_mul(self, a: np.ndarray, code) -> np.ndarray:
-        return self.field.v_mul(a, code)
+        Only the digits below d change, so the digits at d and above that are
+        nonzero in some row are found once, and only those are folded in."""
+        f, d, width = self.field, self.d, x.shape[-1]
+        if width <= d:
+            out = self.zeros(*x.shape[:-1])
+            out[..., :width] = x
+            return out
+        rows = self.rows
+        while len(rows) < width - d:
+            rows.append(f.v_add(np.concatenate([[0], rows[-1][:-1]]), f.v_mul(rows[0], rows[-1][-1])))
+        out = x[..., :d].copy()
+        for e in _nonzero_digits(x[..., d:]):
+            out = f.v_add(out, f.v_mul(x[..., d + e : d + e + 1], rows[e]))
+        return out
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        f, d = self.field, self.d
-        if d == 1:
-            return f.v_mul(a, b)
+        if a.shape[-1] == b.shape[-1] == self.d == 1:
+            return self.field.v_mul(a, b)  # field[x]/(x - c) is the field
         shape = np.broadcast(a[..., :1], b[..., :1]).shape[:-1]
-        acc = np.zeros(shape + (2 * d - 1,), dtype=np.int64)
-        _mul_add(f, acc, b, a)
+        acc = np.zeros(shape + (a.shape[-1] + b.shape[-1] - 1,), dtype=np.int64)
+        _mul_add(self.field, acc, b, a)
         return self.reduce(acc)
-
-    def reduce(self, acc: np.ndarray) -> np.ndarray:
-        """Residues of code arrays with d to 2d - 1 digits on the last axis;
-        overwrites the low digits of acc."""
-        f, d = self.field, self.d
-        for e in range(acc.shape[-1] - 1, d - 1, -1):
-            acc[..., :d] = f.v_add(acc[..., :d], f.v_mul(acc[..., e : e + 1], self.rows[e - d]))
-        return acc[..., :d].copy()
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         result = self.ones(*a.shape[:-1])
@@ -909,7 +845,7 @@ def trace_sequence_mod(
     `_h_kernel` run on residues mod lpoly^s: row k is the residue of
     trace_Tpn(params, k, l), without ever forming the exact trace.
     """
-    ring = ResidueRing(poly_pow(lpoly, s))
+    ring = ResidueRing(params.base, poly_pow(lpoly, s).codes())
     return np.stack([rows[0] for rows in _h_kernel(params, kmax, (l,), ring)])
 
 
@@ -1012,25 +948,25 @@ def _split_parts(
     """
     base, q, p, s = params.base, params.q, params.p, spec.s
     m = spec.m_ls
-    classes, scales = _class_weights(params)
+    table, scales = _class_weights(params)
     nw = kmax - kmin + 1
     Nvals = ring.zeros(nw)
     Uvals = ring.zeros(nw)
+    abar = ring.reduce(table.a)
+    wneg = ring.reduce(_neg_b_wp(params, table.b, np.array(params.wp.codes(), dtype=np.int64)))
+    zero_a = ~ResidueRing(base, spec.lpoly.codes()).reduce(table.a).any(axis=1)
 
-    zero_a = [(cls.frob_a % spec.lpoly).is_zero() for cls in classes]
-    nidx = [ci for ci, z in enumerate(zero_a) if z]
-    if nidx:
+    nidx = np.flatnonzero(zero_a)
+    if len(nidx):
         Cn = len(nidx)
-        abar = np.stack([ring.encode(classes[ci].frob_a) for ci in nidx])
-        wneg = np.stack([ring.encode(-(params.wp * classes[ci].frob_b)) for ci in nidx])
         jtop = (s - 1) // 2
         apow = [ring.ones(Cn)]
         for _ in range(2 * jtop + 1):
-            apow.append(ring.mul(apow[-1], abar))
+            apow.append(ring.mul(apow[-1], abar[nidx]))
         phalf = ring.zeros(kmax + 1, Cn)
         phalf[0] = ring.ones(Cn)
         for t in range(1, kmax + 1):
-            phalf[t] = ring.mul(phalf[t - 1], wneg) if t % 2 == 0 else phalf[t - 1]
+            phalf[t] = ring.mul(phalf[t - 1], wneg[nidx]) if t % 2 == 0 else phalf[t - 1]
         scn = scales[(l - 1 - np.arange(q - 1)) % (q - 1)][:, nidx]
         for k in range(kmin, kmax + 1):
             delta = k % 2
@@ -1039,28 +975,25 @@ def _split_parts(
                 c = math.comb((k + delta) // 2 + j, 2 * j + delta) % p
                 if c:
                     term = ring.mul(apow[2 * j + delta], phalf[k - 2 * j])
-                    acc = ring.add(acc, ring.scalar_mul(term, np.int64(base.coerce(c).code)))
-            acc = ring.scalar_mul(acc, scn[k % (q - 1)][:, None])
+                    acc = base.v_add(acc, base.v_mul(term, np.int64(c)))
+            acc = base.v_mul(acc, scn[k % (q - 1)][:, None])
             Nvals[k - kmin] = _fold_add(base, acc)
 
-    groups: Dict[int, List[int]] = {}
-    for ci, cls in enumerate(classes):
-        if not zero_a[ci]:
-            groups.setdefault(cls.frob_b.code, []).append(ci)
-    for bcode, idx in groups.items():
-        b = base.decode(bcode)
-        wneg_b = ring.encode(-(params.wp * b))
-        abar = np.stack([ring.encode(classes[ci].frob_a) for ci in idx])
+    units = ~zero_a
+    for bcode in dict.fromkeys(table.b[units].tolist()):
+        idx = np.flatnonzero(units & (table.b == bcode))
+        abar_b = abar[idx]
         inv_codes = scales[0, idx]
         spow = []
         cur = ring.ones(len(idx))
         for e in range(2 * m):
-            weighted = ring.scalar_mul(cur, inv_codes[:, None])
-            spow.append(_fold_add(base, weighted))
-            cur = ring.mul(cur, abar)
+            spow.append(_fold_add(base, base.v_mul(cur, inv_codes[:, None])))
+            cur = ring.mul(cur, abar_b)
         s_even = np.stack([spow[2 * r] for r in range(m)])
         s_odd = np.stack([spow[2 * r + 1] for r in range(m)])
-        bpow_codes = [(b**e).code for e in range(q - 1)]
+        bpow = [np.int64(1)]
+        for _ in range(q - 2):
+            bpow.append(base.v_mul(bpow[-1], np.int64(bcode)))
         g_prev = ring.zeros(m)
         g_prev[0] = ring.ones()
         g_cur = g_prev.copy()
@@ -1068,21 +1001,19 @@ def _split_parts(
 
         def u_at(k: int, g_now: np.ndarray) -> np.ndarray:
             delta = k % 2
-            idx = (k // 2 - rolled) % m
-            sel = g_now[idx]
-            prods = ring.mul(sel, s_even if delta == 0 else s_odd)
-            tot = _fold_add(base, prods)
-            return ring.scalar_mul(tot, np.int64(bpow_codes[(l - 1 - k) % (q - 1)]))
+            sel = g_now[(k // 2 - rolled) % m]
+            tot = _fold_add(base, ring.mul(sel, s_even if delta == 0 else s_odd))
+            return base.v_mul(tot, bpow[(l - 1 - k) % (q - 1)])
 
         if kmin <= 0 <= kmax:
-            Uvals[0 - kmin] = ring.add(Uvals[0 - kmin], u_at(0, g_prev))
+            Uvals[0 - kmin] = base.v_add(Uvals[0 - kmin], u_at(0, g_prev))
         if kmin <= 1 <= kmax and kmax >= 1:
-            Uvals[1 - kmin] = ring.add(Uvals[1 - kmin], u_at(1, g_cur))
+            Uvals[1 - kmin] = base.v_add(Uvals[1 - kmin], u_at(1, g_cur))
         for k in range(2, kmax + 1):
-            g_next = ring.add(g_cur, ring.mul(np.roll(g_prev, 1, axis=0), wneg_b))
+            g_next = base.v_add(g_cur, ring.mul(np.roll(g_prev, 1, axis=0), wneg[idx[0]]))
             g_prev, g_cur = g_cur, g_next
             if k >= kmin:
-                Uvals[k - kmin] = ring.add(Uvals[k - kmin], u_at(k, g_cur))
+                Uvals[k - kmin] = base.v_add(Uvals[k - kmin], u_at(k, g_cur))
     return Nvals, Uvals
 
 
@@ -1112,15 +1043,16 @@ def verify_period_ff(
     if kmax < kmin:
         raise ValueError("empty window")
     weight_budget_check(kmax + spec.period + 2, max_weight)
-    ring = ResidueRing(poly_pow(lpoly, s))
+    base = params.base
+    ring = ResidueRing(base, poly_pow(lpoly, s).codes())
     seq = trace_sequence_mod(params, lpoly, s, l, kmax + spec.period)
     nvals, uvals = _split_parts(params, spec, ring, l, kmin, kmax)
+    resums = base.v_mul(base.v_add(nvals, uvals), np.int64(base.coerce(-1).code))
     records = []
     all_ok = True
     for k in range(kmin, kmax + 1):
         ok = bool(np.array_equal(seq[k], seq[k + spec.period]))
-        resum = ring.neg(ring.add(nvals[k - kmin], uvals[k - kmin]))
-        split_ok = bool(np.array_equal(resum, seq[k]))
+        split_ok = bool(np.array_equal(resums[k - kmin], seq[k]))
         all_ok = all_ok and ok and split_ok
         records.append(
             {
@@ -1164,7 +1096,7 @@ def verify_infty_period(
         raise ValueError(f"window starts at {kmin}, below the floor {s - 1}")
     if kmax is None:
         kmax = kmin + 2 * n
-    traces = _h_fold_traces(params, kmax + n, l)
+    traces = [fq_poly_from_codes(params.base, r[0].tolist()) for r in _h_kernel(params, kmax + n, (l,))]
     shift = poly_pow(-params.wp, n // 2)
     records = []
     all_ok = True
@@ -1223,43 +1155,29 @@ def ramanujan_check(params: DrinfeldParams) -> RamanujanReport:
 
 
 def _unit_array(lpoly: FqPoly, s: int, max_size: Optional[int]) -> Tuple[ResidueRing, np.ndarray]:
+    """The ring F_q[T]/lpoly^s and the code rows of all its units."""
     field = lpoly.field
-    q, d = field.q, lpoly.degree
-    size = q ** (d * s)
+    q, D = field.q, lpoly.degree * s
+    size = q**D
     cap = EXPONENT_GROUP_CAP if max_size is None else max_size
     if size > cap:
         raise BudgetError(f"residue count {size} exceeds max_size={cap}; raise max_size")
-    ring = ResidueRing(poly_pow(lpoly, s))
-    D = d * s
     grids = np.meshgrid(*[np.arange(q, dtype=np.int64)] * D, indexing="ij")
     residues = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    if s == 1:
-        units = residues[residues.any(axis=1)]
-    else:
-        # coprimality filter: reduce mod lpoly by folding the T^e rows, e >= d
-        red = residues[..., :d].copy()
-        x_rows = []
-        cur = FqPoly(field, [field.zero, field.one]).pow_mod(d, lpoly)
-        for _ in range(D - d):
-            row = np.zeros(d, dtype=np.int64)
-            row[: len(cur.coeffs)] = [c.code for c in cur.coeffs]
-            x_rows.append(row)
-            cur = (cur * FqPoly(field, [field.zero, field.one])) % lpoly
-        for e in range(d, D):
-            red = field.v_add(red, field.v_mul(residues[..., e : e + 1], x_rows[e - d]))
-        units = residues[red.any(axis=1)]
-    expected_units = q ** (d * (s - 1)) * (q**d - 1)
+    # the units are the residues that stay nonzero mod lpoly
+    units = residues[ResidueRing(field, lpoly.codes()).reduce(residues).any(axis=1)]
+    expected_units = q ** (lpoly.degree * (s - 1)) * (q**lpoly.degree - 1)
     if len(units) != expected_units:
         raise ArithmeticError(f"found {len(units)} units, not {expected_units}")
-    return ring, units
+    return ResidueRing(field, poly_pow(lpoly, s).codes()), units
 
 
 def unit_group_exponent(lpoly: FqPoly, s: int, max_size: Optional[int] = None) -> int:
     """Exact exponent of (F_q[T]/lpoly^s)^*, by brute force over all units.
 
     Lagrange descent from the group order: a prime factor is peeled off the
-    candidate exponent only after every unit passes the power test (cheap
-    scalar spot checks reject most candidates before the vector pass).
+    candidate exponent only after every unit passes the power test (a pass
+    over the first four units rejects most candidates before the full one).
     """
     field = lpoly.field
     if lpoly.degree < 1 or lpoly.coeffs[-1] != field.one or not lpoly.is_irreducible():
@@ -1267,28 +1185,18 @@ def unit_group_exponent(lpoly: FqPoly, s: int, max_size: Optional[int] = None) -
     if s < 1:
         raise ValueError("s must be >= 1")
     ring, units = _unit_array(lpoly, s, max_size)
-    one = ring.ones(len(units))
 
-    def all_pass(e: int) -> bool:
-        return bool(np.array_equal(ring.pow(units, e), one))
-
-    def spot_pass(e: int) -> bool:
-        modulus = ring.modulus
-        onep = FqPoly(field, [field.one])
-        for row in units[: min(4, len(units))]:
-            u = ring.decode(row)
-            if u.pow_mod(e, modulus) != onep:
-                return False
-        return True
+    def passes(e: int, rows: np.ndarray) -> bool:
+        return bool((ring.pow(rows, e) == ring.ones()).all())
 
     order = len(units)
-    if not all_pass(order):
+    if not passes(order, units):
         raise ArithmeticError(f"some unit has u^{order} != 1 for the group order {order}")
     exponent = order
     for prime in sorted(factorize(order)):
         while exponent % prime == 0:
             cand = exponent // prime
-            if spot_pass(cand) and all_pass(cand):
+            if passes(cand, units[:4]) and passes(cand, units):
                 exponent = cand
             else:
                 break

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from hecketrace import curves as cv
-from hecketrace.congruences import CoeffFamily, binom_mod, m_ls_value
 from hecketrace.ffield import FqField, fraction_mod, unlimited_int_digits
 
 MassData = List[Tuple[int, Fraction]]
@@ -357,6 +356,9 @@ def split_trace(
     classes are folded through a1^(2 m) = 1 mod ell^s. The two parts add up
     to I(k) mod ell^s.
     """
+    # imported at its one use, so that other elltrace jobs skip compiling it
+    from hecketrace.congruences import CoeffFamily, binom_mod, m_ls_value
+
     if s < 1:
         raise ValueError("s must be >= 1")
     if k < s - 1:

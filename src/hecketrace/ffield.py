@@ -7,7 +7,6 @@ optionally mirrored into numpy log/exp/Zech tables for bulk work. No floats.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -745,7 +744,11 @@ class FqPoly:
         r = gcd(f, x^q - x) is the product of the distinct linear factors.
         It is split by gcd(r, (x + d)^((q-1)/2) - 1) for odd q, and by
         gcd(r, Tr(d x)) with Tr(y) = y + y^2 + ... + y^(q/2) for even q, with
-        d running over the codes 1, 2, ..., 0 until every factor is linear.
+        d running over every code once, in the order i M mod q for
+        i = 1, ..., q, until every factor is linear.  M is near 0.618 q and
+        prime to q: the codes 1, 2, 3, ... stay in the F_p-span of 1 and the
+        generator for p^2 probes, and there they can fail to separate roots
+        that lie in a subfield.
         """
         if self.is_zero():
             raise ValueError("the zero polynomial has every element as a root")
@@ -762,6 +765,9 @@ class FqPoly:
                 acc = acc + t
             return acc
 
+        stride = int(0.618 * fld.q) or 1
+        while math.gcd(stride, fld.q) != 1:
+            stride += 1
         f = self.monic()
         todo = [f.gcd(x.pow_mod(fld.q, f) - x)] if f.degree > 0 else []
         roots = []
@@ -770,8 +776,8 @@ class FqPoly:
             if r.degree == 1:
                 roots.append(-r.coeffs[0])
             elif r.degree > 1:
-                for code in itertools.chain(range(1, fld.q), [0]):
-                    g = r.gcd(probe(fld.decode(code), r))
+                for i in range(1, fld.q + 1):
+                    g = r.gcd(probe(fld.decode(i * stride % fld.q), r))
                     if 0 < g.degree < r.degree:
                         todo += [g, r // g]
                         break

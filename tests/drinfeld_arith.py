@@ -10,12 +10,38 @@ oracles.py because perfbench/run.py loads that file into its own process and
 needs none of this.
 """
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from hecketrace.drinfeld import DrinfeldClass, DrinfeldParams
-from hecketrace.ffield import FqElem, FqField, FqPoly, embed
+from hecketrace.drinfeld import ClassTable, DrinfeldParams
+from hecketrace.ffield import FqElem, FqField, FqPoly, embed, fq_poly_from_codes
+
+
+@dataclass(frozen=True)
+class DrinfeldClass:
+    """One twist-orbit representative with its Frobenius data, as field
+    elements: the bitmap oracle's record, and a decoded ClassTable entry."""
+
+    g: FqElem
+    delta: FqElem
+    aut_order: int
+    orbit_size: int
+    frob_a: FqPoly
+    frob_b: FqElem
+
+
+def decode_table(params: DrinfeldParams, table: ClassTable) -> List[DrinfeldClass]:
+    """The entries of a ClassTable as DrinfeldClass records."""
+    base, L = params.base, params.L
+    return [
+        DrinfeldClass(L.decode(g), L.decode(d), aut, size, fq_poly_from_codes(base, a), base.decode(b))
+        for g, d, aut, size, a, b in zip(
+            table.g.tolist(), table.delta.tolist(), table.aut.tolist(),
+            table.size.tolist(), table.a.tolist(), table.b.tolist(),
+        )
+    ]
 
 
 def poly_evaluate(poly: FqPoly, x: FqElem) -> FqElem:

@@ -583,11 +583,12 @@ def _class_weights(
     params: "DrinfeldParams",
 ) -> List[Tuple["DrinfeldClass", "FqElem", List["FqElem"]]]:
     """(class, 1/autOrder in F_q, powers of b) for every class."""
+    from drinfeld_arith import decode_table
     from hecketrace.drinfeld import enumerate_classes
 
     base, p, q = params.base, params.p, params.q
     out = []
-    for cls in enumerate_classes(params):
+    for cls in decode_table(params, enumerate_classes(params)):
         inv_aut = base.coerce(pow(cls.aut_order % p, p - 2, p))
         assert base.coerce(cls.aut_order) == base.coerce(-1)
         bpow = [base.one]

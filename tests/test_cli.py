@@ -1,5 +1,6 @@
 """Tests for the command-line front end: formats, exit codes, known outputs."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import List, Set
 
 import pytest
 
@@ -292,13 +294,40 @@ def test_selftest_examples_fail_under_python_O():
     assert "first mismatch: weight12-eigenvalues" in res.stderr
 
 
-def test_traced_benchmark_targets_exist():
-    # perfbench/traced.py wraps these names through getattr, so a name
-    # deleted from src/ would crash every traced benchmark run
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        ("[1.5,1]", "entry 1.5 of '[1.5,1]' is not a code in 0..4"),
+        ('["a",1]', """entry "a" of '["a",1]' is not a code in 0..4"""),
+        ("[true,1]", "entry true of '[true,1]' is not a code in 0..4"),
+        ("[7,1]", "entry 7 of '[7,1]' is not a code in 0..4"),
+        ("[1,", "'[1,' is not a list of element codes"),
+    ],
+)
+def test_bracket_codes_are_validated(bad, named):
+    # unchecked, a float hangs the root finder, a string raises a TypeError
+    # traceback, and an out-of-range code or a bool is silently coerced
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    res = subprocess.run(
+        [sys.executable, "-m", "hecketrace.cli", "dr", "trace", "--q", "5", "--P", bad, "--weight", "4"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.splitlines()[1:] == [f"error: {named}"]
+
+
+def _traced_module():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
     spec = importlib.util.spec_from_file_location("hecketrace_traced", path)
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
+    return traced
+
+
+def test_traced_benchmark_targets_exist():
+    # perfbench/traced.py wraps these names through getattr, so a name
+    # deleted from src/ would crash every traced benchmark run
+    traced = _traced_module()
     assert traced.TARGETS
     for target in traced.TARGETS:
         module, *attrs = target.split(".")
@@ -307,6 +336,45 @@ def test_traced_benchmark_targets_exist():
             assert hasattr(owner, attr), target
             owner = getattr(owner, attr)
         assert callable(owner), target
+
+
+def _top_level_names(stmt: ast.stmt) -> List[str]:
+    """Names a module-level def, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _used_names(stmt: ast.stmt) -> Set[str]:
+    """Names a statement reads, as a name, an attribute or an import."""
+    used = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            used.update(a.name for a in n.names)
+    return used
+
+
+def test_every_src_name_is_used():
+    # code nothing uses is deleted: each module-level name in src/hecketrace
+    # is read by some other statement of src/, or perfbench/traced.py wraps it
+    pkg = Path(cli.__file__).resolve().parent
+    stmts = [(path.stem, stmt) for path in sorted(pkg.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body]
+    used = [_used_names(stmt) for _, stmt in stmts]
+    traced = {t.split(".")[1] for t in _traced_module().TARGETS}
+    unused = [
+        f"{module}.{name}"
+        for i, (module, stmt) in enumerate(stmts)
+        for name in _top_level_names(stmt)
+        if not name.startswith("__") and name not in traced
+        and not any(name in names for j, names in enumerate(used) if j != i)
+    ]
+    assert unused == []
 
 
 def test_usage_and_value_errors(capsys):
@@ -374,7 +442,8 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("hecketrace") or m 
         ([], {"hecketrace.congruences", "hecketrace.curves", "hecketrace.drinfeld",
               "hecketrace.elltrace", "hecketrace.heckepoly", "hecketrace.selftest", "numpy.ma"}),
         (["ell", "trace", "--q", "10039", "--weight", "12"],
-         {"hecketrace.drinfeld", "hecketrace.heckepoly", "hecketrace.selftest", "numpy.ma"}),
+         {"hecketrace.congruences", "hecketrace.drinfeld", "hecketrace.heckepoly",
+          "hecketrace.selftest", "numpy.ma"}),
         (["dr", "enumerate", "--q", "5", "--P", "T^3+T+1"],
          {"hecketrace.congruences", "hecketrace.curves", "hecketrace.elltrace",
           "hecketrace.heckepoly", "hecketrace.selftest"}),

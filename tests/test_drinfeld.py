@@ -1,5 +1,6 @@
 """Tests for Drinfeld classes, Frobenius data, traces, periods and exponents."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -78,28 +79,43 @@ CLASSES_Q3_T = (
 )
 
 
+def _rows(classes):
+    # DrinfeldClass records as (g, delta, autOrder, orbitSize, a codes, b code)
+    return [
+        (c.g.code, c.delta.code, c.aut_order, c.orbit_size, c.frob_a.codes(), c.frob_b.code)
+        for c in classes
+    ]
+
+
 def test_class_enumeration_smallest_fields():
     for field, frozen in ((F2, CLASSES_Q2_T), (F3, CLASSES_Q3_T)):
         pp = _params(field, (0, 1), 1)
-        got = tuple(
-            (c.g.code, c.delta.code, c.aut_order, c.orbit_size, c.frob_a.codes(), c.frob_b.code)
-            for c in dr.enumerate_classes(pp)
-        )
-        assert got == frozen
+        assert tuple(_rows(da.decode_table(pp, dr.enumerate_classes(pp)))) == frozen
+
+
+def test_class_table_is_cached_and_read_only():
+    pp = _params(F3, (0, 1), 2)
+    table = dr.enumerate_classes(pp)
+    assert dr.enumerate_classes(pp) is table
+    assert len(table) == len(table.g) == table.a.shape[0]
+    for arr in (table.g, table.delta, table.aut, table.size, table.a, table.b):
+        assert arr.dtype == np.int64
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert table.a.shape[1] == 2 and table.a[:, -1].any()  # 2 deg a <= m = 2, trimmed
 
 
 def test_class_partition_and_bounds():
     cases = [(F2, (0, 1), 2), (F2, (1, 1, 1), 1), (F3, (1, 1), 1), (F3, (0, 1), 2)]
     for field, pcodes, n in cases:
         pp = _params(field, pcodes, n)
-        classes = dr.enumerate_classes(pp)
+        t = dr.enumerate_classes(pp)
         qL = pp.L.q
-        assert sum(c.orbit_size for c in classes) == qL * (qL - 1)
-        for c in classes:
-            assert c.aut_order * c.orbit_size == qL - 1
-            assert c.aut_order % pp.p == pp.p - 1
-            assert 2 * c.frob_a.degree <= pp.m
-            assert not c.frob_b.is_zero()
+        assert t.size.sum() == qL * (qL - 1)
+        assert (t.aut * t.size == qL - 1).all()
+        assert (t.aut % pp.p == pp.p - 1).all()
+        assert 2 * (t.a.shape[1] - 1) <= pp.m
+        assert t.b.all()
 
 
 # (field, P codes, n) for the differential test against the bitmap
@@ -130,16 +146,11 @@ DIFFERENTIAL_GRID = (
 def test_enumeration_matches_bitmap_oracle():
     # the batched route (orbit invariants, one stacked solve) against the
     # |L|^2 bitmap walk with a per-class TwistedPoly solve
-    def rows(classes):
-        return [
-            (c.g.code, c.delta.code, c.aut_order, c.orbit_size, c.frob_a.codes(), c.frob_b.code)
-            for c in classes
-        ]
-
     for field, pcodes, n in DIFFERENTIAL_GRID:
         pp = _params(field, pcodes, n)
         assert pp.L.q <= 125
-        assert rows(dr.enumerate_classes(pp)) == rows(oracles.enumerate_classes(pp)), (field.q, pcodes, n)
+        got = _rows(da.decode_table(pp, dr.enumerate_classes(pp)))
+        assert got == _rows(oracles.enumerate_classes(pp)), (field.q, pcodes, n)
 
 
 def test_code_array_phi_matches_scalar_phi():
@@ -287,11 +298,11 @@ def test_kernel_rejects_a_digit_past_its_width(monkeypatch):
     # the exact kernel's width floor(k m / 2) + 1 holds only under the slope
     # bound; a class past it spills a digit, which is refused, not truncated
     pp = _params(F3, (0, 1), 1)
-    T = _poly(F3, (0, 1))
-    wide = [
-        dr.DrinfeldClass(c.g, c.delta, c.aut_order, c.orbit_size, c.frob_a + T, c.frob_b)
-        for c in dr.enumerate_classes(pp)
-    ]
+    table = dr.enumerate_classes(pp)
+    a_plus_t = np.zeros((len(table), max(2, table.a.shape[1])), dtype=np.int64)
+    a_plus_t[:, : table.a.shape[1]] = table.a
+    a_plus_t[:, 1] = (a_plus_t[:, 1] + 1) % pp.p
+    wide = dataclasses.replace(table, a=a_plus_t)
     monkeypatch.setattr(dr, "enumerate_classes", lambda params: wide)
     with pytest.raises(ArithmeticError, match="past degree"):
         dr.trace_Tpn(pp, 6, 1)
@@ -314,8 +325,8 @@ def test_frobenius_poly_scalar_square_case():
     a, b = dr.frobenius_poly((pp.L.zero, pp.L.one), pp)
     assert a == _poly(F3, (0, 2))
     assert b == F3.one
-    classes = dr.enumerate_classes(pp)
-    assert sum(1 for c in classes if c.g.is_zero() and 2 * c.frob_a.degree == pp.m) >= 1
+    t = dr.enumerate_classes(pp)
+    assert ((t.g == 0) & (t.a[:, pp.m // 2] != 0)).any()
 
 
 def test_char_poly_matches_torsion_action():
@@ -335,21 +346,22 @@ def test_char_poly_matches_torsion_action():
             _poly(field, (1, 1, 1)) if field.p == 2 else _poly(field, (1, 0, 1)),
         ]
         for laux in auxes:
-            for cls in dr.enumerate_classes(pp):
-                tr, nrm = dr.frobenius_mod_torsion(pp, cls, laux)
-                assert tr == cls.frob_a % laux, (pcodes, n, laux.codes())
-                assert nrm == (pp.wp * cls.frob_b) % laux
+            for cls in da.decode_table(pp, dr.enumerate_classes(pp)):
+                tr, nrm = dr.frobenius_mod_torsion(pp, cls.g.code, cls.delta.code, laux)
+                assert _poly(field, tr.tolist()) == cls.frob_a % laux, (pcodes, n, laux.codes())
+                assert _poly(field, nrm.tolist()) == (pp.wp * cls.frob_b) % laux
 
 
 def test_torsion_route_guards():
     pp = _params(F3, (0, 1), 1)
-    cls = dr.enumerate_classes(pp)[0]
+    t = dr.enumerate_classes(pp)
+    g, delta = int(t.g[0]), int(t.delta[0])
     with pytest.raises(ValueError):
-        dr.frobenius_mod_torsion(pp, cls, _poly(F3, (0, 1)))  # laux = P
+        dr.frobenius_mod_torsion(pp, g, delta, _poly(F3, (0, 1)))  # laux = P
     with pytest.raises(ValueError):
-        dr.frobenius_mod_torsion(pp, cls, _poly(F3, (2, 0, 1)))  # reducible
+        dr.frobenius_mod_torsion(pp, g, delta, _poly(F3, (2, 0, 1)))  # reducible
     with pytest.raises(ValueError):
-        dr.frobenius_mod_torsion(pp, cls, _poly(F3, (1, 2)))  # not monic
+        dr.frobenius_mod_torsion(pp, g, delta, _poly(F3, (1, 2)))  # not monic
 
 
 def test_trace_k0_and_weight8_values():
@@ -448,23 +460,46 @@ def test_series_numerators_are_short():
                 assert hnum.degree <= 2 * m - 2
 
 
+def _ring_check(ring, mod, rng, widths, trials):
+    # reduce, mul and pow on random code rows of the given widths against
+    # FqPoly %, * and pow_mod; also one stacked call for all rows at once
+    field = ring.field
+    fs = [_poly(field, [rng.randrange(field.q) for _ in range(w)]) for w in widths for _ in range(trials)]
+    for f, g in zip(fs, fs[1:] + fs[:1]):
+        a, b = np.array(f.codes() or (0,)), np.array(g.codes() or (0,))
+        assert _poly(field, ring.reduce(a).tolist()) == f % mod
+        ra, rb, prod = ring.reduce(a), ring.reduce(b), (f * g) % mod
+        assert _poly(field, ring.mul(ra, rb).tolist()) == prod
+        assert _poly(field, ring.mul(a, b).tolist()) == prod
+        assert _poly(field, ring.pow(ra, 7).tolist()) == f.pow_mod(7, mod)
+    rows = np.zeros((len(fs), max(widths)), dtype=np.int64)
+    for i, f in enumerate(fs):
+        rows[i, : len(f.codes())] = f.codes()
+    for i, r in enumerate(ring.reduce(rows).tolist()):
+        assert _poly(field, r) == fs[i] % mod
+
+
 def test_residue_ring_matches_poly_arithmetic():
     rng = random.Random(23)
     for field, modc in ((F2, (1, 1, 1)), (F3, (0, 0, 1)), (F3, (2, 1))):
         mod = _poly(field, modc)
-        ring = dr.ResidueRing(mod)
-        for _ in range(20):
-            f = _poly(field, tuple(rng.randrange(field.q) for _ in range(4)))
-            g = _poly(field, tuple(rng.randrange(field.q) for _ in range(3)))
-            a, b = ring.encode(f), ring.encode(g)
-            assert ring.decode(ring.mul(a, b)) == (f * g) % mod
-            assert ring.decode(ring.add(a, b)) == (f + g) % mod
-            assert ring.decode(ring.neg(a)) == (-f) % mod
-            assert ring.decode(ring.pow(a, 7)) == f.pow_mod(7, mod)
+        _ring_check(dr.ResidueRing(field, modc), mod, rng, (1, 3, 4, 7), 5)
     with pytest.raises(ValueError):
-        dr.ResidueRing(_poly(F3, (2,)))
+        dr.ResidueRing(F3, (2,))
     with pytest.raises(ValueError):
-        dr.ResidueRing(_poly(F3, (0, 2)))
+        dr.ResidueRing(F3, (0, 2))
+
+
+def test_residue_ring_over_an_extension_with_a_long_modulus():
+    # F_9, a modulus of degree 41 and inputs up to 2 * 41 + 20 digits wide,
+    # more than any product of two residues: the rows past x^(2d-2) are made
+    # on demand
+    rng = random.Random(29)
+    modc = tuple(rng.randrange(F9.q) for _ in range(41)) + (1,)
+    mod = _poly(F9, modc)
+    ring = dr.ResidueRing(F9, modc)
+    _ring_check(ring, mod, rng, (5, 41, 60, 2 * 41 + 20), 2)
+    assert len(ring.rows) >= 2 * 41 + 20 - 41
 
 
 def test_trace_sequence_mod_matches_exact_traces():
@@ -479,11 +514,10 @@ def test_trace_sequence_mod_matches_exact_traces():
         pp = _params(field, pcodes, n)
         lpoly = _poly(field, lcodes)
         mod = dr.poly_pow(lpoly, s)
-        ring = dr.ResidueRing(mod)
         seq = dr.trace_sequence_mod(pp, lpoly, s, l, 25)
         for k in range(26):
             want = dr.trace_Tpn(pp, k, l) % mod
-            assert ring.decode(seq[k]) == want, (pcodes, lcodes, s, k)
+            assert _poly(field, seq[k].tolist()) == want, (pcodes, lcodes, s, k)
 
 
 PERIOD_TABLE = [
@@ -646,7 +680,7 @@ def verify_dim_congruence(params, alpha, kmax=50):
     all_ok = True
     if kmax < 2:
         return records, all_ok
-    ring = dr.ResidueRing(FqPoly(base, [-alpha, base.one]))
+    ring = dr.ResidueRing(base, FqPoly(base, [-alpha, base.one]).codes())
     seq = np.stack(list(dr._h_kernel(params, kmax - 2, range(1, q), ring)))
     for l in range(1, q):
         for k in range(2, kmax + 1):

@@ -267,6 +267,19 @@ def test_roots_match_scan_over_extensions():
         FqPoly(fq_construct(3, 1), []).roots()
 
 
+def test_roots_in_a_subfield_split_in_few_probes(monkeypatch):
+    # roots 1 and 5 lie in F_13; probing the codes 1, 2, 3, ... in order
+    # took 184 gcd calls here, the strided order takes 7
+    F = fq_construct(13, 6, max_size=13**6)
+    x = FqPoly(F, [F.zero, F.one])
+    f = FqPoly(F, [F.coerce(5), F.coerce(7), F.one]) * (x + F.decode(77)) * (x + F.decode(99991))
+    calls = []
+    gcd = FqPoly.gcd
+    monkeypatch.setattr(FqPoly, "gcd", lambda self, other: calls.append(1) or gcd(self, other))
+    assert [r.code for r in f.roots()] == [1, 5, 105, 302242]
+    assert len(calls) <= 20
+
+
 def test_canonical_irreducibles():
     f2 = fq_construct(2, 1)
     deg2 = canonical_irreducibles(f2, 2)
