@@ -5,11 +5,9 @@ from hecketrace.ffield import (
     DEFAULT_MAX_FIELD_SIZE,
     FqElem,
     FqField,
-    FqPoly,
     PrimePower,
     embed,
     fq_construct,
-    poly_divides_mod,
 )
 
 __version__ = "0.1.0"
@@ -19,10 +17,8 @@ __all__ = [
     "DEFAULT_MAX_FIELD_SIZE",
     "FqElem",
     "FqField",
-    "FqPoly",
     "PrimePower",
     "embed",
     "fq_construct",
-    "poly_divides_mod",
     "__version__",
 ]

@@ -24,7 +24,7 @@ import os
 import random
 import re
 import sys
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from hecketrace.ffield import (
     DEFAULT_MAX_FIELD_SIZE,
@@ -32,11 +32,13 @@ from hecketrace.ffield import (
     CertificateRefused,
     FqElem,
     FqField,
-    FqPoly,
+    field_budget_check,
     field_for,
-    fq_poly_from_codes,
     unlimited_int_digits,
 )
+
+if TYPE_CHECKING:
+    from hecketrace.drinfeld import FqPoly
 
 
 # ---------------------------------------------------------------------------
@@ -46,15 +48,20 @@ from hecketrace.ffield import (
 _TERM_RE = re.compile(r"(-)?(\d+)?\*?(?:(T)(?:\^(\d+))?)?")
 
 
-def parse_fq_poly(field: FqField, text: str) -> FqPoly:
+def parse_fq_poly(field: FqField, text: str, max_size: Optional[int] = None) -> FqPoly:
     """Parse 'T^2+2*T+1' (integer coefficients) or '[c0,c1,...]' (codes).
 
     The bracket form takes ascending element codes and is the only way to
     write coefficients outside the prime field. Over a prime field integers
     reduce mod p. Over F_{p^a} with a > 1 a written integer of p or more is
     rejected, since it would look like an element code but reduce mod p; a
-    minus sign is negation in the field.
+    minus sign is negation in the field.  A degree d with q^d past the
+    field-size cap max_size is refused before any coefficient is built: P
+    of degree d needs a field of q^(n d) elements, and a modulus l of degree
+    d has a weight period of at least q^d - 1.
     """
+    from hecketrace.drinfeld import FqPoly, fq_poly_from_codes
+
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial")
@@ -66,6 +73,7 @@ def parse_fq_poly(field: FqField, text: str) -> FqPoly:
         bad = [c for c in codes if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < field.q]
         if bad:
             raise ValueError(f"entry {json.dumps(bad[0])} of {text!r} is not a code in 0..{field.q - 1}")
+        field_budget_check(field.q, len(codes) - 1, max_size)
         return fq_poly_from_codes(field, codes)
     coeffs: dict = {}
     for term in text.replace(" ", "").replace("-", "+-").split("+"):
@@ -85,6 +93,7 @@ def parse_fq_poly(field: FqField, text: str) -> FqPoly:
         e = (int(m.group(4)) if m.group(4) else 1) if m.group(3) else 0
         coeffs[e] = coeffs.get(e, 0) + c
     top = max(coeffs)
+    field_budget_check(field.q, top, max_size)
     return FqPoly(field, [field.coerce(coeffs.get(e, 0)) for e in range(top + 1)])
 
 
@@ -258,7 +267,7 @@ def _dr_params(args):
     from hecketrace import drinfeld as dr
 
     field = field_for(args.q, args.max_field_size)
-    P = parse_fq_poly(field, args.P)
+    P = parse_fq_poly(field, args.P, args.max_field_size)
     return dr.drinfeld_params(P, args.n, max_field_size=args.max_field_size)
 
 
@@ -320,7 +329,7 @@ def cmd_dr_verify_period(args) -> int:
     from hecketrace import drinfeld as dr
 
     params = _dr_params(args)
-    lpoly = parse_fq_poly(params.base, args.ell)
+    lpoly = parse_fq_poly(params.base, args.ell, args.max_field_size)
     spec, records, ok = dr.verify_period_ff(
         params, lpoly, args.s, args.type, kmin=args.kmin, kmax=args.kmax,
         max_weight=args.max_weight,

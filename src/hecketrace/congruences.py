@@ -1,4 +1,8 @@
-"""Binomial coefficient families, period tables, and periodicity certificates."""
+"""Binomial coefficient families, period tables, and periodicity certificates.
+
+The certificates divide and expand polynomials over Z/m (`ZMod`) with the
+polynomial kernel of `ffield`.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +12,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from hecketrace.ffield import (
     CertificateRefused,
-    ZMod,
+    FieldOps,
     is_prime,
-    poly_divides_mod,
-    rp_coerce,
+    rp_divmod,
     rp_series_quotient,
+    rp_trim,
     weight_budget_check,
 )
 
@@ -85,9 +89,7 @@ def f_denominator(q: int, m: int) -> List[int]:
     for i in range(2 * m + 1):
         out[2 * i] += math.comb(2 * m, i) * q ** i
     out[2 * m] -= 1
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return rp_trim(out)
 
 
 def f_numerator(q: int, r: int, m: int, delta: int, horizon_mult: int = 10) -> List[int]:
@@ -114,10 +116,7 @@ def f_numerator(q: int, r: int, m: int, delta: int, horizon_mult: int = 10) -> L
             raise ArithmeticError(
                 f"series is not rational with the expected denominator at degree {t}"
             )
-    out = prod[: bound + 1]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return rp_trim(prod[: bound + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +212,30 @@ def period_for(
 # certificates
 
 
+class ZMod(FieldOps):
+    """The ring Z/m on ints in [0, m), with the integer arithmetic that
+    `FieldOps` runs for a prime field; inv raises ValueError on a non-unit.
+    Z/m is no field, so Rabin's test and the root finder are not for it."""
+
+    def __init__(self, m: int):
+        if m < 2:
+            raise ValueError("modulus must be >= 2")
+        super().__init__(m)
+        self.m = m
+
+
+def poly_divides_mod(d: Sequence[int], f: Sequence[int], modulus: int) -> Tuple[bool, Optional[list]]:
+    """Decide whether d divides f over Z/modulus, returning (bool, witness).
+
+    The witness is the quotient when divisibility holds, else None. The
+    leading coefficient of d must be a unit after reduction; otherwise
+    ValueError is raised.
+    """
+    ring = ZMod(modulus)
+    quo, rem = rp_divmod(ring, [c % modulus for c in f], [c % modulus for c in d])
+    return (False, None) if rem else (True, quo)
+
+
 def periodic_certificate(
     f: Sequence[int],
     d: Sequence[int],
@@ -227,18 +250,17 @@ def periodic_certificate(
     a_k and a_{k+n} for deg f - deg d < k <= horizon.
     """
     ring = ZMod(modulus)
-    ff = rp_coerce(ring, f)
-    dd = rp_coerce(ring, d)
+    ff = rp_trim([c % modulus for c in f])
+    dd = rp_trim([c % modulus for c in d])
     if not dd:
         raise CertificateRefused("denominator vanishes mod modulus")
-    xn1 = [ring.from_int(-1)] + [0] * (n - 1) + [ring.one]
     try:
-        ok, _ = poly_divides_mod(dd, xn1, ring=ring)
+        ok, _ = poly_divides_mod(dd, [-1] + [0] * (n - 1) + [1], modulus)
     except ValueError as e:
         raise CertificateRefused(str(e))
     if not ok:
         raise CertificateRefused(f"denominator does not divide x^{n} - 1 mod {modulus}")
-    if ring.is_zero(dd[0]) or not ring.is_unit(dd[0]):
+    if math.gcd(dd[0], modulus) != 1:
         raise CertificateRefused("constant term of denominator is not a unit")
     degf = len(ff) - 1 if ff else -1
     degd = len(dd) - 1

@@ -1,5 +1,7 @@
 """Rank-2 Drinfeld modules over prime fields of F_q[T] and their Hecke traces.
 
+Elements of F_q[T] (P, wp, the moduli l and the exact traces) are `FqPoly`
+objects: tuples of coefficient codes on the polynomial kernel of `ffield`.
 A module over the field L with q^m elements is a pair (g, delta) through
 phi_T = gamma(T) + g tau + delta tau^2; isomorphism classes are orbits under
 the twist (g, delta) -> (u^{q-1} g, u^{q^2-1} delta).  Every trace-side
@@ -9,11 +11,11 @@ classes at once on int64 code arrays:
 - `enumerate_classes` names each orbit by a complete invariant of logarithms
   (log g mod q-1 and log delta - (q+1) log g, or log delta alone when g = 0),
   takes the lex-least pair of each, and finds the Frobenius polynomials
-  X^2 - a X + b wp of all classes with one stacked Gauss-Jordan solve over
-  F_p in the twisted polynomial ring (tau c = c^q tau).  It returns one
-  `ClassTable`: read-only code arrays of g, delta, autOrder, orbit size and
-  the Frobenius data a (T-digits) and b, which every later step reads as
-  they are; only `dr enumerate` decodes them, to print;
+  X^2 - a X + b wp of all classes with stacked Gauss-Jordan solves over F_p
+  in the twisted polynomial ring (tau c = c^q tau), a block of classes at a
+  time.  It returns one `ClassTable`: read-only code arrays of g, delta,
+  autOrder, orbit size and the Frobenius data a (T-digits) and b, which
+  every later step reads as they are; only `dr enumerate` decodes them;
 - `_h_kernel` runs the recurrence h_k = a h_{k-1} - b wp h_{k-2} and folds
   each h_k into the requested types.
 
@@ -22,7 +24,10 @@ F_q[T], their residues mod powers of a prime l of F_q[T] (which certify
 weight periodicity), and, with the b wp term dropped, the [c_{k,l}] moment
 tables.  One `ResidueRing` serves every quotient ring on code arrays:
 F_q[T]/l^s for the periods and the split parts, F_q[T]/l for the unit
-filter of the exponent check, and L[x]/(u1) for the torsion oracle.
+filter of the exponent check, and L[x]/(u1) for the torsion oracle.  It and
+`_mul_add` stay apart from the scalar kernel behind `FqPoly`: they pay a
+numpy call per digit, which pays off across thousands of classes and not
+on one polynomial.
 """
 
 from __future__ import annotations
@@ -37,11 +42,19 @@ from hecketrace.ffield import (
     BudgetError,
     FqElem,
     FqField,
-    FqPoly,
     embed,
     factorize,
     fq_construct,
-    fq_poly_from_codes,
+    rp_add,
+    rp_divmod,
+    rp_gcd,
+    rp_is_irreducible,
+    rp_monic,
+    rp_mul,
+    rp_powmod,
+    rp_roots,
+    rp_sub,
+    rp_trim,
     weight_budget_check,
 )
 
@@ -58,20 +71,6 @@ def s_tilde(p: int, s: int) -> int:
     return t
 
 
-def poly_pow(poly: FqPoly, e: int) -> FqPoly:
-    """poly**e by repeated squaring (no modulus)."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = FqPoly(poly.field, [poly.field.one])
-    base = poly
-    while e:
-        if e & 1:
-            result = result * base
-        base = base * base
-        e >>= 1
-    return result
-
-
 def _fold_add(field: FqField, arr: np.ndarray) -> np.ndarray:
     """Sum of code arrays along axis 0: integers mod p in a prime field, XOR
     for p = 2, and otherwise a tree of Zech additions."""
@@ -85,6 +84,113 @@ def _fold_add(field: FqField, arr: np.ndarray) -> np.ndarray:
         top = field.v_add(arr[:half], arr[half : 2 * half])
         arr = np.concatenate([top, arr[2 * half :]], axis=0) if n % 2 else top
     return arr[0]
+
+
+# ---------------------------------------------------------------------------
+# F_q[T]: polynomials over the base field, on the ffield polynomial kernel
+
+
+class FqPoly:
+    """Polynomial over an FqField: a trimmed tuple of coefficient codes,
+    ascending, run through the `ffield` polynomial kernel on the field's
+    `ops`.  Int coefficients are integers, reduced mod p; element codes go
+    through `fq_poly_from_codes`."""
+
+    __slots__ = ("field", "_codes")
+
+    def __init__(self, field: FqField, coeffs: Sequence):
+        self.field = field
+        self._codes = tuple(rp_trim([field.coerce(c).code for c in coeffs]))
+
+    @property
+    def coeffs(self) -> Tuple[FqElem, ...]:
+        return tuple(self.field.decode(c) for c in self._codes)
+
+    def codes(self) -> Tuple[int, ...]:
+        return self._codes
+
+    @property
+    def degree(self) -> int:
+        return len(self._codes) - 1
+
+    def is_zero(self) -> bool:
+        return not self._codes
+
+    def __eq__(self, other):
+        return isinstance(other, FqPoly) and self.field is other.field and self._codes == other._codes
+
+    def __hash__(self):
+        return hash((id(self.field), self._codes))
+
+    def _run(self, kernel, *args) -> "FqPoly":
+        """kernel(ops, codes, *args) as an FqPoly; FqPoly, int and FqElem
+        arguments are passed as their codes."""
+        args = [a._codes if isinstance(a, FqPoly) else [self.field.coerce(a).code] for a in args]
+        return fq_poly_from_codes(self.field, kernel(self.field.ops, self._codes, *args))
+
+    def __add__(self, other):
+        return self._run(rp_add, other)
+
+    def __sub__(self, other):
+        return self._run(rp_sub, other)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        return self._run(rp_mul, other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "FqPoly":
+        return fq_poly_from_codes(self.field, rp_powmod(self.field.ops, self._codes, e))
+
+    def divmod(self, other: "FqPoly") -> Tuple["FqPoly", "FqPoly"]:
+        quo, rem = rp_divmod(self.field.ops, self._codes, other._codes)
+        return fq_poly_from_codes(self.field, quo), fq_poly_from_codes(self.field, rem)
+
+    def __mod__(self, other):
+        return self.divmod(other)[1]
+
+    def __floordiv__(self, other):
+        return self.divmod(other)[0]
+
+    def gcd(self, other: "FqPoly") -> "FqPoly":
+        return self._run(rp_gcd, other)
+
+    def monic(self) -> "FqPoly":
+        return self._run(rp_monic)
+
+    def pow_mod(self, e: int, m: "FqPoly") -> "FqPoly":
+        return fq_poly_from_codes(self.field, rp_powmod(self.field.ops, self._codes, e, m._codes))
+
+    def is_irreducible(self) -> bool:
+        return rp_is_irreducible(self.field.ops, self._codes)
+
+    def roots(self) -> List[FqElem]:
+        """All roots in the base field, sorted by code."""
+        return [self.field.decode(c) for c in rp_roots(self.field.ops, self._codes)]
+
+    def __repr__(self):
+        parts = [f"{c}*T^{i}" for i, c in enumerate(self._codes) if c]
+        return f"FqPoly({' + '.join(parts)} over F_{self.field.q})" if parts else "FqPoly(0)"
+
+
+def fq_poly_from_codes(field: FqField, codes: Sequence[int]) -> FqPoly:
+    poly = FqPoly.__new__(FqPoly)
+    poly.field, poly._codes = field, tuple(rp_trim([c % field.q for c in codes]))
+    return poly
+
+
+def canonical_irreducibles(field: FqField, degree: int) -> List[FqPoly]:
+    """All monic irreducible polynomials of the given degree, in code order."""
+    q = field.q
+    out = []
+    for code in range(q**degree):
+        coeffs = [code // q**i % q for i in range(degree)] + [1]
+        if rp_is_irreducible(field.ops, coeffs):
+            out.append(fq_poly_from_codes(field, coeffs))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +233,20 @@ class DrinfeldParams:
 def drinfeld_params(P: FqPoly, n: int, max_field_size: Optional[int] = None) -> DrinfeldParams:
     """Build DrinfeldParams for the prime (P) and Frobenius power n."""
     base = P.field
-    if P.degree < 1 or P.coeffs[-1] != base.one:
+    if P.degree < 1 or P.codes()[-1] != 1:
         raise ValueError("P must be monic of positive degree")
-    if not P.is_irreducible():
-        raise ValueError("P must be irreducible")
     if n < 1:
         raise ValueError("n must be >= 1")
     m = n * P.degree
+    # the field budget first: Rabin's test alone runs for long at a large deg P
     L = fq_construct(base.p, base.a * m, max_size=max_field_size)
-    lifted = FqPoly(L, [embed(c, L) for c in P.coeffs])
-    roots = lifted.roots()
+    if not P.is_irreducible():
+        raise ValueError("P must be irreducible")
+    roots = FqPoly(L, [embed(c, L) for c in P.coeffs]).roots()
     if not roots:
         raise ArithmeticError(f"P has no root in the field with {L.q} elements")
     gamma_t = roots[0]
-    params = DrinfeldParams(base, P, n, L, gamma_t, poly_pow(P, n), m)
+    params = DrinfeldParams(base, P, n, L, gamma_t, P**n, m)
     if not params.reduce(P).is_zero():
         raise ArithmeticError("P does not reduce to 0 at its chosen root")
     return params
@@ -295,6 +401,9 @@ class ClassTable:
 
 # (g, delta) pairs per block when orbit sizes are counted
 _PAIR_BLOCK = 1 << 12
+# classes per block of the Frobenius solve, whose stacked systems and
+# Gauss-Jordan temporaries take about 9 KB per class at |L| = 5^6
+_SOLVE_BLOCK = 1 << 11
 
 
 def _twist_key(L: FqField, q: int, g: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -453,8 +562,8 @@ def enumerate_classes(params: DrinfeldParams) -> ClassTable:
 
     The representatives are read off the complete orbit invariant of
     `_twist_key`, without a bitmap of seen pairs, and the Frobenius data of
-    all classes come from one stacked solve; autOrder is the twist stabilizer
-    size.  Checked, each failure raising ArithmeticError: the orbit-stabilizer
+    all classes come from stacked solves, `_SOLVE_BLOCK` classes at a time to
+    bound their memory; autOrder is the twist stabilizer size.  Checked, each failure raising ArithmeticError: the orbit-stabilizer
     identity autOrder * orbitSize = |L| - 1, autOrder = -1 mod p, the
     partition total sum(orbitSize) = |L|(|L|-1), and, in `_frobenius_batch`,
     a unique Frobenius solve with b != 0, the slope bound 2 deg(a) <= m and
@@ -475,7 +584,11 @@ def enumerate_classes(params: DrinfeldParams) -> ClassTable:
     total = int(size.sum())
     if total != qL * (qL - 1):
         raise ArithmeticError(f"orbits cover {total} pairs, not |L|(|L|-1) = {qL * (qL - 1)}")
-    a, b = _frobenius_batch(params, g, delta)
+    blocks = [
+        _frobenius_batch(params, g[lo : lo + _SOLVE_BLOCK], delta[lo : lo + _SOLVE_BLOCK])
+        for lo in range(0, len(g), _SOLVE_BLOCK)
+    ]
+    a, b = (np.concatenate(parts) for parts in zip(*blocks))
     table = ClassTable(g, delta, aut, size, _trim_columns(a), b)
     _CLASS_CACHE[params] = table
     return table
@@ -498,7 +611,7 @@ def frobenius_mod_torsion(
     phi_chi(x) gives the companion matrix.  No factoring, no extensions.
     """
     base, L = params.base, params.L
-    if laux.degree < 1 or laux.coeffs[-1] != base.one or not laux.is_irreducible():
+    if laux.degree < 1 or laux.codes()[-1] != 1 or not laux.is_irreducible():
         raise ValueError("laux must be monic irreducible")
     if laux == params.P:
         raise ValueError("the auxiliary prime must not divide wp")
@@ -695,9 +808,9 @@ def g_coeff(b: FqElem, r: int, m: int, k: int, params: DrinfeldParams) -> FqPoly
     if m < 1:
         raise ValueError("m must be >= 1")
     base = params.base
-    step = poly_pow(params.wp * (-b), m)
+    step = (params.wp * (-b)) ** m
     j0 = r % m
-    term = poly_pow(params.wp * (-b), j0)
+    term = (params.wp * (-b)) ** j0
     acc = FqPoly(base, [])
     for j in range(j0, k // 2 + 1, m):
         c = math.comb(k - j, j) % params.p
@@ -734,7 +847,7 @@ def g_series_numerator(
     series = [g_coeff(b, r, m, k, params) for k in range(T + 1)]
     den = [FqPoly(base, [base.coerce((-1) ** i * math.comb(m, i))]) for i in range(m + 1)]
     den += [FqPoly(base, [])] * (2 * m - m)
-    den[2 * m] = den[2 * m] - poly_pow(params.wp * (-b), m)
+    den[2 * m] = den[2 * m] - (params.wp * (-b)) ** m
     prod = []
     for t in range(T + 1):
         acc = FqPoly(base, [])
@@ -753,20 +866,14 @@ def h_series_numerator(
     """Numerator of sum_k h_k x^k against (1-x)^m - (b x^2)^m, as a poly in x."""
     field = b.field
     T = 4 * m + 2 if terms is None else terms
-    series = [h_coeff(b, r, m, k) for k in range(T + 1)]
-    den = [field.coerce((-1) ** i * math.comb(m, i)) for i in range(m + 1)]
-    den += [field.zero] * (2 * m - m)
-    den[2 * m] = den[2 * m] - b**m
-    prod = []
-    for t in range(T + 1):
-        acc = field.zero
-        for i in range(min(t, 2 * m) + 1):
-            acc = acc + den[i] * series[t - i]
-        prod.append(acc)
-    for t in range(2 * m - 1, T + 1):
-        if not prod[t].is_zero():
+    series = [h_coeff(b, r, m, k).code for k in range(T + 1)]
+    den = [field.coerce((-1) ** i * math.comb(m, i)).code for i in range(m + 1)]
+    den += [0] * (m - 1) + [field.ops.neg((b**m).code)]
+    prod = rp_mul(field.ops, den, series)[: T + 1]
+    for t in range(2 * m - 1, len(prod)):
+        if prod[t]:
             raise ArithmeticError(f"series tail does not vanish at x^{t}")
-    return FqPoly(field, prod[: 2 * m - 1])
+    return fq_poly_from_codes(field, prod[: 2 * m - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +952,7 @@ def trace_sequence_mod(
     `_h_kernel` run on residues mod lpoly^s: row k is the residue of
     trace_Tpn(params, k, l), without ever forming the exact trace.
     """
-    ring = ResidueRing(params.base, poly_pow(lpoly, s).codes())
+    ring = ResidueRing(params.base, (lpoly**s).codes())
     return np.stack([rows[0] for rows in _h_kernel(params, kmax, (l,), ring)])
 
 
@@ -883,14 +990,11 @@ def residue_symbol(params: DrinfeldParams, lpoly: FqPoly) -> int:
     if base.p == 2:
         raise ValueError("residue symbol needs odd characteristic")
     e = (params.q ** lpoly.degree - 1) // 2
-    r = params.wp.pow_mod(e, lpoly)
-    if r.is_zero():
-        return 0
-    if r == FqPoly(base, [base.one]):
-        return 1
-    if r == FqPoly(base, [base.coerce(-1)]):
-        return -1
-    raise ArithmeticError("Euler power is not 0 or +-1; lpoly not irreducible?")
+    symbols = {(): 0, (1,): 1, (base.coerce(-1).code,): -1}
+    r = params.wp.pow_mod(e, lpoly).codes()
+    if r not in symbols:
+        raise ArithmeticError("Euler power is not 0 or +-1; lpoly not irreducible?")
+    return symbols[r]
 
 
 def dperiod_for(params: DrinfeldParams, lpoly: FqPoly, s: int) -> DPeriodSpec:
@@ -902,7 +1006,7 @@ def dperiod_for(params: DrinfeldParams, lpoly: FqPoly, s: int) -> DPeriodSpec:
     p^{st}(|l|-1) with a later floor.
     """
     base = params.base
-    if lpoly.degree < 1 or lpoly.coeffs[-1] != base.one or not lpoly.is_irreducible():
+    if lpoly.degree < 1 or lpoly.codes()[-1] != 1 or not lpoly.is_irreducible():
         raise ValueError("lpoly must be monic irreducible")
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -1044,7 +1148,7 @@ def verify_period_ff(
         raise ValueError("empty window")
     weight_budget_check(kmax + spec.period + 2, max_weight)
     base = params.base
-    ring = ResidueRing(base, poly_pow(lpoly, s).codes())
+    ring = ResidueRing(base, (lpoly**s).codes())
     seq = trace_sequence_mod(params, lpoly, s, l, kmax + spec.period)
     nvals, uvals = _split_parts(params, spec, ring, l, kmin, kmax)
     resums = base.v_mul(base.v_add(nvals, uvals), np.int64(base.coerce(-1).code))
@@ -1097,7 +1201,7 @@ def verify_infty_period(
     if kmax is None:
         kmax = kmin + 2 * n
     traces = [fq_poly_from_codes(params.base, r[0].tolist()) for r in _h_kernel(params, kmax + n, (l,))]
-    shift = poly_pow(-params.wp, n // 2)
+    shift = (-params.wp) ** (n // 2)
     records = []
     all_ok = True
     for k in range(kmin, kmax + 1):
@@ -1169,7 +1273,7 @@ def _unit_array(lpoly: FqPoly, s: int, max_size: Optional[int]) -> Tuple[Residue
     expected_units = q ** (lpoly.degree * (s - 1)) * (q**lpoly.degree - 1)
     if len(units) != expected_units:
         raise ArithmeticError(f"found {len(units)} units, not {expected_units}")
-    return ResidueRing(field, poly_pow(lpoly, s).codes()), units
+    return ResidueRing(field, (lpoly**s).codes()), units
 
 
 def unit_group_exponent(lpoly: FqPoly, s: int, max_size: Optional[int] = None) -> int:
@@ -1180,7 +1284,7 @@ def unit_group_exponent(lpoly: FqPoly, s: int, max_size: Optional[int] = None) -
     over the first four units rejects most candidates before the full one).
     """
     field = lpoly.field
-    if lpoly.degree < 1 or lpoly.coeffs[-1] != field.one or not lpoly.is_irreducible():
+    if lpoly.degree < 1 or lpoly.codes()[-1] != 1 or not lpoly.is_irreducible():
         raise ValueError("lpoly must be monic irreducible")
     if s < 1:
         raise ValueError("s must be >= 1")

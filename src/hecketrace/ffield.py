@@ -1,12 +1,16 @@
-"""Exact arithmetic in F_q, its extensions, and small residue rings.
+"""Exact arithmetic in F_q and its extensions, and the one polynomial kernel.
 
 Everything is integer based: field elements are coefficient vectors over F_p,
 optionally mirrored into numpy log/exp/Zech tables for bulk work. No floats.
+The `rp_*` functions do dense polynomial arithmetic on element codes over any
+ring that supplies four scalar operations: F_p and F_q here (`FieldOps`), Z/m
+in `congruences`, and F_q[T] through `drinfeld.FqPoly`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -51,11 +55,13 @@ def weight_budget_check(top_weight: int, max_weight: Optional[int]) -> None:
         )
 
 
-def _budget_check(size: int, max_size: Optional[int], cap_name: str, flag: str) -> None:
+def field_budget_check(q: int, degree: int, max_size: Optional[int]) -> None:
+    """Raise BudgetError when q^degree passes the field-size cap (None: the
+    default); a q^degree far past it is refused by bit length, unformed."""
     cap = DEFAULT_MAX_FIELD_SIZE if max_size is None else max_size
-    if size > cap:
+    if degree * (q.bit_length() - 1) >= cap.bit_length() or q**degree > cap:
         raise BudgetError(
-            f"requested size {size} exceeds {cap_name}={cap}; raise it with {flag}"
+            f"requested size {q}^{degree} exceeds max_field_size={cap}; raise it with --max-field-size"
         )
 
 
@@ -144,78 +150,203 @@ def prime_power_decompose(q: int) -> PrimePower:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over F_p as int tuples (ascending powers)
+# the polynomial kernel: dense polynomials as lists of element codes,
+# ascending powers, trimmed.  A ring supplies four scalar operations on codes,
+# add, neg, mul and inv, and code 0 is zero and code 1 is one in every ring
+# used: F_p and F_q through `FieldOps`, Z/m through `congruences.ZMod`.
+# Rabin's test and the root finder also read the field's q, p and a.
 
 
-def _pp_trim(c: List[int]) -> Tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+class FieldOps:
+    """The kernel's scalar operations on the element codes of F_{p^a}: ints
+    mod p when a = 1, otherwise the field's log, exp and Zech tables, indexed
+    in place (list copies of the F_{2^20} tables would cost about 100 MB).
+    For a = 1 the arithmetic is that of Z/p for any p >= 2, where inv raises
+    ValueError on a non-unit, which `congruences.ZMod` relies on."""
+
+    def __init__(self, p: int, a: int = 1, tables: Optional[dict] = None):
+        self.p, self.a, self.q = p, a, p**a
+        if a == 1:
+            self.add = lambda x, y: (x + y) % p
+            self.neg = lambda x: -x % p
+            self.mul = lambda x, y: x * y % p
+            self.inv = lambda x: pow(x, -1, p)
+            return
+        log, exp, zech, n = tables["log"], tables["exp"], tables["zech"], self.q - 1
+
+        def add(x: int, y: int) -> int:
+            if not x or not y:
+                return x or y
+            z = zech[(log[y] - log[x]) % n]  # -1 where y = -x
+            return 0 if z < 0 else int(exp[(log[x] + z) % n])
+
+        self.add = add
+        self.mul = mul = lambda x, y: int(exp[(log[x] + log[y]) % n]) if x and y else 0
+        self.neg = lambda x: mul(x, p - 1)  # -1 is the constant p - 1, code p - 1
+        self.inv = lambda x: int(exp[-log[x] % n])
 
 
-def _pp_mul(u: Sequence[int], v: Sequence[int], p: int) -> Tuple[int, ...]:
-    if not u or not v:
-        return ()
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pp_trim(out)
+def rp_trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
-def _pp_mod(u: Sequence[int], m: Sequence[int], p: int) -> Tuple[int, ...]:
-    r = list(u)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(r) - 1 >= dm and r:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dm:
-            break
-        c = r[-1] * inv_lead % p
-        shift = len(r) - 1 - dm
-        for i, b in enumerate(m):
-            r[shift + i] = (r[shift + i] - c * b) % p
-    return _pp_trim(r)
+def rp_add(ring, f: Sequence[int], g: Sequence[int]) -> list:
+    if len(f) < len(g):
+        f, g = g, f
+    out, add = list(f), ring.add
+    for i, c in enumerate(g):
+        out[i] = add(out[i], c)
+    return rp_trim(out)
 
 
-def _pp_powmod(u: Sequence[int], e: int, m: Sequence[int], p: int) -> Tuple[int, ...]:
-    result: Tuple[int, ...] = (1,)
-    base = _pp_mod(u, m, p)
+def rp_sub(ring, f: Sequence[int], g: Sequence[int]) -> list:
+    neg = ring.neg
+    return rp_add(ring, f, [neg(c) for c in g])
+
+
+def rp_monic(ring, f: Sequence[int]) -> list:
+    """f over its leading coefficient, which must be invertible."""
+    return list(f) if not f or f[-1] == 1 else rp_mul(ring, f, [ring.inv(f[-1])])
+
+
+def rp_mul(ring, f: Sequence[int], g: Sequence[int]) -> list:
+    if not f or not g:
+        return []
+    add, mul = ring.add, ring.mul
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g, i):
+                if y:
+                    out[j] = add(out[j], mul(x, y))
+    return rp_trim(out)
+
+
+def rp_divmod(ring, f: Sequence[int], d: Sequence[int]) -> Tuple[list, list]:
+    """Quotient and remainder of long division by d, whose leading
+    coefficient must be invertible (`ring.inv` raises otherwise)."""
+    d = rp_trim(list(d))
+    if not d:
+        raise ZeroDivisionError("division by the zero polynomial")
+    inv_lead = 1 if d[-1] == 1 else ring.inv(d[-1])
+    add, mul, top = ring.add, ring.mul, len(d) - 1
+    rem = list(f)
+    if len(rem) <= top:
+        return [], rp_trim(rem)
+    neg_d = [ring.neg(b) for b in d[:-1]]
+    quo = [0] * (len(rem) - top)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + top]
+        if c:
+            c = quo[k] = c if inv_lead == 1 else mul(c, inv_lead)
+            for i, b in enumerate(neg_d, k):
+                if b:
+                    rem[i] = add(rem[i], mul(c, b))
+    return rp_trim(quo), rp_trim(rem[:top])
+
+
+def rp_powmod(ring, f: Sequence[int], e: int, m: Optional[Sequence[int]] = None) -> list:
+    """f^e by repeated squaring, reduced mod m when m is given."""
+    if e < 0:
+        raise ValueError("negative exponent")
+
+    def reduce(g: list) -> list:
+        return g if m is None else rp_divmod(ring, g, m)[1]
+
+    result, base = [1], reduce(list(f))
     while e:
         if e & 1:
-            result = _pp_mod(_pp_mul(result, base, p), m, p)
-        base = _pp_mod(_pp_mul(base, base, p), m, p)
+            result = reduce(rp_mul(ring, result, base))
         e >>= 1
+        if e:
+            base = reduce(rp_mul(ring, base, base))
     return result
 
 
-def _pp_gcd(u: Tuple[int, ...], v: Tuple[int, ...], p: int) -> Tuple[int, ...]:
-    while v:
-        u, v = v, _pp_mod(u, v, p)
-    return u
+def rp_gcd(ring, f: Sequence[int], g: Sequence[int]) -> list:
+    """The monic gcd over a field; [] when f and g are both zero."""
+    f, g = rp_trim(list(f)), rp_trim(list(g))
+    while g:
+        f, g = g, rp_divmod(ring, f, g)[1]
+    return rp_monic(ring, f)
 
 
-def _pp_is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin test for a monic polynomial over F_p."""
-    n = len(f) - 1
-    if n <= 0:
+def rp_series_quotient(ring, f: Sequence[int], d: Sequence[int], nterms: int) -> list:
+    """First nterms coefficients of the power series f/d; d[0] must be a unit."""
+    if not d or not d[0]:
+        raise ValueError("constant term of the denominator is not a unit")
+    add, mul, inv0 = ring.add, ring.mul, ring.inv(d[0])
+    neg_d = [ring.neg(c) for c in d]
+    out: list = []
+    for k in range(nterms):
+        acc = f[k] if k < len(f) else 0
+        for j in range(1, min(k, len(d) - 1) + 1):
+            acc = add(acc, mul(neg_d[j], out[k - j]))
+        out.append(mul(acc, inv0))
+    return out
+
+
+def rp_is_irreducible(ring, f: Sequence[int]) -> bool:
+    """Rabin's test over the field F_q: f of degree n > 1 is irreducible iff
+    x^(q^n) = x mod f and gcd(f, x^(q^(n/r)) - x) = 1 for each prime r | n."""
+    f = rp_monic(ring, rp_trim(list(f)))
+    n, x = len(f) - 1, [0, 1]
+    if n <= 1:
+        return n == 1
+    if rp_sub(ring, rp_powmod(ring, x, ring.q**n, f), x):
         return False
-    x = (0, 1)
+    return all(
+        len(rp_gcd(ring, f, rp_sub(ring, rp_powmod(ring, x, ring.q ** (n // r), f), x))) == 1
+        for r in factorize(n)
+    )
 
-    def minus_x(g: Tuple[int, ...]) -> Tuple[int, ...]:
-        d = list(g) + [0] * (2 - len(g))
-        d[1] = (d[1] - 1) % p
-        return _pp_trim(d)
 
-    if minus_x(_pp_powmod(x, p ** n, f, p)):
-        return False
-    for r in factorize(n):
-        h = minus_x(_pp_powmod(x, p ** (n // r), f, p))
-        if len(_pp_gcd(h, tuple(f), p)) > 1:
-            return False
-    return True
+def rp_roots(ring, f: Sequence[int]) -> List[int]:
+    """Codes of all roots of f in the field F_q, sorted, by equal-degree
+    splitting (Cantor-Zassenhaus).
+
+    r = gcd(f, x^q - x) is the product of the distinct linear factors.  It is
+    split by gcd(r, (x + d)^((q-1)/2) - 1) for odd q, and by gcd(r, Tr(d x))
+    with Tr(y) = y + y^2 + ... + y^(q/2) for even q, with d running over every
+    code once, in the order i M mod q for i = 1, ..., q, until every factor is
+    linear.  M is near 0.618 q and prime to q: the codes 1, 2, 3, ... stay in
+    the F_p-span of 1 and the generator for p^2 probes, and there they can
+    fail to separate roots that lie in a subfield.
+    """
+    f = rp_monic(ring, rp_trim(list(f)))
+    if not f:
+        raise ValueError("the zero polynomial has every element as a root")
+    q, x = ring.q, [0, 1]
+
+    def probe(d: int, r: list) -> list:
+        if ring.p != 2:
+            return rp_sub(ring, rp_powmod(ring, [d, 1], (q - 1) // 2, r), [1])
+        t = acc = rp_divmod(ring, [0, d], r)[1]
+        for _ in range(ring.a - 1):
+            t = rp_divmod(ring, rp_mul(ring, t, t), r)[1]
+            acc = rp_add(ring, acc, t)
+        return acc
+
+    stride = int(0.618 * q) or 1
+    while math.gcd(stride, q) != 1:
+        stride += 1
+    todo = [rp_gcd(ring, f, rp_sub(ring, rp_powmod(ring, x, q, f), x))] if len(f) > 1 else []
+    roots = []
+    while todo:
+        r = todo.pop()
+        if len(r) == 2:
+            roots.append(ring.neg(r[0]))
+        elif len(r) > 2:
+            for i in range(1, q + 1):
+                g = rp_gcd(ring, r, probe(i * stride % q, r))
+                if 1 < len(g) < len(r):
+                    todo += [g, rp_divmod(ring, r, g)[0]]
+                    break
+            else:
+                raise ArithmeticError(f"no split of a product of {len(r) - 1} linear factors")
+    return sorted(roots)
 
 
 def canonical_modulus(p: int, a: int) -> Tuple[int, ...]:
@@ -226,16 +357,11 @@ def canonical_modulus(p: int, a: int) -> Tuple[int, ...]:
     """
     if a == 1:
         return (0, 1)
-    base = p ** a
-    for code in range(base, 2 * base):
-        c = code
-        coeffs = []
-        for _ in range(a + 1):
-            coeffs.append(c % p)
-            c //= p
-        if coeffs[0] == 0:
-            continue  # x | f, reducible; cheap skip
-        if _pp_is_irreducible(coeffs, p):
+    ring = FieldOps(p)
+    for code in range(p**a, 2 * p**a):
+        coeffs = [code // p**i % p for i in range(a + 1)]
+        # coeffs[0] = 0: x | f, reducible; cheap skip
+        if coeffs[0] and rp_is_irreducible(ring, coeffs):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found")
 
@@ -260,8 +386,7 @@ class FqElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self.field.coerce(other)
-        return FqElem(self.field, self.field._sub(self.coeffs, other.coeffs))
+        return self + -self.field.coerce(other)
 
     def __rsub__(self, other):
         return self.field.coerce(other) - self
@@ -289,14 +414,10 @@ class FqElem:
                 raise ZeroDivisionError("inverse of zero")
             return f.one if e == 0 else f.zero
         e %= f.q - 1
-        result = f.one.coeffs
-        base = self.coeffs
-        while e:
-            if e & 1:
-                result = f._mul(result, base)
-            base = f._mul(base, base)
-            e >>= 1
-        return FqElem(f, result)
+        if f.a == 1:
+            return FqElem(f, (pow(self.coeffs[0], e, f.p),))
+        r = rp_powmod(f._fp, self.coeffs, e, f.modulus)
+        return FqElem(f, tuple(r) + (0,) * (f.a - len(r)))
 
     def inverse(self) -> "FqElem":
         if self.is_zero():
@@ -339,19 +460,7 @@ class FqField:
         self.a = a
         self.q = p ** a
         self.modulus = canonical_modulus(p, a)
-        # rows[i] = coefficients of x^(a+i) reduced mod the modulus
-        rows = []
-        cur = tuple((-c) % p for c in self.modulus[:-1])
-        rows.append(cur)
-        for _ in range(a - 2):
-            nxt = [0] + list(cur[:-1])
-            hi = cur[-1]
-            if hi:
-                for j in range(a):
-                    nxt[j] = (nxt[j] + hi * rows[0][j]) % p
-            cur = tuple(nxt)
-            rows.append(cur)
-        self._rows = rows
+        self._fp = FieldOps(p)
         self.zero = FqElem(self, (0,) * a)
         self.one = FqElem(self, tuple([1] + [0] * (a - 1)))
         self.gen = FqElem(self, tuple([0, 1] + [0] * (a - 2))) if a > 1 else FqElem(self, (1,))
@@ -364,31 +473,16 @@ class FqField:
         p = self.p
         return tuple((x + y) % p for x, y in zip(u, v))
 
-    def _sub(self, u, v):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(u, v))
-
     def _neg(self, u):
         p = self.p
         return tuple((-x) % p for x in u)
 
     def _mul(self, u, v):
-        p, a = self.p, self.a
-        if a == 1:
-            return (u[0] * v[0] % p,)
-        prod = [0] * (2 * a - 1)
-        for i, x in enumerate(u):
-            if x:
-                for j, y in enumerate(v):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        out = prod[:a]
-        for i in range(a, 2 * a - 1):
-            hi = prod[i]
-            if hi:
-                row = self._rows[i - a]
-                for j in range(a):
-                    out[j] = (out[j] + hi * row[j]) % p
-        return tuple(out)
+        """The product in F_p[x] reduced mod the modulus, by the kernel."""
+        if self.a == 1:
+            return (u[0] * v[0] % self.p,)
+        r = rp_divmod(self._fp, rp_mul(self._fp, u, v), self.modulus)[1]
+        return tuple(r) + (0,) * (self.a - len(r))
 
     # element constructors ---------------------------------------------------
 
@@ -428,6 +522,12 @@ class FqField:
             if all((g ** ((self.q - 1) // r)) != self.one for r in fac) or self.q == 2:
                 return g
         raise AssertionError("no generator found")
+
+    @functools.cached_property
+    def ops(self) -> FieldOps:
+        """The polynomial kernel's scalar operations on this field's codes;
+        an extension field builds its tables for them."""
+        return FieldOps(self.p, self.a, self.tables()) if self.a > 1 else self._fp
 
     # numpy table layer -------------------------------------------------------
 
@@ -549,7 +649,7 @@ def fq_construct(p: int, a: int, max_size: Optional[int] = None) -> FqField:
         raise ValueError(f"{p} is not prime")
     if a < 1:
         raise ValueError("extension degree must be >= 1")
-    _budget_check(p ** a, max_size, "max_field_size", "--max-field-size")
+    field_budget_check(p, a, max_size)
     key = (p, a)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = FqField(p, a)
@@ -569,7 +669,8 @@ def embed(e: FqElem, target: FqField) -> FqElem:
     """Map e into an extension field along the canonical embedding.
 
     The embedding sends the source generator to the least root (by code) of
-    the source modulus in the target, found by `FqPoly.roots`; a prime
+    the source modulus in the target, found by `rp_roots` (the modulus has
+    F_p coefficients, whose codes are the same in every extension); a prime
     source field needs no root, as its elements are the constants.
     """
     src = e.field
@@ -582,355 +683,19 @@ def embed(e: FqElem, target: FqField) -> FqElem:
     if powers is None:
         powers = [target.one]
         if src.a > 1:
-            roots = FqPoly(target, [target.coerce(c) for c in src.modulus]).roots()
+            roots = rp_roots(target.ops, src.modulus)
             if len(roots) != src.a:
                 raise ArithmeticError(
                     f"the modulus of F_{src.q} has {len(roots)} roots in F_{target.q}"
                 )
             for _ in range(src.a - 1):
-                powers.append(powers[-1] * roots[0])
+                powers.append(powers[-1] * target.decode(roots[0]))
         _EMBED_CACHE[key] = powers
     acc = target.zero
     for c, pw in zip(e.coeffs, powers):
         if c:
             acc = acc + pw * c
     return acc
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials over an FqField
-
-
-class FqPoly:
-    """Polynomial with FqElem coefficients, ascending powers, trimmed."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FqField, coeffs: Sequence):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, FqPoly) and self.field is other.field and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = a[i] + c
-        return FqPoly(self.field, a)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = a[i] - c
-        return FqPoly(self.field, a)
-
-    def __neg__(self):
-        return FqPoly(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, FqElem)):
-            c = self.field.coerce(other)
-            return FqPoly(self.field, [x * c for x in self.coeffs])
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return FqPoly(self.field, [])
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + x * y
-        return FqPoly(self.field, out)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other) -> "FqPoly":
-        if isinstance(other, FqPoly):
-            return other
-        if isinstance(other, (int, FqElem)):
-            return FqPoly(self.field, [other])
-        raise TypeError(f"cannot coerce {other!r}")
-
-    def divmod(self, other: "FqPoly") -> Tuple["FqPoly", "FqPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return FqPoly(f, []), self
-        lead = other.coeffs[-1]
-        inv_lead = lead if lead == f.one else lead.inverse()  # monic divisors skip a power
-        quo = [f.zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            quo[k] = c
-            if not c.is_zero():
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] = rem[k + i] - c * b
-        return FqPoly(f, quo), FqPoly(f, rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def gcd(self, other: "FqPoly") -> "FqPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
-    def monic(self) -> "FqPoly":
-        if self.is_zero():
-            return self
-        inv = self.coeffs[-1].inverse()
-        return FqPoly(self.field, [c * inv for c in self.coeffs])
-
-    def pow_mod(self, e: int, m: "FqPoly") -> "FqPoly":
-        result = FqPoly(self.field, [self.field.one])
-        base = self % m
-        while e:
-            if e & 1:
-                result = (result * base) % m
-            base = (base * base) % m
-            e >>= 1
-        return result
-
-    def is_irreducible(self) -> bool:
-        """Rabin irreducibility test over F_q."""
-        n = self.degree
-        if n <= 0:
-            return False
-        if n == 1:
-            return True
-        f = self.monic()
-        q = self.field.q
-        x = FqPoly(self.field, [self.field.zero, self.field.one])
-        xq = x.pow_mod(q ** n, f)
-        if xq != x % f:
-            return False
-        for r in factorize(n):
-            h = x.pow_mod(q ** (n // r), f) - x
-            if f.gcd(h).degree > 0:
-                return False
-        return True
-
-    def roots(self) -> List[FqElem]:
-        """All roots in the base field, sorted by code, by equal-degree
-        splitting (Cantor-Zassenhaus).
-
-        r = gcd(f, x^q - x) is the product of the distinct linear factors.
-        It is split by gcd(r, (x + d)^((q-1)/2) - 1) for odd q, and by
-        gcd(r, Tr(d x)) with Tr(y) = y + y^2 + ... + y^(q/2) for even q, with
-        d running over every code once, in the order i M mod q for
-        i = 1, ..., q, until every factor is linear.  M is near 0.618 q and
-        prime to q: the codes 1, 2, 3, ... stay in the F_p-span of 1 and the
-        generator for p^2 probes, and there they can fail to separate roots
-        that lie in a subfield.
-        """
-        if self.is_zero():
-            raise ValueError("the zero polynomial has every element as a root")
-        fld = self.field
-        x = FqPoly(fld, [fld.zero, fld.one])
-
-        def probe(d: FqElem, r: "FqPoly") -> "FqPoly":
-            if fld.p != 2:
-                return (x + d).pow_mod((fld.q - 1) // 2, r) - FqPoly(fld, [fld.one])
-            t = (x * d) % r
-            acc = t
-            for _ in range(fld.a - 1):
-                t = (t * t) % r
-                acc = acc + t
-            return acc
-
-        stride = int(0.618 * fld.q) or 1
-        while math.gcd(stride, fld.q) != 1:
-            stride += 1
-        f = self.monic()
-        todo = [f.gcd(x.pow_mod(fld.q, f) - x)] if f.degree > 0 else []
-        roots = []
-        while todo:
-            r = todo.pop()
-            if r.degree == 1:
-                roots.append(-r.coeffs[0])
-            elif r.degree > 1:
-                for i in range(1, fld.q + 1):
-                    g = r.gcd(probe(fld.decode(i * stride % fld.q), r))
-                    if 0 < g.degree < r.degree:
-                        todo += [g, r // g]
-                        break
-                else:
-                    raise ArithmeticError(f"no split of a product of {r.degree} linear factors")
-        return sorted(roots, key=lambda e: e.code)
-
-    def codes(self) -> Tuple[int, ...]:
-        return tuple(c.code for c in self.coeffs)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "FqPoly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                parts.append(f"{c.code}*T^{i}")
-        return "FqPoly(" + " + ".join(parts) + f" over F_{self.field.q})"
-
-
-def fq_poly_from_codes(field: FqField, codes: Sequence[int]) -> FqPoly:
-    return FqPoly(field, [field.decode(c % field.q) for c in codes])
-
-
-def canonical_irreducibles(field: FqField, degree: int) -> List[FqPoly]:
-    """All monic irreducible polynomials of the given degree, in code order."""
-    q = field.q
-    out = []
-    for code in range(q ** degree):
-        c = code
-        coeffs = []
-        for _ in range(degree):
-            coeffs.append(c % q)
-            c //= q
-        poly = FqPoly(field, [field.decode(d) for d in coeffs] + [field.one])
-        if poly.is_irreducible():
-            out.append(poly)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# residue rings with a shared tiny protocol:
-#   zero/one attributes, from_int, add, sub, neg, mul, eq via ==,
-#   is_unit, inv
-
-
-class ZMod:
-    """The ring Z/m with int elements in [0, m)."""
-
-    def __init__(self, m: int):
-        if m < 2:
-            raise ValueError("modulus must be >= 2")
-        self.m = m
-        self.zero = 0
-        self.one = 1 % m
-
-    def from_int(self, n: int) -> int:
-        return n % self.m
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.m
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.m
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.m
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.m
-
-    def is_unit(self, a: int) -> bool:
-        return math.gcd(a, self.m) == 1
-
-    def inv(self, a: int) -> int:
-        if not self.is_unit(a):
-            raise ZeroDivisionError(f"{a} is not a unit mod {self.m}")
-        return pow(a, -1, self.m)
-
-    def is_zero(self, a: int) -> bool:
-        return a % self.m == 0
-
-    def __repr__(self):
-        return f"ZMod({self.m})"
-
-
-# ---------------------------------------------------------------------------
-# generic dense polynomials over a residue ring (lists of ring elements)
-
-
-def rp_trim(ring, f: list) -> list:
-    while f and ring.is_zero(f[-1]):
-        f.pop()
-    return f
-
-
-def rp_coerce(ring, f: Sequence) -> list:
-    return rp_trim(ring, [ring.from_int(c) if isinstance(c, int) else c for c in f])
-
-
-def rp_divmod(ring, f: Sequence, d: Sequence) -> Tuple[list, list]:
-    """Long division; requires the leading coefficient of d to be a unit."""
-    d = rp_trim(ring, list(d))
-    if not d:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not ring.is_unit(d[-1]):
-        raise ValueError("leading coefficient is not a unit in the ring")
-    inv_lead = ring.inv(d[-1])
-    rem = list(f)
-    dq = len(rem) - len(d)
-    if dq < 0:
-        return [], rp_trim(ring, rem)
-    quo = [ring.zero] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = ring.mul(rem[k + len(d) - 1], inv_lead)
-        quo[k] = c
-        if not ring.is_zero(c):
-            for i, b in enumerate(d):
-                rem[k + i] = ring.sub(rem[k + i], ring.mul(c, b))
-    return rp_trim(ring, quo), rp_trim(ring, rem)
-
-
-def rp_series_quotient(ring, f: Sequence, d: Sequence, nterms: int) -> list:
-    """First nterms coefficients of the power series f/d; d[0] must be a unit."""
-    if not d or ring.is_zero(d[0]):
-        raise ValueError("constant term of the denominator is not a unit")
-    inv0 = ring.inv(d[0])
-    out = []
-    for k in range(nterms):
-        acc = f[k] if k < len(f) else ring.zero
-        for j in range(1, min(k, len(d) - 1) + 1):
-            acc = ring.sub(acc, ring.mul(d[j], out[k - j]))
-        out.append(ring.mul(acc, inv0))
-    return out
-
-
-def poly_divides_mod(d: Sequence, f: Sequence, ring=None, modulus: Optional[int] = None):
-    """Decide whether d divides f over the ring, returning (bool, witness).
-
-    The witness is the quotient when divisibility holds, else None. Inputs may
-    be int lists (interpreted through ring.from_int). The leading coefficient
-    of d must be a unit after trimming; otherwise ValueError is raised.
-    """
-    if ring is None:
-        if modulus is None:
-            raise ValueError("pass a ring or an integer modulus")
-        ring = ZMod(modulus)
-    dd = rp_coerce(ring, d)
-    ff = rp_coerce(ring, f)
-    quo, rem = rp_divmod(ring, ff, dd)
-    if rem:
-        return False, None
-    return True, quo
 
 
 # ---------------------------------------------------------------------------

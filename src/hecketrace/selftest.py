@@ -20,7 +20,7 @@ from hecketrace import curves as cv
 from hecketrace import drinfeld as dr
 from hecketrace import elltrace as et
 from hecketrace import heckepoly as hp
-from hecketrace.ffield import canonical_irreducibles, field_for, fq_construct, fq_poly_from_codes
+from hecketrace.ffield import field_for, fq_construct
 
 
 def check(cond: bool, *msg) -> None:
@@ -48,7 +48,7 @@ def lemma_trials(rng: random.Random, trials: int) -> Iterable[Tuple[str, Callabl
 
     def series_rational_ff():
         field = fq_construct(rng.choice([2, 3]), 1)
-        P = rng.choice(canonical_irreducibles(field, rng.randrange(1, 3)))
+        P = rng.choice(dr.canonical_irreducibles(field, rng.randrange(1, 3)))
         params = dr.drinfeld_params(P, rng.randrange(1, 3))
         b = field.decode(rng.randrange(1, field.q))
         m = rng.randrange(1, 4)
@@ -78,19 +78,19 @@ def lemma_trials(rng: random.Random, trials: int) -> Iterable[Tuple[str, Callabl
 
     def twist_partition():
         field = fq_construct(rng.choice([2, 3]), 1)
-        P = rng.choice(canonical_irreducibles(field, rng.randrange(1, 3)))
+        P = rng.choice(dr.canonical_irreducibles(field, rng.randrange(1, 3)))
         params = dr.drinfeld_params(P, 1)
         qL = params.L.q
         check(int(dr.enumerate_classes(params).size.sum()) == qL * (qL - 1))
 
     def torsion_oracle():
         field = fq_construct(rng.choice([2, 3]), 1)
-        P = rng.choice(canonical_irreducibles(field, 1))
+        P = rng.choice(dr.canonical_irreducibles(field, 1))
         params = dr.drinfeld_params(P, rng.randrange(1, 3))
         table = dr.enumerate_classes(params)
         i = rng.randrange(len(table))
         deg = rng.randrange(1, 3)
-        pool = [f for f in canonical_irreducibles(field, deg) if f != P]
+        pool = [f for f in dr.canonical_irreducibles(field, deg) if f != P]
         laux = pool[rng.randrange(len(pool))]
         tr, nrm = dr.frobenius_mod_torsion(params, int(table.g[i]), int(table.delta[i]), laux)
         ring = dr.ResidueRing(field, laux.codes())
@@ -101,7 +101,7 @@ def lemma_trials(rng: random.Random, trials: int) -> Iterable[Tuple[str, Callabl
     def unit_exponent():
         field = fq_construct(rng.choice([2, 3]), 1)
         deg = rng.randrange(1, 3)
-        lpoly = rng.choice(canonical_irreducibles(field, deg))
+        lpoly = rng.choice(dr.canonical_irreducibles(field, deg))
         s = rng.randrange(1, 3) if field.q**deg <= 9 else 1
         check(dr.exponent_check(lpoly, s))
 
@@ -200,24 +200,24 @@ def example_checks() -> Iterable[Tuple[str, Callable[[], None]]]:
 
     def drinfeld_classes():
         field = fq_construct(2, 1)
-        params = dr.drinfeld_params(fq_poly_from_codes(field, (0, 1)), 1)
+        params = dr.drinfeld_params(dr.fq_poly_from_codes(field, (0, 1)), 1)
         t = dr.enumerate_classes(params)
         got = [t.g.tolist(), t.delta.tolist(), t.aut.tolist(), t.a.tolist(), t.b.tolist()]
         check(got == [[0, 1], [1, 1], [1, 1], [[0], [1]], [1, 1]])
 
     def drinfeld_weight8_residue():
         field = fq_construct(3, 1)
-        tsq = fq_poly_from_codes(field, (0, 0, 1))
-        one = fq_poly_from_codes(field, (1,))
+        tsq = dr.fq_poly_from_codes(field, (0, 0, 1))
+        one = dr.fq_poly_from_codes(field, (1,))
         # P = T + 1, T + 2 and T + 1 as ascending codes
         for pcodes, n in (((1, 1), 1), ((2, 1), 1), ((1, 1), 2)):
-            params = dr.drinfeld_params(fq_poly_from_codes(field, pcodes), n)
+            params = dr.drinfeld_params(dr.fq_poly_from_codes(field, pcodes), n)
             check(dr.trace_Tpn(params, 6, 1) % tsq == one, (pcodes, n))
 
     def drinfeld_period_table():
         field = fq_construct(3, 1)
-        params = dr.drinfeld_params(fq_poly_from_codes(field, (1, 1)), 1)
-        lpoly = fq_poly_from_codes(field, (0, 1))
+        params = dr.drinfeld_params(dr.fq_poly_from_codes(field, (1, 1)), 1)
+        lpoly = dr.fq_poly_from_codes(field, (0, 1))
         spec, _, ok = dr.verify_period_ff(params, lpoly, 1, 1)
         check(ok and spec.period == 24)
         check(dr.minimal_period_mod(params, lpoly, 1, 1, 120) == 24)
@@ -227,21 +227,21 @@ def example_checks() -> Iterable[Tuple[str, Callable[[], None]]]:
 
     def infinity_period():
         field = fq_construct(3, 1)
-        params = dr.drinfeld_params(fq_poly_from_codes(field, (1, 1)), 1)
+        params = dr.drinfeld_params(dr.fq_poly_from_codes(field, (1, 1)), 1)
         n, _, ok = dr.verify_infty_period(params, 1, 1, kmax=50)
         check(ok and n == 24)
 
     def ramanujan_window():
         field = fq_construct(3, 1)
-        rep = dr.ramanujan_check(dr.drinfeld_params(fq_poly_from_codes(field, (0, 1)), 1))
+        rep = dr.ramanujan_check(dr.drinfeld_params(dr.fq_poly_from_codes(field, (0, 1)), 1))
         check(not rep.vacuous and rep.k_limit == 25 and rep.all_ok)
 
     def unit_exponent_values():
         f3 = fq_construct(3, 1)
         f2 = fq_construct(2, 1)
-        check(dr.unit_group_exponent(fq_poly_from_codes(f3, (0, 1)), 1) == 2)
-        check(dr.unit_group_exponent(fq_poly_from_codes(f3, (0, 1)), 2) == 6)
-        check(dr.unit_group_exponent(fq_poly_from_codes(f2, (1, 1, 1)), 1) == 3)
+        check(dr.unit_group_exponent(dr.fq_poly_from_codes(f3, (0, 1)), 1) == 2)
+        check(dr.unit_group_exponent(dr.fq_poly_from_codes(f3, (0, 1)), 2) == 6)
+        check(dr.unit_group_exponent(dr.fq_poly_from_codes(f2, (1, 1, 1)), 1) == 3)
 
     return [
         ("moment-closed-forms", moment_closed_forms),

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from hecketrace.curves import GAMMA0_2, GAMMA1_4, LevelStructureSpec, frobenius_traces
-from hecketrace.ffield import FqElem, FqField, FqPoly
+from hecketrace.drinfeld import FqPoly
+from hecketrace.ffield import FqElem, FqField
 
 Point = Optional[Tuple[FqElem, FqElem]]
 

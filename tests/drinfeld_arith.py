@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from hecketrace.drinfeld import ClassTable, DrinfeldParams
-from hecketrace.ffield import FqElem, FqField, FqPoly, embed, fq_poly_from_codes
+from hecketrace.drinfeld import ClassTable, DrinfeldParams, FqPoly, fq_poly_from_codes
+from hecketrace.ffield import FqElem, FqField, embed
 
 
 @dataclass(frozen=True)

@@ -570,7 +570,7 @@ class CLTable:
 
     params: object  # a hecketrace.drinfeld.DrinfeldParams
     max_k: int
-    entries: Tuple[Tuple[object, ...], ...]  # hecketrace.ffield.FqPoly entries
+    entries: Tuple[Tuple[object, ...], ...]  # hecketrace.drinfeld.FqPoly entries
 
     def value(self, k: int, l: int) -> "FqPoly":
         return self.entries[k][(l - 1) % (self.params.q - 1)]
@@ -599,7 +599,7 @@ def _class_weights(
 
 
 def cl_table(params: "DrinfeldParams", max_k: int) -> CLTable:
-    from hecketrace.ffield import FqPoly
+    from hecketrace.drinfeld import FqPoly
 
     cached = _CL_CACHE.get(params)
     if cached is not None and cached.max_k >= max_k:
@@ -631,7 +631,7 @@ def trace_from_cl_table(params: "DrinfeldParams", k: int, l: int) -> "FqPoly":
     trace = -sum_j binom(k-j, j) (-wp)^j [c_{k-2j, l-j}], an element of
     F_q[T]; the type is read mod q-1.
     """
-    from hecketrace.ffield import FqPoly
+    from hecketrace.drinfeld import FqPoly
 
     if k < 0:
         raise ValueError("k must be >= 0")

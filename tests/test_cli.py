@@ -13,7 +13,8 @@ from typing import List, Set
 import pytest
 
 from hecketrace import cli
-from hecketrace.ffield import FqPoly, fq_construct, fq_poly_from_codes
+from hecketrace.drinfeld import FqPoly, fq_poly_from_codes
+from hecketrace.ffield import fq_construct
 
 F3 = fq_construct(3, 1)
 
@@ -444,7 +445,12 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("hecketrace") or m 
         (["ell", "trace", "--q", "10039", "--weight", "12"],
          {"hecketrace.congruences", "hecketrace.drinfeld", "hecketrace.heckepoly",
           "hecketrace.selftest", "numpy.ma"}),
+        (["ell", "split", "--q", "101", "--weight", "12", "--ell", "5"],
+         {"hecketrace.drinfeld", "hecketrace.heckepoly", "hecketrace.selftest"}),
         (["dr", "enumerate", "--q", "5", "--P", "T^3+T+1"],
+         {"hecketrace.congruences", "hecketrace.curves", "hecketrace.elltrace",
+          "hecketrace.heckepoly", "hecketrace.selftest"}),
+        (["dr", "verify-period", "--q", "5", "--P", "T", "--ell", "T+1"],
          {"hecketrace.congruences", "hecketrace.curves", "hecketrace.elltrace",
           "hecketrace.heckepoly", "hecketrace.selftest"}),
     ],
@@ -458,3 +464,15 @@ def test_each_job_loads_only_its_layer(argv, absent):
     loaded = set(res.stdout.splitlines()[-1].split())
     assert {"hecketrace", "hecketrace.ffield", "hecketrace.cli"} <= loaded
     assert not loaded & absent, loaded & absent
+
+
+def test_degree_past_the_field_budget_is_refused_at_once():
+    # P of degree 120 went through Rabin's test for about 27 s, and T^2000000
+    # built 2*10^6 coefficients for minutes, before the field budget refused them;
+    # each now exits in about 0.25 s, and the timeout leaves room for a loaded machine
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for P in ("T^120+T+2", "T^2000000"):
+        res = subprocess.run([sys.executable, "-m", "hecketrace.cli", "dr", "trace", "--q", "5", "--P", P,
+                              "--weight", "4"], env=env, capture_output=True, text=True, timeout=5)
+        assert res.returncode == 2 and res.stdout == "", res.stderr
+        assert "exceeds max_field_size=1048576; raise it with --max-field-size" in res.stderr

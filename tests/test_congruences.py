@@ -14,9 +14,11 @@ from hecketrace.congruences import (
     m_ls_value,
     n_u_value,
     period_for,
+    ZMod,
     periodic_certificate,
+    poly_divides_mod,
 )
-from hecketrace.ffield import fq_construct
+from hecketrace.ffield import fq_construct, rp_divmod, rp_series_quotient, rp_trim
 from oracles import f_coeff
 
 
@@ -137,20 +139,17 @@ def _divisor_of_xn_minus_one(rng, n, modulus, ell):
 
 def test_divisor_upgrade():
     # f | x^n - 1 mod ell^m implies f | x^{n ell^r} - 1 mod ell^{m+r}
-    from hecketrace.ffield import ZMod, poly_divides_mod
-
     rng = random.Random(23)
     for _ in range(120):
         ell = rng.choice([2, 3, 5])
         m = rng.randint(1, 3)
         n = rng.randint(1, 10)
         f = _divisor_of_xn_minus_one(rng, n, ell ** m, ell)
-        ok, _ = poly_divides_mod(f, [-1] + [0] * (n - 1) + [1], ring=ZMod(ell ** m))
+        ok, _ = poly_divides_mod(f, [-1] + [0] * (n - 1) + [1], ell ** m)
         assert ok, "premise construction failed"
         for r in (1, 2):
             nn = n * ell ** r
-            ring = ZMod(ell ** (m + r))
-            ok, _ = poly_divides_mod(f, [-1] + [0] * (nn - 1) + [1], ring=ring)
+            ok, _ = poly_divides_mod(f, [-1] + [0] * (nn - 1) + [1], ell ** (m + r))
             assert ok
 
 
@@ -281,8 +280,6 @@ def test_f_weight_period_congruence_even():
 
 
 def test_denominator_divides_unit_period():
-    from hecketrace.ffield import ZMod, poly_divides_mod
-
     for ell, qs in ((3, (2, 7)), (5, (2, 4))):
         for s in (1, 2):
             for t in range(1, s + 1):
@@ -291,13 +288,11 @@ def test_denominator_divides_unit_period():
                     mod = ell ** (s + 1 - t)
                     d = d_qt_poly(q, ell, t)
                     xn1 = [-1] + [0] * (nu - 1) + [1]
-                    ok, _ = poly_divides_mod(d, xn1, ring=ZMod(mod))
+                    ok, _ = poly_divides_mod(d, xn1, mod)
                     assert ok, (ell, s, t, q)
 
 
 def test_denominator_divides_unit_period_even():
-    from hecketrace.ffield import ZMod, poly_divides_mod
-
     for s in (1, 2, 3):
         for t in range(1, s + 1):
             for q in (3, 5, 7, 9):
@@ -305,7 +300,7 @@ def test_denominator_divides_unit_period_even():
                 mod = 2 ** (s + 1 - t)
                 d = d_qt_poly(q, 2, t)
                 xn1 = [-1] + [0] * (nu - 1) + [1]
-                ok, _ = poly_divides_mod(d, xn1, ring=ZMod(mod))
+                ok, _ = poly_divides_mod(d, xn1, mod)
                 assert ok, (s, t, q)
 
 
@@ -437,3 +432,80 @@ def test_unit_period_divides_theorem_period():
     for ell, s, q in ((3, 1, 2), (3, 2, 7), (5, 1, 2), (5, 2, 4), (2, 1, 3), (2, 2, 7), (2, 3, 9)):
         spec = period_for(ell, s, q)
         assert spec.n % n_u_value(ell, s, q) == 0
+
+
+def rp_mul(ring, f, g):
+    # schoolbook product over Z, then reduced: independent of the kernel's rp_mul
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _reduce(ring, out)
+
+
+def _reduce(ring, f):
+    return rp_trim([c % ring.m for c in f])
+
+
+def test_poly_divides_mod_frozen_examples():
+    # x-1 | x^3-1 over Z/8, witness x^2+x+1
+    ok, wit = poly_divides_mod([-1, 1], [-1, 0, 0, 1], modulus=8)
+    assert ok and wit == [1, 1, 1]
+    # over F_2, 1+x DOES divide x^3-1 with witness x^2+x+1 (long-division oracle)
+    ok, wit = poly_divides_mod([1, 1], [1, 0, 0, 1], modulus=2)
+    assert ok and wit == [1, 1, 1]
+    # same divisor presented with a coefficient that reduces away
+    ok, wit = poly_divides_mod([1, 1, 2], [1, 0, 0, 1], modulus=2)
+    assert ok and wit == [1, 1, 1]
+    # a genuine non-divisor: x+1 does not divide x^2+x+1 over F_2
+    ok, wit = poly_divides_mod([1, 1], [1, 1, 1], modulus=2)
+    assert not ok and wit is None
+    # non-unit leading coefficient is an error, not False
+    with pytest.raises(ValueError):
+        poly_divides_mod([1, 2], [1, 0, 1], modulus=4)
+
+
+def test_poly_divides_randomized():
+    rng = random.Random(2024)
+    for _ in range(200):
+        m = rng.choice([4, 8, 9, 25, 27, 5, 7])
+        ring = ZMod(m)
+        d = [rng.randrange(m) for _ in range(rng.randrange(1, 4))] + [1]
+        g = [rng.randrange(m) for _ in range(rng.randrange(1, 4))] + [1]
+        f = rp_mul(ring, _reduce(ring, d), _reduce(ring, g))
+        ok, wit = poly_divides_mod(d, f, modulus=m)
+        assert ok
+        assert rp_mul(ring, _reduce(ring, d), wit) == f
+
+
+def test_series_quotient():
+    ring = ZMod(125)
+    # 1/(1-x) = 1 + x + x^2 + ...
+    s = rp_series_quotient(ring, [1], [1, 124], 6)
+    assert s == [1, 1, 1, 1, 1, 1]
+    # f/d recovered by multiplying back, modulo truncation
+    f = _reduce(ring, [3, 7, 1])
+    d = _reduce(ring, [1, 5, 2])
+    s = rp_series_quotient(ring, f, d, 12)
+    back = rp_mul(ring, s, d)
+    assert back[:12] == (list(f) + [0] * 12)[:12]
+
+
+def test_rp_divmod_matches_int_oracle():
+    # reference long division over Z then reduced, random monic divisors
+    rng = random.Random(5)
+    for _ in range(100):
+        m = rng.choice([4, 9, 8, 49])
+        ring = ZMod(m)
+        d = [rng.randrange(-10, 10) for _ in range(2)] + [1]
+        f = [rng.randrange(-40, 40) for _ in range(6)]
+        quo, rem = rp_divmod(ring, _reduce(ring, f), _reduce(ring, d))
+        lhs = rp_mul(ring, quo, _reduce(ring, d))
+        total = [0] * max(len(lhs), len(rem), len(f))
+        for i, c in enumerate(lhs):
+            total[i] = (total[i] + c) % m
+        for i, c in enumerate(rem):
+            total[i] = (total[i] + c) % m
+        want = [c % m for c in f]
+        want += [0] * (len(total) - len(want))
+        assert [c % m for c in total] == want[: len(total)]

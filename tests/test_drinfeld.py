@@ -12,7 +12,8 @@ import pytest
 import drinfeld_arith as da
 import oracles
 from hecketrace import drinfeld as dr
-from hecketrace.ffield import BudgetError, FqPoly, fq_construct, fq_poly_from_codes
+from hecketrace.drinfeld import FqPoly, fq_poly_from_codes
+from hecketrace.ffield import BudgetError, fq_construct
 
 F2 = fq_construct(2, 1)
 F3 = fq_construct(3, 1)
@@ -45,6 +46,10 @@ def test_params_reduction_and_guards():
         _params(F3, (0, 1), 0)
     with pytest.raises(BudgetError):
         dr.drinfeld_params(_poly(F3, (0, 1)), 8, max_field_size=100)
+    # the budget is checked before Rabin's test, which alone would take
+    # about half a minute on this reducible P of degree 120
+    with pytest.raises(BudgetError):
+        dr.drinfeld_params(_poly(F5, (2, 1) + (0,) * 118 + (1,)), 1)
 
 
 def test_phi_is_a_ring_map():
@@ -163,6 +168,21 @@ def test_code_array_phi_matches_scalar_phi():
             got = dr._phi(pp, dr._phi_t(pp, np.array([g]), np.array([delta])), np.array(f.codes()))
             want = da.drinfeld_phi(pp, pp.L.decode(g), pp.L.decode(delta), f)
             assert got[0].tolist() == [c.code for c in want.coeffs]
+
+
+def test_enumeration_in_blocks_matches_one_block(monkeypatch):
+    # the Frobenius solve in blocks of a few classes, against one block
+    for field, pcodes, n in ((F3, (0, 1), 2), (F4, (1, 1), 2)):
+        pp = _params(field, pcodes, n)
+        tables = []
+        for block in (1 << 30, 7):
+            monkeypatch.setattr(dr, "_CLASS_CACHE", {})
+            monkeypatch.setattr(dr, "_SOLVE_BLOCK", block)
+            tables.append(dr.enumerate_classes(pp))
+        whole, blocks = tables
+        assert len(whole) > 3 * 7
+        for name in ("g", "delta", "aut", "size", "a", "b"):
+            assert np.array_equal(getattr(blocks, name), getattr(whole, name)), name
 
 
 # Failure injection: each fault breaks one check of the enumeration, which
@@ -513,7 +533,7 @@ def test_trace_sequence_mod_matches_exact_traces():
     for field, pcodes, n, lcodes, s, l in cases:
         pp = _params(field, pcodes, n)
         lpoly = _poly(field, lcodes)
-        mod = dr.poly_pow(lpoly, s)
+        mod = lpoly**s
         seq = dr.trace_sequence_mod(pp, lpoly, s, l, 25)
         for k in range(26):
             want = dr.trace_Tpn(pp, k, l) % mod
@@ -734,10 +754,10 @@ def test_s_tilde_and_poly_pow():
     assert [dr.s_tilde(3, s) for s in (1, 2, 3, 4, 9, 10)] == [0, 1, 1, 2, 2, 3]
     assert [dr.s_tilde(2, s) for s in (1, 2, 3, 4, 5)] == [0, 1, 2, 2, 3]
     T = _poly(F3, (0, 1))
-    assert dr.poly_pow(T + _poly(F3, (1,)), 3) == _poly(F3, (1, 0, 0, 1))
-    assert dr.poly_pow(T, 0) == _poly(F3, (1,))
+    assert (T + _poly(F3, (1,))) ** 3 == _poly(F3, (1, 0, 0, 1))
+    assert T**0 == _poly(F3, (1,))
     with pytest.raises(ValueError):
-        dr.poly_pow(T, -1)
+        T ** -1
 
 
 def test_twisted_poly_relations():

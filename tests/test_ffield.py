@@ -1,4 +1,4 @@
-"""Field construction, embeddings, residue rings, divisibility witnesses."""
+"""Field construction, embeddings and the polynomial kernel."""
 
 import os
 import random
@@ -10,40 +10,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor
+from sympy.polys.galoistools import gf_div, gf_factor, gf_gcd, gf_irreducible_p, gf_mul, gf_pow_mod
 
 from drinfeld_arith import poly_evaluate
 from oracles import elements
 from hecketrace import ffield
+from hecketrace.drinfeld import FqPoly, canonical_irreducibles
 from hecketrace.ffield import (
     BudgetError,
+    FieldOps,
     FqField,
-    FqPoly,
     PrimePower,
-    ZMod,
-    canonical_irreducibles,
     canonical_modulus,
     embed,
     fq_construct,
     fraction_mod,
     is_prime,
-    poly_divides_mod,
     prime_power_decompose,
-    rp_coerce,
     rp_divmod,
-    rp_series_quotient,
+    rp_gcd,
+    rp_is_irreducible,
+    rp_mul,
+    rp_powmod,
     rp_trim,
 )
-
-
-def rp_mul(ring, f, g):
-    if not f or not g:
-        return []
-    out = [ring.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = ring.add(out[i + j], ring.mul(a, b))
-    return rp_trim(ring, out)
 
 
 def test_is_prime_small():
@@ -274,8 +264,8 @@ def test_roots_in_a_subfield_split_in_few_probes(monkeypatch):
     x = FqPoly(F, [F.zero, F.one])
     f = FqPoly(F, [F.coerce(5), F.coerce(7), F.one]) * (x + F.decode(77)) * (x + F.decode(99991))
     calls = []
-    gcd = FqPoly.gcd
-    monkeypatch.setattr(FqPoly, "gcd", lambda self, other: calls.append(1) or gcd(self, other))
+    gcd = ffield.rp_gcd
+    monkeypatch.setattr(ffield, "rp_gcd", lambda *args: calls.append(1) or gcd(*args))
     assert [r.code for r in f.roots()] == [1, 5, 105, 302242]
     assert len(calls) <= 20
 
@@ -290,70 +280,6 @@ def test_canonical_irreducibles():
     assert len(canonical_irreducibles(f3, 2)) == 3
 
 
-def test_poly_divides_mod_frozen_examples():
-    # x-1 | x^3-1 over Z/8, witness x^2+x+1
-    ok, wit = poly_divides_mod([-1, 1], [-1, 0, 0, 1], modulus=8)
-    assert ok and wit == [1, 1, 1]
-    # over F_2, 1+x DOES divide x^3-1 with witness x^2+x+1 (long-division oracle)
-    ok, wit = poly_divides_mod([1, 1], [1, 0, 0, 1], modulus=2)
-    assert ok and wit == [1, 1, 1]
-    # same divisor presented with a coefficient that reduces away
-    ok, wit = poly_divides_mod([1, 1, 2], [1, 0, 0, 1], modulus=2)
-    assert ok and wit == [1, 1, 1]
-    # a genuine non-divisor: x+1 does not divide x^2+x+1 over F_2
-    ok, wit = poly_divides_mod([1, 1], [1, 1, 1], modulus=2)
-    assert not ok and wit is None
-    # non-unit leading coefficient is an error, not False
-    with pytest.raises(ValueError):
-        poly_divides_mod([1, 2], [1, 0, 1], modulus=4)
-
-
-def test_poly_divides_randomized():
-    rng = random.Random(2024)
-    for _ in range(200):
-        m = rng.choice([4, 8, 9, 25, 27, 5, 7])
-        ring = ZMod(m)
-        d = [rng.randrange(m) for _ in range(rng.randrange(1, 4))] + [1]
-        g = [rng.randrange(m) for _ in range(rng.randrange(1, 4))] + [1]
-        f = rp_mul(ring, rp_coerce(ring, d), rp_coerce(ring, g))
-        ok, wit = poly_divides_mod(d, f, ring=ring)
-        assert ok
-        assert rp_mul(ring, rp_coerce(ring, d), wit) == f
-
-
-def test_series_quotient():
-    ring = ZMod(125)
-    # 1/(1-x) = 1 + x + x^2 + ...
-    s = rp_series_quotient(ring, [1], [1, 124], 6)
-    assert s == [1, 1, 1, 1, 1, 1]
-    # f/d recovered by multiplying back, modulo truncation
-    f = rp_coerce(ring, [3, 7, 1])
-    d = rp_coerce(ring, [1, 5, 2])
-    s = rp_series_quotient(ring, f, d, 12)
-    back = rp_mul(ring, s, d)
-    assert back[:12] == (list(f) + [0] * 12)[:12]
-
-
-def test_rp_divmod_matches_int_oracle():
-    # reference long division over Z then reduced, random monic divisors
-    rng = random.Random(5)
-    for _ in range(100):
-        m = rng.choice([4, 9, 8, 49])
-        ring = ZMod(m)
-        d = [rng.randrange(-10, 10) for _ in range(2)] + [1]
-        f = [rng.randrange(-40, 40) for _ in range(6)]
-        quo, rem = rp_divmod(ring, rp_coerce(ring, f), rp_coerce(ring, d))
-        lhs = rp_mul(ring, quo, rp_coerce(ring, d))
-        total = [0] * max(len(lhs), len(rem), len(f))
-        for i, c in enumerate(lhs):
-            total[i] = (total[i] + c) % m
-        for i, c in enumerate(rem):
-            total[i] = (total[i] + c) % m
-        want = [c % m for c in f]
-        want += [0] * (len(total) - len(want))
-        assert [c % m for c in total] == want[: len(total)]
-
-
 def test_fraction_mod():
     from fractions import Fraction
 
@@ -361,3 +287,37 @@ def test_fraction_mod():
     assert fraction_mod(Fraction(-24, 1), 11) == 9
     with pytest.raises(ZeroDivisionError):
         fraction_mod(Fraction(1, 2), 4)
+
+
+def _desc(f):
+    return list(reversed(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13]),
+    f=st.lists(st.integers(0, 12), max_size=9),
+    g=st.lists(st.integers(0, 12), max_size=6),
+    e=st.integers(0, 300),
+)
+def test_kernel_matches_sympy_galoistools(p, f, g, e):
+    # sympy lists coefficients from the leading term down
+    ring = FieldOps(p)
+    f, g = rp_trim([c % p for c in f]), rp_trim([c % p for c in g])
+    assert _desc(rp_mul(ring, f, g)) == gf_mul(_desc(f), _desc(g), p, ZZ)
+    assert _desc(rp_gcd(ring, f, g)) == gf_gcd(_desc(f), _desc(g), p, ZZ)
+    if g:
+        quo, rem = rp_divmod(ring, f, g)
+        assert (_desc(quo), _desc(rem)) == gf_div(_desc(f), _desc(g), p, ZZ)
+        assert _desc(rp_powmod(ring, f, e, g)) == gf_pow_mod(_desc(f), e, _desc(g), p, ZZ)
+    if len(f) > 1:
+        assert rp_is_irreducible(ring, f) == gf_irreducible_p(_desc(f), p, ZZ)
+
+
+def test_canonical_modulus_is_the_least_irreducible_by_code():
+    for p, a in ((2, 2), (2, 3), (2, 5), (2, 8), (3, 2), (3, 3), (3, 5), (5, 2), (5, 3), (7, 3), (13, 2)):
+        for code in range(p**a, 2 * p**a):
+            digits = [code // p**i % p for i in range(a + 1)]
+            if gf_irreducible_p(_desc(digits), p, ZZ):
+                break
+        assert canonical_modulus(p, a) == tuple(digits), (p, a)
