@@ -7,12 +7,16 @@ F_q[T] appear as ascending coefficient arrays, each F_q coefficient itself
 an ascending F_p coefficient vector.  Verification subcommands exit nonzero
 when any check fails.
 
-Each job is one process, so it imports only the layer it runs: this module
-imports `ffield` (and numpy) at the top, and each handler imports the modules
-it calls when it runs.  A `dr` job then never compiles the elliptic modules, an
-`ell` job never compiles `drinfeld`, and only the selftest commands compile
-`selftest`.  Handlers call through the module (`et.trace`), never through a
-name bound at import, so that a wrapper installed on the module is seen.
+Each job is one process, so it imports only the layer it runs.  This module
+first sets OPENBLAS_NUM_THREADS to 1, unless the user set it, and only then
+imports `ffield` and numpy: OpenBLAS sizes its worker pool once, when numpy
+loads, and no job calls BLAS.  The package `__init__` imports nothing, so that
+`python -m hecketrace.cli` and the `hecketrace` script reach the pin first.
+Each handler imports the modules it calls when it runs.  A `dr` job then never
+compiles the elliptic modules, an `ell` job never compiles `drinfeld`, and only
+the selftest commands compile `selftest`.  Handlers call through the module
+(`et.trace`), never through a name bound at import, so that a wrapper installed
+on the module is seen.
 """
 
 from __future__ import annotations
@@ -24,7 +28,11 @@ import os
 import random
 import re
 import sys
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
+
+# no job calls BLAS, and an idle OpenBLAS worker spins ~0.1 s of CPU per job;
+# OpenBLAS reads this once, when numpy loads, so it must precede that import
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from hecketrace.ffield import (
     DEFAULT_MAX_FIELD_SIZE,
@@ -119,20 +127,20 @@ def _csv_cell(v):
     return v
 
 
-def emit(rows: Sequence[dict], fmt: str, human: Callable[[dict], str]) -> None:
-    if fmt == "json":
+def emit(rows: Iterable[dict], fmt: str, human: Callable[[dict], str]) -> None:
+    """Print rows as they come: csv takes its header from the first row."""
+    if fmt == "csv":
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        keys = None
         for r in rows:
-            print(json.dumps(r, separators=(",", ":")))
-    elif fmt == "csv":
-        if rows:
-            w = csv.writer(sys.stdout, lineterminator="\n")
-            keys = list(rows[0])
-            w.writerow(keys)
-            for r in rows:
-                w.writerow([_csv_cell(r[k]) for k in keys])
-    else:
-        for r in rows:
-            print(human(r))
+            if keys is None:
+                keys = list(r)
+                w.writerow(keys)
+            w.writerow([_csv_cell(r[k]) for k in keys])
+        return
+    line = (lambda r: json.dumps(r, separators=(",", ":"))) if fmt == "json" else human
+    for r in rows:
+        print(line(r))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +291,22 @@ def cmd_dr_enumerate(args) -> int:
         """F_p digit lists of element codes, as elem_vector prints them."""
         return (codes[..., None] // field.p ** np.arange(field.a) % field.p).tolist()
 
-    pvec, L, base = poly_vectors(params.P), params.L, params.base
-    # a prints its T-digits up to its degree, as an FqPoly does
-    cols = zip(digits(L, t.g), digits(L, t.delta), t.aut.tolist(), t.size.tolist(),
-               digits(base, t.a), (dr._code_degrees(t.a) + 1).tolist(), digits(base, t.b))
-    rows = [
-        {"q": args.q, "P": pvec, "n": args.n, "g": g, "delta": delta, "autOrder": aut,
-         "orbitSize": size, "a": a[:na], "b": b}
-        for g, delta, aut, size, a, na, b in cols
-    ]
+    def rows():
+        pvec, L, base = poly_vectors(params.P), params.L, params.base
+        na = dr._code_degrees(t.a) + 1
+        # a block of classes at a time, so that only its digit lists are alive;
+        # a prints its T-digits up to its degree, as an FqPoly does
+        for lo in range(0, len(t.aut), 2048):
+            blk = slice(lo, lo + 2048)
+            cols = zip(digits(L, t.g[blk]), digits(L, t.delta[blk]), t.aut[blk].tolist(),
+                       t.size[blk].tolist(), digits(base, t.a[blk]), na[blk].tolist(),
+                       digits(base, t.b[blk]))
+            for g, delta, aut, size, a, n, b in cols:
+                yield {"q": args.q, "P": pvec, "n": args.n, "g": g, "delta": delta,
+                       "autOrder": aut, "orbitSize": size, "a": a[:n], "b": b}
+
     emit(
-        rows,
+        rows(),
         args.format,
         lambda r: (
             f"g={_csv_cell(r['g'])} delta={_csv_cell(r['delta'])} "

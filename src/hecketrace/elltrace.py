@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from hecketrace import curves as cv
-from hecketrace.ffield import FqField, fraction_mod, unlimited_int_digits
+from hecketrace.ffield import FqField, fraction_mod, is_prime, unlimited_int_digits
 
 MassData = List[Tuple[int, Fraction]]
 
@@ -122,7 +122,7 @@ def _fold(data: MassData, q: int, max_k: int, modulus: Optional[int] = None) -> 
                 cur %= M
         w = odd if k % 2 else even
         if w is not None:
-            sums[k] = int(w.dot(cur)) if M is None else int((w * cur % M).sum()) % M
+            sums[k] = int(w @ cur) if M is None else int((w * cur % M).sum()) % M
     return [_unscale(s, D, k) for k, s in enumerate(sums)]
 
 
@@ -144,7 +144,7 @@ def _fold_at(data: MassData, q: int, k: int) -> int:
         u, v = u * (2 * v - b * u), v * v - q * (u * u)
         if bit == "1":
             u, v = v, b * v - q * u
-    return _unscale(int(w.dot(u)), D, k)
+    return _unscale(int(w @ u), D, k)
 
 
 def _cache_path(cache_dir: str, field: FqField, H) -> str:
@@ -354,11 +354,14 @@ def split_trace(
 
     Non-unit classes (ell | a1) contribute only the a1-degrees below s; unit
     classes are folded through a1^(2 m) = 1 mod ell^s. The two parts add up
-    to I(k) mod ell^s.
+    to I(k) mod ell^s. The fold's m holds for a prime ell only, so a
+    composite ell is refused.
     """
     # imported at its one use, so that other elltrace jobs skip compiling it
     from hecketrace.congruences import CoeffFamily, binom_mod, m_ls_value
 
+    if not is_prime(ell):
+        raise ValueError("ell must be prime")
     if s < 1:
         raise ValueError("s must be >= 1")
     if k < s - 1:
@@ -443,10 +446,12 @@ def nonunit_mass(field: FqField, ell: int) -> Fraction:
 def class_number_identity_sides(p: int, ell: int = 11) -> Tuple[Fraction, Fraction]:
     """Both sides of the mass identity for the non-unit locus over F_p:
     mass = H(-4p)/2 + sum_{i >= 1} H((ell i)^2 - 4p)."""
-    from hecketrace.ffield import fq_construct, is_prime
+    from hecketrace.ffield import fq_construct
 
     if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5")
+    if ell < 2:
+        raise ValueError(f"--ell must be >= 2, not {ell}")
     field = fq_construct(p, 1)
     lhs = nonunit_mass(field, ell)
     rhs = Fraction(kronecker_H(-4 * p), 2)

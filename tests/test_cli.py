@@ -1,8 +1,10 @@
 """Tests for the command-line front end: formats, exit codes, known outputs."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -103,6 +105,23 @@ def test_ell_split_rejoins(capsys):
     assert doc["traceMod"] == (-24) % 5
 
 
+def test_ell_split_needs_a_prime_ell(capsys):
+    # the unit fold holds for a prime ell only: --ell 25 printed traceMod=11
+    # where the trace is 6 mod 25, --ell 35 printed 12 for 21, and --ell 0
+    # stopped on a modulo by zero
+    for ell in ("25", "35", "0", "1"):
+        code, out, err = _run(capsys, ["ell", "split", "--q", "101", "--weight", "40", "--ell", ell])
+        assert code == 2 and out == "", ell
+        assert "error: ell must be prime" in err and "Traceback" not in err, ell
+    from hecketrace import curves as cv
+    from hecketrace import elltrace as et
+
+    code, out, _ = _run(capsys, ["ell", "split", "--q", "101", "--weight", "40", "--ell", "5",
+                                 "--s", "2", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["traceMod"] == et.trace(fq_construct(101, 1), cv.LEVEL1, 38).value % 25 == 6
+
+
 def test_ell_verify_period_output_and_exit(capsys):
     code, out, err = _run(
         capsys,
@@ -175,6 +194,14 @@ def test_ell_class_number(capsys):
     assert doc["lhs"] == doc["rhs"] == "10/3" and doc["pass"]
 
 
+def test_ell_class_number_needs_ell_of_at_least_two(capsys):
+    # --ell 0 stopped on a modulo by zero
+    for ell in ("0", "1", "-3"):
+        code, out, err = _run(capsys, ["ell", "class-number", "--p", "31", "--ell", ell])
+        assert code == 2 and out == "", ell
+        assert f"error: --ell must be >= 2, not {ell}" in err and "Traceback" not in err
+
+
 def test_dr_enumerate_emission(capsys):
     code, out, _ = _run(
         capsys, ["dr", "enumerate", "--q", "2", "--P", "T", "--format", "json"]
@@ -188,6 +215,45 @@ def test_dr_enumerate_emission(capsys):
     assert all(d["P"] == [[0], [1]] for d in docs)
     code, out, _ = _run(capsys, ["dr", "enumerate", "--q", "2", "--P", "T", "--format", "csv"])
     assert out.splitlines()[0] == "q,P,n,g,delta,autOrder,orbitSize,a,b"
+
+
+# sha256 of `dr enumerate --q 5 --P T^2+2 --n 2` as the emission that built
+# every row before printing the first wrote it; 2520 classes span two blocks
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "200d728c815116dfc2cea95a0c4963bbdd6f620b579141593cbe6f41aa43c09e"),
+    ("csv", "05d491f0e5b5856a4498810aa9f725fe2707943a6588c61263208609415277de"),
+    ("human", "70cbc2edc0069c128d11948e85647d81e23c8f2cda5efc08075df4ce26a8b1fd"),
+])
+def test_dr_enumerate_streams_the_same_bytes(capsys, fmt, digest):
+    code, out, _ = _run(capsys, ["dr", "enumerate", "--q", "5", "--P", "T^2+2", "--n", "2",
+                                 "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, lines", [
+    ("json", ['{"k":0,"v":[0,1]}', '{"k":1,"v":[1,1]}', '{"k":2,"v":[2,1]}']),
+    ("csv", ["k,v", '0,"[0,1]"', '1,"[1,1]"', '2,"[2,1]"']),
+    ("human", ["k=0", "k=1", "k=2"]),
+])
+def test_emit_prints_each_row_as_it_comes(monkeypatch, fmt, lines):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    printed = []
+
+    def rows():
+        for k in range(3):
+            printed.append(out.getvalue().count("\n"))
+            yield {"k": k, "v": [k, 1]}
+
+    cli.emit(rows(), fmt, lambda r: f"k={r['k']}")
+    header = fmt == "csv"
+    assert printed == [0, 1 + header, 2 + header]
+    assert out.getvalue().splitlines() == lines
+    out.seek(0)
+    out.truncate()
+    cli.emit(iter([]), fmt, str)
+    assert out.getvalue() == ""
 
 
 def test_closed_pipe_exits_quietly():
@@ -378,6 +444,39 @@ def test_every_src_name_is_used():
     assert unused == []
 
 
+# names of numpy that reach BLAS on float arrays; no job needs them, which is
+# why the CLI pins OpenBLAS to one thread. The int64 (and object) `@` stays
+# allowed: numpy runs it in its own loop and never hands it to BLAS.
+_BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "einsum", "tensordot", "float32", "float64"}
+
+
+def _node_name(n: ast.AST) -> str:
+    """The name a node reads: an attribute, a name, an imported name or a
+    string constant (a dtype may be spelled "float64")."""
+    if isinstance(n, ast.Attribute):
+        return n.attr
+    if isinstance(n, ast.Name):
+        return n.id
+    if isinstance(n, ast.alias):
+        return n.name.split(".")[-1]
+    if isinstance(n, ast.Constant) and isinstance(n.value, str):
+        return n.value
+    return ""
+
+
+def test_no_src_module_uses_blas():
+    # the one-thread pin in cli.py costs nothing only while no job calls
+    # BLAS: a float kernel added to src/ means revisiting that pin
+    pkg = Path(cli.__file__).resolve().parent
+    found = [
+        f"{path.name}:{n.lineno} {_node_name(n)}"
+        for path in sorted(pkg.glob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text()))
+        if _node_name(n) in _BLAS_NAMES
+    ]
+    assert found == []
+
+
 def test_usage_and_value_errors(capsys):
     code, _, err = _run(capsys, ["ell", "trace", "--q", "5", "--weight", "1"])
     assert code == 2 and "error:" in err
@@ -464,6 +563,37 @@ def test_each_job_loads_only_its_layer(argv, absent):
     loaded = set(res.stdout.splitlines()[-1].split())
     assert {"hecketrace", "hecketrace.ffield", "hecketrace.cli"} <= loaded
     assert not loaded & absent, loaded & absent
+
+
+def _fresh(code: str, **env: str) -> str:
+    """stdout of `code` in a fresh interpreter whose environment names no
+    OpenBLAS thread count but those in env."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    res = subprocess.run([sys.executable, "-c", code], env=dict(base, PYTHONPATH=src, **env),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # `python -m hecketrace.cli` imports the package before cli.py runs, so
+    # numpy loaded there would come before the thread pin
+    assert _fresh("import sys, hecketrace; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_process_runs_on_one_thread():
+    # OpenBLAS starts one worker per extra CPU when numpy loads; on a
+    # one-CPU machine this passes without the pin
+    code = "import os\nfrom hecketrace import cli\nprint(len(os.listdir('/proc/self/task')))"
+    assert _fresh(code) == "1"
+
+
+def test_cli_keeps_a_thread_count_the_user_set():
+    code = "import os\nfrom hecketrace import cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(code, OPENBLAS_NUM_THREADS="2") == "2"
+    assert _fresh(code) == "1"
 
 
 def test_degree_past_the_field_budget_is_refused_at_once():
