@@ -8,10 +8,11 @@ an ascending F_p coefficient vector.  Verification subcommands exit nonzero
 when any check fails.
 
 Each job is one process, so it imports only the layer it runs.  This module
-first sets OPENBLAS_NUM_THREADS to 1, unless the user set it, and only then
-imports `ffield` and numpy: OpenBLAS sizes its worker pool once, when numpy
-loads, and no job calls BLAS.  The package `__init__` imports nothing, so that
-`python -m hecketrace.cli` and the `hecketrace` script reach the pin first.
+first sets OPENBLAS_NUM_THREADS to 1, unless the user set it to a non-empty
+value, and only then imports `ffield` and numpy: OpenBLAS sizes its worker
+pool once, when numpy loads, and no job calls BLAS.  The package `__init__`
+imports nothing, so that `python -m hecketrace.cli` and the `hecketrace`
+script reach the pin first.
 Each handler imports the modules it calls when it runs.  A `dr` job then never
 compiles the elliptic modules, an `ell` job never compiles `drinfeld`, and only
 the selftest commands compile `selftest`.  Handlers call through the module
@@ -31,8 +32,10 @@ import sys
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
 
 # no job calls BLAS, and an idle OpenBLAS worker spins ~0.1 s of CPU per job;
-# OpenBLAS reads this once, when numpy loads, so it must precede that import
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# OpenBLAS reads this once, when numpy loads, so it must precede that import.
+# OpenBLAS takes an empty value for unset, and so does the pin
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from hecketrace.ffield import (
     DEFAULT_MAX_FIELD_SIZE,

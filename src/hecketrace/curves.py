@@ -26,6 +26,9 @@ from hecketrace.ffield import FqField
 # entries of one (curves x q) block of frobenius_traces, and curves per block
 # of the normal-form sweep, so that neither grows with q^2
 _TRACE_BLOCK = 1 << 16
+# entries of one block of the class-number kernel hurwitz6: discriminants per
+# sorted chunk, table entries per block of a, and (a, D) pairs per step
+_H_BLOCK = 1 << 13
 
 
 def frobenius_traces(field: FqField, a1, a2, a3, a4, a6) -> np.ndarray:
@@ -181,9 +184,12 @@ def _tally(hist: Dict[int, Fraction], traces: np.ndarray, weight: Fraction) -> N
 
 
 def _check_level1_mass(hist: Dict[int, Fraction], q: int, name: str) -> None:
-    total = sum(hist.values())
-    if total != q:
-        raise ArithmeticError(f"{name} route: level-1 mass is {total}, not q = {q}")
+    """The masses must add up to q; summed as integers over the lcm of their
+    denominators, not one Fraction at a time."""
+    den = math.lcm(*(m.denominator for m in hist.values()))
+    num = sum(m.numerator * (den // m.denominator) for m in hist.values())
+    if num != q * den:
+        raise ArithmeticError(f"{name} route: level-1 mass is {Fraction(num, den)}, not q = {q}")
 
 
 def jline_route_masses(field: FqField) -> List[Tuple[int, Fraction]]:
@@ -217,39 +223,87 @@ def jline_route_masses(field: FqField) -> List[Tuple[int, Fraction]]:
     return _collapse(hist)
 
 
+def _reduced_form_counts(d: np.ndarray) -> np.ndarray:
+    """Number of reduced positive forms of discriminant -D, imprimitive and
+    special forms counted once, for each entry D of the ascending array d
+    (hurwitz6 sorts and weighs)."""
+    out = np.zeros(d.size, dtype=np.int64)
+    amax = math.isqrt(max(int(d[-1]), 0) // 3)
+    a0 = 1
+    while a0 <= amax:
+        # the a0 <= a < a1 of one block have tables of 4a0 + ... + 4(a1 - 1)
+        # <= _H_BLOCK entries in all (at least one a per block)
+        a1 = (1 + math.isqrt(1 + 2 * _H_BLOCK + 4 * a0 * (a0 - 1))) // 2
+        a1 = min(amax + 1, max(a0 + 1, a1))
+        size = 2 * a1 * (a1 - 1) - 2 * a0 * (a0 - 1)
+        a = np.arange(a0, a1, dtype=np.int64)[:, None]
+        four_a = 4 * a
+        off = 2 * a * (a - 1) - 2 * a0 * (a0 - 1)  # a's residues start here
+        b = np.arange(2 - a1, a1, dtype=np.int64)
+        row, t = off + (b * b) % four_a, 2 * b - 1
+        # b <= -a or b > a goes to row size + 1, whose keys lie above those of
+        # every query: its thresholds exceed -b^2 > -span
+        row += (size + 1 - row) * (t * t > four_a * a)
+        cnt = np.bincount(row.ravel(), minlength=size + 2)[:size]
+        first = np.cumsum(cnt) - cnt  # where each (a, residue) starts in keys
+        # keys (row, threshold 4a^2 - b^2 + [b < 0]); thresholds and the D
+        # of the band lie in [0, span)
+        span = 4 * (a1 - 1) ** 2 + 1
+        keys = np.sort((row * span + (four_a * a + ((b < 0) - b * b))).ravel())
+        cols = max(1, _H_BLOCK // (a1 - a0))
+        band, full = (int(i) for i in np.searchsorted(d, (3 * a0 * a0, 4 * (a1 - 1) ** 2)))
+        # 3a0^2 <= D < 4(a1 - 1)^2 < span: count the roots whose threshold is
+        # at most D, all of them once D >= 4a^2 and none while D < 3a^2
+        for lo in range(band, full, cols):
+            dd = d[lo : min(lo + cols, full)]
+            r = off + (-dd) % four_a
+            n = np.searchsorted(keys, r * span + dd, "right") - first[r]
+            out[lo : lo + dd.size] += n.sum(axis=0)
+        for lo in range(full, d.size, cols):  # D >= 4a^2 for every a of the block
+            out[lo : lo + cols] += cnt[off + (-d[lo : lo + cols]) % four_a].sum(axis=0)
+        a0 = a1
+    return out
+
+
 def hurwitz6(ds: np.ndarray) -> np.ndarray:
-    """6 * H(D) for each entry D > 0 of ds: H(D) counts the reduced positive
-    forms (a, b, c) of discriminant -D, imprimitive forms included, with the
-    forms proportional to x^2+y^2 and x^2+xy+y^2 weighing 1/2 and 1/3 (hence
-    the factor 6). D = 1, 2 mod 4 gives 0.
+    """6 * H(D) for each entry D > 0 of ds (any shape, order and repeats):
+    H(D) counts the reduced positive forms (a, b, c) of discriminant -D,
+    imprimitive forms included, with the forms proportional to x^2+y^2 and
+    x^2+xy+y^2 weighing 1/2 and 1/3 (hence the factor 6). D = 1, 2 mod 4
+    gives 0.
 
     Only the requested D are touched (Cohen, A Course in Computational
-    Algebraic Number Theory, 5.3). For each a <= sqrt(max D / 3), a form
-    (a, b, c) of discriminant -D with -a < b <= a exists iff
-    b^2 = -D mod 4a, and it is reduced iff c >= a, with b >= 0 when c = a;
-    since 4ac = D + b^2, that is D >= 4a^2 - b^2, plus 1 when b < 0. Sorting
-    the keys (b^2 mod 4a, threshold) lets two searchsorted calls count the
-    reduced forms of every D at once; (a, 0, a) at D = 4a^2 and (a, a, a) at
-    D = 3a^2 then lose 1/2 and 2/3 of their weight.
+    Algebraic Number Theory, 5.3). A form (a, b, c) of discriminant -D with
+    -a < b <= a exists iff b^2 = -D mod 4a, and it is reduced iff c >= a,
+    with b >= 0 when c = a; since 4ac = D + b^2, that is
+    D >= 4a^2 - b^2 + [b < 0], a threshold in [3a^2, 4a^2]. The a run in
+    blocks. Each block has a root-count table cnt_a[r] = #{b in (-a, a] :
+    b^2 = r mod 4a}, made by one bincount, so a D >= 4a^2 reads its count
+    with one gather at -D mod 4a. The D in [3a^2, 4a^2) instead count the
+    roots whose threshold is at most D in the block's sorted keys
+    (a, residue, threshold), one searchsorted call per step. Each chunk of
+    _H_BLOCK discriminants is sorted first, so a block visits only the
+    D >= 3a0^2 and splits them into these two ranges by slicing. Every
+    temporary holds at most _H_BLOCK entries, or about 4 amax once that is
+    larger, whatever len(ds) is, and the Python loop runs once per block of
+    a and per _H_BLOCK pairs, not once per a. Finally (a, 0, a) at D = 4a^2
+    and (a, a, a) at D = 3a^2 lose 1/2 and 2/3 of their weight.
     """
     ds = np.asarray(ds, dtype=np.int64)
-    six = np.zeros(ds.shape, dtype=np.int64)
-    dmax = int(ds.max(initial=0))
-    amax = math.isqrt(dmax // 3)
-    span = 4 * amax * amax + dmax + 1  # above every threshold and every D
-    for a in range(1, amax + 1):
-        b = np.arange(-a + 1, a + 1, dtype=np.int64)
-        bb = b * b
-        keys = np.sort(bb % (4 * a) * span + (4 * a * a - bb + (b < 0)))
-        base = (-ds) % (4 * a) * span
-        six += 6 * np.searchsorted(keys, base + ds, "right")
-        six -= 6 * np.searchsorted(keys, base, "left")
-    g = np.arange(1, amax + 1, dtype=np.int64)
-    # 4g^2 and 3g^2 are sorted without repeats, so each D occurs 0 or 1 times
-    # in them (np.isin would give the same, but it loads numpy.ma)
-    for loss, forms in ((3, 4 * g * g), (4, 3 * g * g)):
-        six -= loss * (np.searchsorted(forms, ds, "right") - np.searchsorted(forms, ds, "left"))
-    return six
+    flat = ds.reshape(-1)
+    six = np.empty(flat.size, dtype=np.int64)
+    for lo in range(0, flat.size, _H_BLOCK):
+        chunk = flat[lo : lo + _H_BLOCK]
+        d = np.sort(chunk)
+        s = 6 * _reduced_form_counts(d)
+        g = np.arange(1, math.isqrt(max(int(d[-1]), 0) // 3) + 1, dtype=np.int64)
+        # 4g^2 and 3g^2 are sorted without repeats, so each D occurs 0 or 1
+        # times in them (np.isin would give the same, but it loads numpy.ma)
+        for loss, forms in ((3, 4 * g * g), (4, 3 * g * g)):
+            s -= loss * (np.searchsorted(forms, d, "right") - np.searchsorted(forms, d, "left"))
+        # equal D have equal values, so the first of each in d stands for all
+        six[lo : lo + chunk.size] = s[np.searchsorted(d, chunk)]
+    return six.reshape(ds.shape)
 
 
 def _j0_stratum(field: FqField) -> Tuple[np.ndarray, Fraction]:

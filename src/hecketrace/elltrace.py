@@ -410,31 +410,50 @@ def split_trace(
 # Kronecker class numbers and the non-unit locus
 
 
+# (b, a) candidates per chunk of kronecker_H
+_KH_BLOCK = 1 << 13
+
+
 def kronecker_H(disc: int) -> Fraction:
     """Weighted count of reduced positive binary quadratic forms of the given
     negative discriminant, imprimitive forms included; the forms proportional
     to x^2+y^2 and x^2+xy+y^2 weigh 1/2 and 1/3.
 
-    One numpy pass over every (a, b) with 3a^2 <= -disc, -a < b <= a and
-    b = disc mod 2. It shares no code with curves.hurwitz6, so that each
-    checks the other."""
+    A reduced form (a, b, c) has |b| <= a <= c. For each b >= 0 with
+    b = disc mod 2 and 3b^2 <= -disc, the forms (a, +-b, c) are the divisors
+    a of N = (b^2 - disc)/4 with b <= a <= N/a = c. The candidates (b, a),
+    max(b, 1) <= a <= sqrt(N) for the largest N, are tested in flat chunks
+    of at most _KH_BLOCK entries, and a <= c on the hits. Each hit counts
+    twice, for +b and -b, except when b = 0, b = a or a = c, where only
+    b >= 0 is reduced. The 1/2 and 1/3 weights follow from the gcd of the
+    hits. It shares no code with curves.hurwitz6, so that each checks the
+    other."""
     if disc >= 0:
         raise ValueError("discriminant must be negative")
     if disc % 4 not in (0, 1):
         raise ValueError("discriminant must be 0 or 1 mod 4")
-    amax = math.isqrt(-disc // 3)
-    a = np.arange(1, amax + 1, dtype=np.int64)[:, None]
-    b = np.arange(-amax + 1, amax + 1, dtype=np.int64)
-    b = b[(b - disc) % 2 == 0][None, :]
-    num = b * b - disc
-    c = num // (4 * a)
-    ok = (b > -a) & (b <= a) & (num % (4 * a) == 0) & (c >= a) & ((c > a) | (b >= 0))
-    a, b, c = (np.broadcast_to(x, ok.shape)[ok] for x in (a, b, c))
-    g = np.gcd(np.gcd(a, b), c)
-    base_a, base_b, base_c = a // g, b // g, c // g
-    halves = int(np.count_nonzero((base_a == 1) & (base_b == 0) & (base_c == 1)))
-    thirds = int(np.count_nonzero((base_a == 1) & (base_b == 1) & (base_c == 1)))
-    return Fraction(6 * a.size - 3 * halves - 4 * thirds, 6)
+    b = np.arange(disc % 2, math.isqrt(-disc // 3) + 1, 2, dtype=np.int64)
+    n = (b * b - disc) // 4
+    least = np.maximum(b, 1)
+    width = math.isqrt(int(n[-1])) + 1 - least  # >= 1, as N >= b^2
+    ends = np.cumsum(width)
+    count = halves = thirds = 0
+    lo = 0
+    while lo < b.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo] + _KH_BLOCK, "right")))
+        w = width[lo:hi]
+        bf, nf = np.repeat(b[lo:hi], w), np.repeat(n[lo:hi], w)
+        af = np.arange(bf.size, dtype=np.int64) - np.repeat(np.cumsum(w) - w - least[lo:hi], w)
+        hit = nf % af == 0
+        a, bh, c = af[hit], bf[hit], nf[hit] // af[hit]
+        keep = a <= c
+        a, bh, c = a[keep], bh[keep], c[keep]
+        count += 2 * a.size - int(np.count_nonzero((bh == 0) | (bh == a) | (a == c)))
+        g = np.gcd(np.gcd(a, bh), c)
+        halves += int(np.count_nonzero((a == g) & (bh == 0) & (c == g)))
+        thirds += int(np.count_nonzero((a == g) & (bh == g) & (c == g)))
+        lo = hi
+    return Fraction(6 * count - 3 * halves - 4 * thirds, 6)
 
 
 def nonunit_mass(field: FqField, ell: int) -> Fraction:

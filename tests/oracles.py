@@ -1,6 +1,7 @@
 """Independent oracles: q-expansions that pin expected trace values, a
-full-range sieve of Hurwitz class numbers, a rational fold of mass lists, the
-f coefficient family summed term by term, the mass routes by enumeration
+full-range sieve of Hurwitz class numbers, the per-a and (a, b)-rectangle
+class-number kernels, a rational fold of mass lists, the f coefficient
+family summed term by term, the mass routes by enumeration
 (reduced families, the full isomorphism classification and its automorphism
 stabilizers), Drinfeld classes by a walk over all (g, delta) pairs, and
 Drinfeld traces from the [c_{k,l}] table.
@@ -182,6 +183,51 @@ def kronecker_sieve(limit: int):
         if 3 * a * a <= limit:
             sixh[3 * a * a] -= 4  # (a, a, a) weighs 1/3
     return sixh
+
+
+def hurwitz6_per_a(ds) -> np.ndarray:
+    """6 * H(D) for each entry D > 0 of ds, one a at a time: for each
+    a <= sqrt(max D / 3), the keys (b^2 mod 4a, 4a^2 - b^2 + [b < 0]) of the
+    b in (-a, a] are sorted, and two searchsorted calls count for every D the
+    forms (a, b, c) with b^2 = -D mod 4a and c >= a (b >= 0 when c = a);
+    (a, 0, a) at D = 4a^2 and (a, a, a) at D = 3a^2 then lose 1/2 and 2/3 of
+    their weight."""
+    ds = np.asarray(ds, dtype=np.int64)
+    six = np.zeros(ds.shape, dtype=np.int64)
+    dmax = int(ds.max(initial=0))
+    amax = math.isqrt(dmax // 3)
+    span = 4 * amax * amax + dmax + 1  # above every threshold and every D
+    for a in range(1, amax + 1):
+        b = np.arange(-a + 1, a + 1, dtype=np.int64)
+        bb = b * b
+        keys = np.sort(bb % (4 * a) * span + (4 * a * a - bb + (b < 0)))
+        base = (-ds) % (4 * a) * span
+        six += 6 * np.searchsorted(keys, base + ds, "right")
+        six -= 6 * np.searchsorted(keys, base, "left")
+    g = np.arange(1, amax + 1, dtype=np.int64)
+    for loss, forms in ((3, 4 * g * g), (4, 3 * g * g)):
+        six -= loss * (np.searchsorted(forms, ds, "right") - np.searchsorted(forms, ds, "left"))
+    return six
+
+
+def kronecker_H_rectangle(disc: int) -> Fraction:
+    """H(-disc) for a negative discriminant disc, from one numpy pass over
+    every (a, b) with 3a^2 <= -disc, -a < b <= a and b = disc mod 2: the
+    reduced forms (a, b, c) counted with the forms proportional to x^2+y^2
+    and x^2+xy+y^2 weighing 1/2 and 1/3."""
+    amax = math.isqrt(-disc // 3)
+    a = np.arange(1, amax + 1, dtype=np.int64)[:, None]
+    b = np.arange(-amax + 1, amax + 1, dtype=np.int64)
+    b = b[(b - disc) % 2 == 0][None, :]
+    num = b * b - disc
+    c = num // (4 * a)
+    ok = (b > -a) & (b <= a) & (num % (4 * a) == 0) & (c >= a) & ((c > a) | (b >= 0))
+    a, b, c = (np.broadcast_to(x, ok.shape)[ok] for x in (a, b, c))
+    g = np.gcd(np.gcd(a, b), c)
+    base_a, base_b, base_c = a // g, b // g, c // g
+    halves = int(np.count_nonzero((base_a == 1) & (base_b == 0) & (base_c == 1)))
+    thirds = int(np.count_nonzero((base_a == 1) & (base_b == 1) & (base_c == 1)))
+    return Fraction(6 * a.size - 3 * halves - 4 * thirds, 6)
 
 
 def fraction_fold(pairs: Sequence[Tuple[int, Fraction]], q: int, max_k: int) -> List[Fraction]:

@@ -590,6 +590,14 @@ def test_cli_process_runs_on_one_thread():
     assert _fresh(code) == "1"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_pins_an_empty_thread_count():
+    # OpenBLAS reads OPENBLAS_NUM_THREADS= as unset and starts its pool
+    code = ("import os\nfrom hecketrace import cli\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    assert _fresh(code, OPENBLAS_NUM_THREADS="") == "1 1"
+
+
 def test_cli_keeps_a_thread_count_the_user_set():
     code = "import os\nfrom hecketrace import cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _fresh(code, OPENBLAS_NUM_THREADS="2") == "2"

@@ -2,6 +2,7 @@
 mass routes, against the scalar curve arithmetic of curve_arith.py and the
 enumeration oracles built on it."""
 
+import math
 import os
 import random
 import subprocess
@@ -295,9 +296,61 @@ def test_hurwitz6_matches_full_range_sieve():
     limit = 200_000
     sixh = oracles.kronecker_sieve(limit)
     assert np.array_equal(cv.hurwitz6(np.arange(1, limit + 1)), sixh[1:])
-    # any subset and order of discriminants gives the same values
+    assert np.array_equal(oracles.hurwitz6_per_a(np.arange(1, 20_001)), sixh[1:20_001])
+    # the ends of the threshold range: (a, a, a) at 3a^2, (a, 0, a) at 4a^2
+    a = np.arange(1, 224)
+    edges = np.concatenate([3 * a * a, 4 * a * a, 4 * a * a - 1, 4 * a * a + 1])
+    assert np.array_equal(cv.hurwitz6(edges), sixh[edges])
+    # any subset, order, repeats and shape of discriminants give the same values
     ds = np.array([limit, 3, 4 * 9973, 7, 3 * 49, 4 * 25, 12])
     assert np.array_equal(cv.hurwitz6(ds), sixh[ds])
+    rng = np.random.default_rng(7)
+    mixed = rng.permutation(np.concatenate([edges, edges[::3], rng.integers(1, limit + 1, 3000)]))
+    assert np.array_equal(cv.hurwitz6(mixed), sixh[mixed])
+    assert np.array_equal(cv.hurwitz6(mixed[:3000].reshape(30, 100)), sixh[mixed[:3000]].reshape(30, 100))
+    assert cv.hurwitz6(np.array([], dtype=np.int64)).shape == (0,)
+
+
+def _parabola(q):
+    return np.array([4 * q - t * t for t in range(1, math.isqrt(4 * q - 1) + 1)], dtype=np.int64)
+
+
+def test_hurwitz6_matches_per_a_oracle_on_parabolas():
+    # the discriminants 4q - t^2 of the level-1 traces, q up to 2^22
+    for q in (5, 101, 4099, 65537, 262133, 1048573, 4194301):
+        ds = _parabola(q)
+        assert np.array_equal(cv.hurwitz6(ds), oracles.hurwitz6_per_a(ds)), q
+
+
+def test_hurwitz6_blocks_do_not_change_values(monkeypatch):
+    # tiny blocks: many chunks of D, and single-a blocks whose 4a tables
+    # exceed the block
+    limit = 5000
+    sixh = oracles.kronecker_sieve(limit)
+    ds = np.random.default_rng(3).permutation(np.arange(1, limit + 1))
+    monkeypatch.setattr(cv, "_H_BLOCK", 37)
+    assert np.array_equal(cv.hurwitz6(ds), sixh[ds])
+    ds = _parabola(65537)
+    assert np.array_equal(cv.hurwitz6(ds), oracles.hurwitz6_per_a(ds))
+
+
+def test_hurwitz6_loops_per_block_not_per_a(monkeypatch):
+    # one bincount per block of a; a block's tables fill _H_BLOCK entries
+    # up to one 4a, so at q = 262133 (amax = 591) there are about
+    # 2 amax^2 / _H_BLOCK blocks, far fewer than amax
+    blocks = []
+    real_bincount = np.bincount
+
+    def counting_bincount(*args, **kwargs):
+        blocks.append(args[0].size)
+        return real_bincount(*args, **kwargs)
+
+    monkeypatch.setattr(cv.np, "bincount", counting_bincount)
+    cv.hurwitz6(_parabola(262133))
+    amax = 591
+    assert len(blocks) <= 2 * amax * (amax + 1) // (cv._H_BLOCK - 4 * (amax + 1)) + 1
+    assert len(blocks) < amax // 4
+    assert max(blocks) <= cv._H_BLOCK
 
 
 def test_deuring_route_matches_point_counts():

@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -323,6 +325,76 @@ def test_kronecker_class_numbers():
         et.kronecker_H(4)
     with pytest.raises(ValueError):
         et.kronecker_H(-5)
+
+
+def _identity_discriminants(p, ell=11):
+    return [-4 * p] + [(ell * i) ** 2 - 4 * p for i in range(1, math.isqrt(4 * p) // ell + 1)
+                       if (ell * i) ** 2 < 4 * p]
+
+
+def test_kronecker_H_matches_rectangle_oracle():
+    # the discriminants of `ell class-number --p 100043`
+    discs = _identity_discriminants(100043)
+    assert len(discs) == 58
+    for disc in discs:
+        assert et.kronecker_H(disc) == oracles.kronecker_H_rectangle(disc), disc
+
+
+def test_kronecker_H_chunks_do_not_change_values(monkeypatch):
+    discs = [-3, -4, -7, -48, -300, -1200, -4 * 1009] + _identity_discriminants(1009)
+    want = [et.kronecker_H(d) for d in discs]
+    for block in (1, 7, 100):
+        monkeypatch.setattr(et, "_KH_BLOCK", block)
+        assert [et.kronecker_H(d) for d in discs] == want, block
+
+
+def test_class_number_kernels_keep_a_bounded_peak():
+    # every temporary is a block of at most about 2^13 entries: the traced
+    # peak stays under 1 MB beyond the output array, whatever the input size
+    q = 262133
+    cases = [
+        (cv.hurwitz6, np.array([4 * q - t * t for t in range(1, 1024)], dtype=np.int64)),
+        (cv.hurwitz6, np.arange(1, 200_001, dtype=np.int64)),
+        (et.kronecker_H, -4 * 100043),
+    ]
+    for kernel, arg in cases:
+        tracemalloc.start()
+        try:
+            out = kernel(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - getattr(out, "nbytes", 0) < 1 << 20, (kernel.__name__, peak)
+
+
+_WRONG_KRONECKER = """
+import sys
+from hecketrace import cli
+from hecketrace import elltrace as et
+
+good = et.kronecker_H
+et.kronecker_H = lambda disc: good(disc) + (disc == -4 * 1009)
+sys.exit(cli.run(["ell", "class-number", "--p", "1009"]))
+"""
+
+
+def test_class_number_command_fails_on_a_wrong_kronecker_H(monkeypatch, capsys):
+    # the identity checks kronecker_H against the hurwitz6 masses: one form
+    # too many at the first discriminant turns pass into FAIL and exit 1
+    from hecketrace import cli
+
+    assert cli.run(["ell", "class-number", "--p", "1009"]) == 0
+    assert capsys.readouterr().out.strip().endswith("pass")
+    good = et.kronecker_H
+    monkeypatch.setattr(et, "kronecker_H", lambda disc: good(disc) + (disc == -4 * 1009))
+    assert cli.run(["ell", "class-number", "--p", "1009"]) == 1
+    assert capsys.readouterr().out.strip().endswith("FAIL")
+    # no assert decides it: the same holds under python -O
+    src = os.path.dirname(os.path.dirname(et.__file__))
+    res = subprocess.run([sys.executable, "-O", "-c", _WRONG_KRONECKER],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stdout.strip().endswith("FAIL")
 
 
 def test_class_number_identity():
