@@ -15,7 +15,9 @@ imports nothing, so that `python -m hecketrace.cli` and the `hecketrace`
 script reach the pin first.
 Each handler imports the modules it calls when it runs.  A `dr` job then never
 compiles the elliptic modules, an `ell` job never compiles `drinfeld`, and only
-the selftest commands compile `selftest`.  Handlers call through the module
+the selftest commands compile `selftest`.  In the same way `json` and `csv`
+load only for the output formats and inputs that need them, and the parser
+holds the flags of the chosen command only.  Handlers call through the module
 (`et.trace`), never through a name bound at import, so that a wrapper installed
 on the module is seen.
 """
@@ -23,10 +25,7 @@ on the module is seen.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
-import random
 import re
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
@@ -56,7 +55,8 @@ if TYPE_CHECKING:
 # parsing and emission helpers
 
 
-_TERM_RE = re.compile(r"(-)?(\d+)?\*?(?:(T)(?:\^(\d+))?)?")
+# one term of a written polynomial; `re` compiles it on first use and caches it
+_TERM = r"(-)?(\d+)?\*?(?:(T)(?:\^(\d+))?)?"
 
 
 def parse_fq_poly(field: FqField, text: str, max_size: Optional[int] = None) -> FqPoly:
@@ -71,6 +71,8 @@ def parse_fq_poly(field: FqField, text: str, max_size: Optional[int] = None) -> 
     of degree d needs a field of q^(n d) elements, and a modulus l of degree
     d has a weight period of at least q^d - 1.
     """
+    import json
+
     from hecketrace.drinfeld import FqPoly, fq_poly_from_codes
 
     text = text.strip()
@@ -90,7 +92,7 @@ def parse_fq_poly(field: FqField, text: str, max_size: Optional[int] = None) -> 
     for term in text.replace(" ", "").replace("-", "+-").split("+"):
         if not term:
             continue
-        m = _TERM_RE.fullmatch(term)
+        m = re.fullmatch(_TERM, term)
         if m is None or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"cannot parse term {term!r} of {text!r}")
         c = int(m.group(2)) if m.group(2) else 1
@@ -122,9 +124,17 @@ def _echo(args: argparse.Namespace, path: str) -> None:
     print(f"# hecketrace {path} " + " ".join(parts), file=sys.stderr)
 
 
+def _compact_json(v) -> str:
+    """v as compact JSON; json is imported here, so that a human-format ell
+    job never loads it."""
+    import json
+
+    return json.dumps(v, separators=(",", ":"))
+
+
 def _csv_cell(v):
     if isinstance(v, (list, tuple)):
-        return json.dumps(v, separators=(",", ":"))
+        return _compact_json(v)
     if v is None:
         return ""
     return v
@@ -133,6 +143,8 @@ def _csv_cell(v):
 def emit(rows: Iterable[dict], fmt: str, human: Callable[[dict], str]) -> None:
     """Print rows as they come: csv takes its header from the first row."""
     if fmt == "csv":
+        import csv
+
         w = csv.writer(sys.stdout, lineterminator="\n")
         keys = None
         for r in rows:
@@ -141,7 +153,7 @@ def emit(rows: Iterable[dict], fmt: str, human: Callable[[dict], str]) -> None:
                 w.writerow(keys)
             w.writerow([_csv_cell(r[k]) for k in keys])
         return
-    line = (lambda r: json.dumps(r, separators=(",", ":"))) if fmt == "json" else human
+    line = _compact_json if fmt == "json" else human
     for r in rows:
         print(line(r))
 
@@ -399,7 +411,7 @@ def cmd_dr_ramanujan(args) -> int:
         ]
     # the report is JSON lines whatever the format flag says, per contract
     fmt = "csv" if args.format == "csv" else "json"
-    emit(rows, fmt, lambda r: json.dumps(r, separators=(",", ":")))
+    emit(rows, fmt, _compact_json)
     return 0 if rep.all_ok else 1
 
 
@@ -408,6 +420,8 @@ def cmd_dr_ramanujan(args) -> int:
 
 
 def cmd_selftest_lemmas(args) -> int:
+    import random
+
     from hecketrace import selftest
 
     rng = random.Random(args.seed)
@@ -459,132 +473,95 @@ def cmd_selftest_examples(args) -> int:
 # argument wiring
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p_help = (
-        "monic irreducible, e.g. 'T' or 'T^2+T+1'; integer coefficients must lie "
-        "in 0..p-1 when q is not prime, where '[c0,c1,...]' gives element codes"
-    )
-    # each subcommand takes only the flags its handler reads: every one takes
-    # --format, those that build fields --max-field-size, the two
-    # verify-period commands --max-weight
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    fields = argparse.ArgumentParser(add_help=False, parents=[common])
-    fields.add_argument(
-        "--max-field-size",
-        type=int,
-        default=DEFAULT_MAX_FIELD_SIZE,
-        help="largest finite field the run may construct",
-    )
-    window = argparse.ArgumentParser(add_help=False, parents=[fields])
-    window.add_argument(
-        "--max-weight",
-        type=int,
-        default=DEFAULT_MAX_WEIGHT,
-        help="largest weight a verification window may reach",
-    )
+_P_HELP = (
+    "monic irreducible, e.g. 'T' or 'T^2+T+1'; integer coefficients must lie "
+    "in 0..p-1 when q is not prime, where '[c0,c1,...]' gives element codes"
+)
+_REQ_INT = {"type": int, "required": True}
 
+# the flags a command shares with others: every one takes --format, those
+# that build fields --max-field-size, the two verify-period commands
+# --max-weight; each command takes the first 1, 2 or 3 of them
+_SHARED = (
+    ("--format", {"choices": ("json", "csv", "human"), "default": "human"}),
+    ("--max-field-size", {"type": int, "default": DEFAULT_MAX_FIELD_SIZE,
+                          "help": "largest finite field the run may construct"}),
+    ("--max-weight", {"type": int, "default": DEFAULT_MAX_WEIGHT,
+                      "help": "largest weight a verification window may reach"}),
+)
+_FMT, _FIELDS, _WINDOW = 1, 2, 3
+
+# group -> (help, command -> (help, handler, shared flags, own flags))
+_COMMANDS = {
+    "ell": ("elliptic modular forms over F_q", {
+        "moments": ("weighted power moments of a_1", cmd_ell_moments, _FIELDS, {
+            "--q": _REQ_INT, "--level": {"default": "1"}, "--kmax": _REQ_INT,
+            "--cache-dir": {"default": None, "help": "moment cache directory"}}),
+        "trace": ("exact Frobenius trace on cusp forms", cmd_ell_trace, _FIELDS, {
+            "--q": _REQ_INT, "--level": {"default": "1"}, "--weight": _REQ_INT}),
+        "split": ("non-unit/unit split mod ell^s", cmd_ell_split, _FIELDS, {
+            "--q": _REQ_INT, "--level": {"default": "1"}, "--weight": _REQ_INT, "--ell": _REQ_INT,
+            "--s": {"type": int, "default": 1}}),
+        "verify-period": ("weight periodicity mod ell^s", cmd_ell_verify_period, _WINDOW, {
+            "--q": _REQ_INT, "--level": {"default": "1"}, "--ell": _REQ_INT,
+            "--s": {"type": int, "default": 1}, "--kmin": {"type": int, "default": None},
+            "--kmax": {"type": int, "default": None}}),
+        "hecke-poly": ("Hecke characteristic polynomial", cmd_ell_hecke_poly, _FIELDS, {
+            "--p": _REQ_INT, "--weight": _REQ_INT, "--mod": {"type": int, "default": None}}),
+        "class-number": ("non-unit mass identity sides", cmd_ell_class_number, _FMT, {
+            "--p": _REQ_INT, "--ell": {"type": int, "default": 11}}),
+    }),
+    "dr": ("Drinfeld modular forms over F_q[T]", {
+        "enumerate": ("twist-orbit classes with Frobenius data", cmd_dr_enumerate, _FIELDS, {
+            "--q": _REQ_INT, "--P": {"required": True, "help": _P_HELP},
+            "--n": {"type": int, "default": 1}}),
+        "trace": ("Hecke trace at P^n as an F_q[T] element", cmd_dr_trace, _FIELDS, {
+            "--q": _REQ_INT, "--P": {"required": True, "help": _P_HELP},
+            "--n": {"type": int, "default": 1}, "--weight": _REQ_INT,
+            "--type": {"type": int, "default": 1}}),
+        "verify-period": ("weight periodicity mod l^s", cmd_dr_verify_period, _WINDOW, {
+            "--q": _REQ_INT, "--P": {"required": True, "help": _P_HELP},
+            "--n": {"type": int, "default": 1},
+            "--ell": {"required": True, "help": "monic irreducible modulus, e.g. 'T'"},
+            "--s": {"type": int, "default": 1}, "--type": {"type": int, "default": 1},
+            "--kmin": {"type": int, "default": None}, "--kmax": {"type": int, "default": None}}),
+        "ramanujan": ("finite slope-bound window check", cmd_dr_ramanujan, _FIELDS, {
+            "--q": _REQ_INT, "--P": {"required": True, "help": _P_HELP},
+            "--n": {"type": int, "default": 1}}),
+    }),
+    "selftest": ("bundled verification suites", {
+        "lemmas": ("randomized property checks", cmd_selftest_lemmas, _FMT, {
+            "--trials": {"type": int, "default": 5},
+            "--seed": {"type": int, "default": 0, "help": "seed for randomized checks"}}),
+        "paper-examples": ("re-check published reference values", cmd_selftest_examples, _FMT, {}),
+    }),
+}
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for this argv: every group and command is listed with its
+    help, but only the command argv names gets its flags (argparse takes
+    several milliseconds to build all of them). A command is named by the
+    first two words, as no flag may precede it."""
     top = argparse.ArgumentParser(prog="hecketrace", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="group", required=True)
-
-    ell = sub.add_parser("ell", help="elliptic modular forms over F_q").add_subparsers(
-        dest="cmd", required=True
-    )
-
-    p = ell.add_parser("moments", parents=[fields], help="weighted power moments of a_1")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--level", default="1")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--cache-dir", default=None, help="moment cache directory")
-    p.set_defaults(func=cmd_ell_moments)
-
-    p = ell.add_parser("trace", parents=[fields], help="exact Frobenius trace on cusp forms")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--level", default="1")
-    p.add_argument("--weight", type=int, required=True)
-    p.set_defaults(func=cmd_ell_trace)
-
-    p = ell.add_parser("split", parents=[fields], help="non-unit/unit split mod ell^s")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--level", default="1")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
-    p.set_defaults(func=cmd_ell_split)
-
-    p = ell.add_parser("verify-period", parents=[window], help="weight periodicity mod ell^s")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--level", default="1")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--kmin", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.set_defaults(func=cmd_ell_verify_period)
-
-    p = ell.add_parser("hecke-poly", parents=[fields], help="Hecke characteristic polynomial")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--mod", type=int, default=None)
-    p.set_defaults(func=cmd_ell_hecke_poly)
-
-    p = ell.add_parser("class-number", parents=[common], help="non-unit mass identity sides")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--ell", type=int, default=11)
-    p.set_defaults(func=cmd_ell_class_number)
-
-    drp = sub.add_parser("dr", help="Drinfeld modular forms over F_q[T]").add_subparsers(
-        dest="cmd", required=True
-    )
-
-    p = drp.add_parser("enumerate", parents=[fields], help="twist-orbit classes with Frobenius data")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--P", required=True, help=p_help)
-    p.add_argument("--n", type=int, default=1)
-    p.set_defaults(func=cmd_dr_enumerate)
-
-    p = drp.add_parser("trace", parents=[fields], help="Hecke trace at P^n as an F_q[T] element")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--P", required=True, help=p_help)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--type", type=int, default=1)
-    p.set_defaults(func=cmd_dr_trace)
-
-    p = drp.add_parser("verify-period", parents=[window], help="weight periodicity mod l^s")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--P", required=True, help=p_help)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--ell", required=True, help="monic irreducible modulus, e.g. 'T'")
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--type", type=int, default=1)
-    p.add_argument("--kmin", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.set_defaults(func=cmd_dr_verify_period)
-
-    p = drp.add_parser("ramanujan", parents=[fields], help="finite slope-bound window check")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--P", required=True, help=p_help)
-    p.add_argument("--n", type=int, default=1)
-    p.set_defaults(func=cmd_dr_ramanujan)
-
-    st = sub.add_parser("selftest", help="bundled verification suites").add_subparsers(
-        dest="cmd", required=True
-    )
-
-    p = st.add_parser("lemmas", parents=[common], help="randomized property checks")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.set_defaults(func=cmd_selftest_lemmas)
-
-    p = st.add_parser("paper-examples", parents=[common], help="re-check published reference values")
-    p.set_defaults(func=cmd_selftest_examples)
-
+    for group, (group_help, commands) in _COMMANDS.items():
+        parser = sub.add_parser(group, help=group_help)
+        if argv[:1] != [group]:
+            continue
+        cmds = parser.add_subparsers(dest="cmd", required=True)
+        for cmd, (cmd_help, func, shared, own) in commands.items():
+            p = cmds.add_parser(cmd, help=cmd_help)
+            if argv[1:2] == [cmd]:
+                for flag, kwargs in _SHARED[:shared] + tuple(own.items()):
+                    p.add_argument(flag, **kwargs)
+                p.set_defaults(func=func)
     return top
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     _echo(args, f"{args.group} {args.cmd}")
     try:
         with unlimited_int_digits():

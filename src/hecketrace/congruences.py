@@ -7,8 +7,7 @@ polynomial kernel of `ffield`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from hecketrace.ffield import (
     CertificateRefused,
@@ -123,8 +122,7 @@ def f_numerator(q: int, r: int, m: int, delta: int, horizon_mult: int = 10) -> L
 # theorem period table
 
 
-@dataclass(frozen=True)
-class PeriodSpec:
+class PeriodSpec(NamedTuple):
     """Resolved weight period data for one (ell, s, q, H) combination."""
 
     ell: int

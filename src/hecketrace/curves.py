@@ -14,9 +14,8 @@ Everything here is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -68,8 +67,7 @@ def frobenius_traces(field: FqField, a1, a2, a3, a4, a6) -> np.ndarray:
 # level structures
 
 
-@dataclass(frozen=True)
-class LevelStructureSpec:
+class LevelStructureSpec(NamedTuple):
     """A subgroup H of GL2(Z/N) given by its matrices (a, b, c, d), row-major."""
 
     name: str

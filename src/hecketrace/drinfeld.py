@@ -33,8 +33,7 @@ on one polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from hecketrace.ffield import (
     BudgetError,
     FqElem,
     FqField,
+    Record,
     embed,
     factorize,
     fq_construct,
@@ -197,8 +197,7 @@ def canonical_irreducibles(field: FqField, degree: int) -> List[FqPoly]:
 # parameters: base field, prime P, level of the Frobenius
 
 
-@dataclass(frozen=True)
-class DrinfeldParams:
+class DrinfeldParams(NamedTuple):
     """Everything fixed by the choice of (q, P, n).
 
     L is the field with q^m elements (m = n deg P), gamma_t the image of T
@@ -373,27 +372,26 @@ def _gauss_jordan_mod_p(mats: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarra
 # class enumeration and Frobenius polynomials
 
 
-@dataclass(frozen=True, eq=False)
-class ClassTable:
+class ClassTable(Record):
     """The twist-orbit representatives and their Frobenius data, one entry
     per class in (g, delta) code order, as read-only int64 code arrays.
 
     g and delta are L-codes, aut the twist stabilizer size (autOrder), size
     the orbit size; a holds the base-field codes of the T-digits of a
     (classes x digits, trailing all-zero columns trimmed, at least one) and
-    b the base-field code of b.
+    b the base-field code of b. Tables compare and hash by identity, as
+    numpy compares arrays elementwise.
     """
 
-    g: np.ndarray
-    delta: np.ndarray
-    aut: np.ndarray
-    size: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    __slots__ = ("g", "delta", "aut", "size", "a", "b")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        for arr in (self.g, self.delta, self.aut, self.size, self.a, self.b):
+    def __init__(self, g: np.ndarray, delta: np.ndarray, aut: np.ndarray,
+                 size: np.ndarray, a: np.ndarray, b: np.ndarray):
+        for arr in (g, delta, aut, size, a, b):
             arr.setflags(write=False)
+        self._set(g, delta, aut, size, a, b)
 
     def __len__(self) -> int:
         return len(self.g)
@@ -971,8 +969,7 @@ def minimal_period_mod(
 # the period table and the periodicity certificate
 
 
-@dataclass(frozen=True)
-class DPeriodSpec:
+class DPeriodSpec(NamedTuple):
     """Resolved weight-period data for one (params, lpoly, s)."""
 
     lpoly: FqPoly
@@ -1213,8 +1210,7 @@ def verify_infty_period(
     return n, records, all_ok
 
 
-@dataclass(frozen=True)
-class RamanujanReport:
+class RamanujanReport(NamedTuple):
     """Outcome of the finite slope-bound check for one params."""
 
     params: DrinfeldParams

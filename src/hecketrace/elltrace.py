@@ -8,24 +8,24 @@ share one kernel. `_paired` scales the masses once by the lcm D of their
 denominators and pairs a1 with -a1, since c_k(-a) = (-1)^k c_k(a): the
 recurrence runs over b = |a1| only, with the weights w(b) + w(-b) at even k
 and w(b) - w(-b) at odd k. `_fold` runs that recurrence for every k up to a
-bound, exactly on Python ints or modulo ell^s * D; `_fold_at` reaches one k
-by Lucas doubling in O(log k) steps. Both divide by D at the end.
+bound: exactly on Python ints one k at a time, or modulo M = ell^s * D on the
+classes collapsed by b mod M, a block of k at a time (`_fold_blocks`);
+`_fold_at` reaches one k by Lucas doubling in O(log k) steps. All divide by
+D at the end.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from hecketrace import curves as cv
-from hecketrace.ffield import FqField, fraction_mod, is_prime, unlimited_int_digits
+from hecketrace.ffield import FqField, Record, fraction_mod, is_prime, unlimited_int_digits
 
 MassData = List[Tuple[int, Fraction]]
 
@@ -56,12 +56,14 @@ def mass_data(field: FqField, H: cv.LevelStructureSpec) -> MassData:
 # moment tables and their disk cache
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    field: FqField
-    H: cv.LevelStructureSpec
-    max_k: int
-    moments: Tuple[int, ...]  # [a_1^k] for 0 <= k <= max_k
+class MomentTable(Record):
+    """[a_1^k] for 0 <= k <= max_k over one (field, H); table[k] is [a_1^k]."""
+
+    __slots__ = ("field", "H", "max_k", "moments")
+
+    def __init__(self, field: FqField, H: cv.LevelStructureSpec, max_k: int,
+                 moments: Tuple[int, ...]):
+        self._set(field, H, max_k, moments)
 
     def __getitem__(self, k: int) -> int:
         return self.moments[k]
@@ -74,8 +76,10 @@ def _paired(data: MassData, modulus: Optional[int] = None):
     modulus * D (None for an exact fold), and arrays over the distinct b of
     the scaled weights w(b) + w(-b) and w(b) - w(-b), w = m * D (w(0) counts
     once; c_k(0) = 0 at odd k). odd is None when every odd weight is 0, as
-    at level 1 in odd characteristic. Modulo M < 2^31 the arrays are int64,
-    so that no product of two entries reaches 2^62; else Python ints.
+    at level 1 in odd characteristic. Modulo M the classes are keyed by
+    |a1| mod M, since c_k(b) mod M depends only on b mod M, so at most M rows
+    remain. The arrays are int64 when the n rows satisfy the bound
+    max(n, 2) (M - 1)^2 < 2^63 that `_fold_blocks` needs, else Python ints.
     """
     D = math.lcm(*(m.denominator for _, m in data))
     M = None if modulus is None else modulus * D
@@ -83,14 +87,15 @@ def _paired(data: MassData, modulus: Optional[int] = None):
     odd: Dict[int, int] = {}
     for a1, m in data:
         a1, w = int(a1), m.numerator * (D // m.denominator)
-        even[abs(a1)] = even.get(abs(a1), 0) + w
-        odd[abs(a1)] = odd.get(abs(a1), 0) + ((a1 > 0) - (a1 < 0)) * w
+        b = abs(a1) if M is None else abs(a1) % M
+        even[b] = even.get(b, 0) + w
+        odd[b] = odd.get(b, 0) + ((a1 > 0) - (a1 < 0)) * w
     keys = sorted(even)
     cols = [keys, [even[b] for b in keys], [odd[b] for b in keys]]
     if M is not None:
         cols = [[v % M for v in col] for col in cols]
-    dtype = np.int64 if M is not None and M < 2**31 else object
-    b, ev, od = (np.array(col, dtype=dtype) for col in cols)
+    small = M is not None and max(len(keys), 2) * (M - 1) ** 2 < 2**63
+    b, ev, od = (np.array(col, dtype=np.int64 if small else object) for col in cols)
     return D, M, b, ev, (od if any(cols[2]) else None)
 
 
@@ -101,28 +106,74 @@ def _unscale(s: int, D: int, k: int) -> int:
     return s // D
 
 
+# weights per block of `_fold_blocks`; even, so every block starts at an even k
+_FOLD_BLOCK = 64
+
+
+def _fold_blocks(b: np.ndarray, even: np.ndarray, odd: Optional[np.ndarray], q: int,
+                 M: int, max_k: int) -> List[int]:
+    """The scaled sums of `_fold` mod M for 0 <= k <= max_k, on int64 rows
+    that meet `_paired`'s bound, B = _FOLD_BLOCK weights per Python step.
+
+    Per row, c_{k0+j} = P_j c_{k0} + Q_j c_{k0-1}, where P_j = c_j and
+    Q_j = -q c_{j-1} run the recurrence from (c_0, c_{-1}) = (1, 0) and
+    (0, 1). The weights of each k's parity are multiplied into P and Q once,
+    as every block starts at an even k, so each block's B sums take two
+    matrix-vector products, and the state (c_{k0}, c_{k0-1}) moves on by
+    the rows B and B - 1. Entries stay below M, so a product of n terms is
+    at most n (M - 1)^2 and an update of two at most 2 (M - 1)^2.
+    """
+    B = min(_FOLD_BLOCK, max_k + 1)
+    P = np.empty((B + 1, b.size), dtype=np.int64)  # P[j] = c_j mod M
+    P[0] = 1
+    P[1] = b
+    for j in range(2, B + 1):
+        P[j] = (b * P[j - 1] - q * P[j - 2]) % M
+    Q = np.zeros_like(P)
+    Q[1:] = -q * P[:-1] % M
+    w = np.zeros((B, b.size), dtype=np.int64)
+    w[0::2] = even
+    if odd is not None:
+        w[1::2] = odd
+    wP, wQ = w * P[:B] % M, w * Q[:B] % M
+    sums: List[int] = []
+    cur, prev = np.ones_like(b), np.zeros_like(b)
+    for _ in range(0, max_k + 1, B):
+        sums += ((wP @ cur % M + wQ @ prev % M) % M).tolist()
+        cur, prev = (P[B] * cur + Q[B] * prev) % M, (P[B - 1] * cur + Q[B - 1] * prev) % M
+    return sums[: max_k + 1]
+
+
 def _fold(data: MassData, q: int, max_k: int, modulus: Optional[int] = None) -> List[int]:
     """S_k = sum of m * c_k(a1) over the (a1, m) pairs for 0 <= k <= max_k,
     reduced mod modulus when one is given, where c_0 = 1, c_1 = a1 and
     c_k = a1 c_{k-1} - q c_{k-2}; q = 0 gives the moments [a1^k].
 
-    The recurrence runs over the paired classes of `_paired`, all at once;
+    The recurrence runs over the paired classes of `_paired`, all at once,
+    on the sums scaled by D. Modulo M = modulus * D, when the n collapsed
+    rows meet max(n, 2) (M - 1)^2 < 2^63, `_fold_blocks` takes B weights per
+    Python step on int64 from c_{k0+j} = P_j c_{k0} + Q_j c_{k0-1}. An exact
+    fold, or one whose rows fail the int64 bound, takes one step per k on
+    Python ints, where block products would only make the integers grow;
     odd k need no dot product when every odd weight is 0. Every scaled sum
-    must be divisible by D; one that is not raises ArithmeticError.
+    must be divisible by D; the first that is not raises ArithmeticError.
     """
     D, M, b, even, odd = _paired(data, modulus)
-    if M is not None:
-        q %= M
-    sums = [0] * (max_k + 1)
-    prev, cur = np.zeros_like(b), np.ones_like(b)
-    for k in range(max_k + 1):
-        if k:
-            prev, cur = cur, (b * cur - q * prev if q else b * cur)
-            if M is not None:
-                cur %= M
-        w = odd if k % 2 else even
-        if w is not None:
-            sums[k] = int(w @ cur) if M is None else int((w * cur % M).sum()) % M
+    if b.dtype == np.int64:
+        sums = _fold_blocks(b, even, odd, q % M, M, max_k)
+    else:
+        if M is not None:
+            q %= M
+        sums = [0] * (max_k + 1)
+        prev, cur = np.zeros_like(b), np.ones_like(b)
+        for k in range(max_k + 1):
+            if k:
+                prev, cur = cur, (b * cur - q * prev if q else b * cur)
+                if M is not None:
+                    cur %= M
+            w = odd if k % 2 else even
+            if w is not None:
+                sums[k] = int(w @ cur) if M is None else int((w * cur % M).sum()) % M
     return [_unscale(s, D, k) for k, s in enumerate(sums)]
 
 
@@ -152,6 +203,8 @@ def _cache_path(cache_dir: str, field: FqField, H) -> str:
 
 
 def _write_atomic(path: str, payload: dict) -> None:
+    import json
+
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
@@ -193,7 +246,10 @@ def _load_table(path: str, field: FqField, H) -> Optional[MomentTable]:
     its header must equal this (field, H) after a JSON round trip, and it must
     hold exactly maxK + 1 moments, each a decimal integer string no longer
     than the Hasse bound allows (checked before parsing, so that a planted
-    huge string costs nothing)."""
+    huge string costs nothing). json is imported here and in `_write_atomic`,
+    so that jobs without a moment cache never load it."""
+    import json
+
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -269,8 +325,7 @@ def trace_interior(field: FqField, H, k: int) -> int:
 # eis and epsilon bookkeeping, full traces
 
 
-@dataclass(frozen=True)
-class EisSpec:
+class EisSpec(NamedTuple):
     even_value: Optional[int]
     odd_value: Optional[int]
     h0: int = 1
@@ -291,8 +346,7 @@ def epsilon_k(field: FqField, k: int, h0: int = 1) -> int:
     return -(field.q + 1) * h0 if k == 0 else 0
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     q: int
     H_name: str
     weight: int
@@ -332,8 +386,7 @@ def split_mass_data(field: FqField, H, ell: int):
     return part_n, part_u
 
 
-@dataclass(frozen=True)
-class SplitTrace:
+class SplitTrace(NamedTuple):
     ell: int
     s: int
     k: int

@@ -13,7 +13,6 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -111,18 +110,49 @@ def factorize(n: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class Record:
+    """Base of the read-only records that carry behaviour: the fields are
+    the subclass's __slots__, set once by `_set`, and two records are equal,
+    and hash alike, when they have one type and equal fields. Plain records
+    are `typing.NamedTuple`s; neither kind loads `dataclasses`."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class PrimePower(Record):
     """A validated prime power q = p^a."""
 
-    p: int
-    a: int
+    __slots__ = ("p", "a")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.a < 1:
+    def __init__(self, p: int, a: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if a < 1:
             raise ValueError("exponent must be positive")
+        self._set(p, a)
 
     @property
     def q(self) -> int:

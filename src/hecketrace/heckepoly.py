@@ -12,9 +12,8 @@ eigenvalue bound raise ArithmeticError when they fail, also under python -O.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from hecketrace import curves as cv
 from hecketrace import elltrace as et
@@ -33,8 +32,7 @@ def dim_level1(weight: int) -> int:
     return weight // 12 - (1 if weight % 12 == 2 else 0)
 
 
-@dataclass(frozen=True)
-class HeckeCharPoly:
+class HeckeCharPoly(NamedTuple):
     p: int
     weight: int
     poly: Tuple[int, ...]  # det(1 - T(p) x), ascending, constant term 1

@@ -1,10 +1,11 @@
 """Independent oracles: q-expansions that pin expected trace values, a
 full-range sieve of Hurwitz class numbers, the per-a and (a, b)-rectangle
-class-number kernels, a rational fold of mass lists, the f coefficient
-family summed term by term, the mass routes by enumeration
-(reduced families, the full isomorphism classification and its automorphism
-stabilizers), Drinfeld classes by a walk over all (g, delta) pairs, and
-Drinfeld traces from the [c_{k,l}] table.
+class-number kernels, a rational fold of mass lists and the uncollapsed
+one-k-at-a-time fold, the f coefficient family summed term by term, the
+mass routes by enumeration (reduced families, the full isomorphism
+classification and its automorphism stabilizers), Drinfeld classes by a
+walk over all (g, delta) pairs, and Drinfeld traces from the [c_{k,l}]
+table.
 
 Everything but the enumeration routes and the [c_{k,l}] table is plain
 integer series or numpy arithmetic. The enumeration routes handle single
@@ -21,7 +22,7 @@ curve_arith.py or drinfeld_arith.py on the path.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -241,6 +242,47 @@ def fraction_fold(pairs: Sequence[Tuple[int, Fraction]], q: int, max_k: int) -> 
             sums[k] += m * cur
             prev, cur = cur, a1 * cur - q * prev
     return sums
+
+
+def fold_stepwise(pairs: Sequence[Tuple[int, Fraction]], q: int, max_k: int,
+                  modulus: Optional[int] = None) -> List[int]:
+    """The fold of `fraction_fold` one k at a time over every distinct
+    b = |a1|, reduced mod modulus when one is given; the package's modular
+    fold before it collapsed b mod M and took blocks of k.
+
+    The masses are scaled by their lcm D and the recurrence runs modulo
+    M = modulus * D, on int64 when M < 2^31 and on Python ints otherwise,
+    with the weights w(b) + w(-b) at even k and w(b) - w(-b) at odd k. A
+    scaled sum that D does not divide raises ArithmeticError at its k.
+    """
+    D = math.lcm(*(m.denominator for _, m in pairs))
+    M = None if modulus is None else modulus * D
+    even: Dict[int, int] = {}
+    odd: Dict[int, int] = {}
+    for a1, m in pairs:
+        w = m.numerator * (D // m.denominator)
+        even[abs(a1)] = even.get(abs(a1), 0) + w
+        odd[abs(a1)] = odd.get(abs(a1), 0) + ((a1 > 0) - (a1 < 0)) * w
+    keys = sorted(even)
+    cols = [keys, [even[b] for b in keys], [odd[b] for b in keys]]
+    if M is not None:
+        cols = [[v % M for v in col] for col in cols]
+        q %= M
+    dtype = np.int64 if M is not None and M < 2**31 else object
+    b, w_even, w_odd = (np.array(col, dtype=dtype) for col in cols)
+    out = []
+    prev, cur = np.zeros_like(b), np.ones_like(b)
+    for k in range(max_k + 1):
+        if k:
+            prev, cur = cur, b * cur - q * prev
+            if M is not None:
+                cur %= M
+        w = w_odd if k % 2 else w_even
+        s = int(w @ cur) if M is None else int((w * cur % M).sum()) % M
+        if s % D:
+            raise ArithmeticError(f"the mass fold at k={k} is not integral (lcm {D})")
+        out.append(s // D)
+    return out
 
 
 def f_coeff(q: int, r: int, m: int, k: int) -> int:

@@ -477,6 +477,20 @@ def test_no_src_module_uses_blas():
     assert found == []
 
 
+def test_no_src_module_imports_dataclasses():
+    # creating a frozen dataclass takes about 1.5 ms, and every job would
+    # pay for it: records are NamedTuples or ffield.Record subclasses
+    pkg = Path(cli.__file__).resolve().parent
+    found = [
+        f"{path.name}:{n.lineno}"
+        for path in sorted(pkg.glob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Import) and any(a.name == "dataclasses" for a in n.names)
+        or isinstance(n, ast.ImportFrom) and n.module == "dataclasses"
+    ]
+    assert found == []
+
+
 def test_usage_and_value_errors(capsys):
     code, _, err = _run(capsys, ["ell", "trace", "--q", "5", "--weight", "1"])
     assert code == 2 and "error:" in err
@@ -563,6 +577,39 @@ def test_each_job_loads_only_its_layer(argv, absent):
     loaded = set(res.stdout.splitlines()[-1].split())
     assert {"hecketrace", "hecketrace.ffield", "hecketrace.cli"} <= loaded
     assert not loaded & absent, loaded & absent
+
+
+# runs the CLI job given as arguments, then prints on its last line which of
+# these stdlib modules the process has loaded
+_STDLIB = """
+import sys
+from hecketrace import cli
+
+cli.run(sys.argv[1:])
+print("loaded:", *sorted(m for m in ("csv", "dataclasses", "json") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ell", "trace", "--q", "13", "--weight", "12"],
+     ["ell", "verify-period", "--q", "13", "--ell", "2", "--s", "2"]],
+)
+@pytest.mark.parametrize("fmt, loaded", [("human", []), ("json", ["json"]), ("csv", ["csv"])])
+def test_ell_jobs_load_json_and_csv_only_for_their_format(argv, fmt, loaded):
+    # one fresh process per case; no src/ module imports dataclasses
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    res = subprocess.run([sys.executable, "-c", _STDLIB, *argv, "--format", fmt],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    *out, last = res.stdout.splitlines()
+    assert last.split()[1:] == loaded
+    if fmt == "json":
+        rows = [json.loads(line) for line in out if line.startswith("{")]
+        assert rows and all("k" in r or "weight" in r for r in rows)
+    elif fmt == "csv":
+        assert out[0].split(",")[:2] in (["q", "H"], ["ell", "s"])
+        assert len(out) > 1
 
 
 def _fresh(code: str, **env: str) -> str:

@@ -1,6 +1,5 @@
 """Tests for Drinfeld classes, Frobenius data, traces, periods and exponents."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -108,6 +107,11 @@ def test_class_table_is_cached_and_read_only():
         with pytest.raises(ValueError):
             arr[0] = 1
     assert table.a.shape[1] == 2 and table.a[:, -1].any()  # 2 deg a <= m = 2, trimmed
+    with pytest.raises(AttributeError):
+        table.a = table.b
+    # tables compare by identity: numpy compares arrays elementwise
+    copy = dr.ClassTable(table.g, table.delta, table.aut, table.size, table.a, table.b)
+    assert table == table and table != copy and len({table, copy}) == 2
 
 
 def test_class_partition_and_bounds():
@@ -322,7 +326,7 @@ def test_kernel_rejects_a_digit_past_its_width(monkeypatch):
     a_plus_t = np.zeros((len(table), max(2, table.a.shape[1])), dtype=np.int64)
     a_plus_t[:, : table.a.shape[1]] = table.a
     a_plus_t[:, 1] = (a_plus_t[:, 1] + 1) % pp.p
-    wide = dataclasses.replace(table, a=a_plus_t)
+    wide = dr.ClassTable(table.g, table.delta, table.aut, table.size, a_plus_t, table.b)
     monkeypatch.setattr(dr, "enumerate_classes", lambda params: wide)
     with pytest.raises(ArithmeticError, match="past degree"):
         dr.trace_Tpn(pp, 6, 1)

@@ -1,5 +1,6 @@
 """Tests for moments, interior sums, traces, the unit split and class masses."""
 
+import importlib.util
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ def test_fold_matches_fraction_oracle():
         F = fq_construct(p, a)
         data = et.mass_data(F, H)
         D = math.lcm(*(m.denominator for _, m in data))
-        # 25 and the largest modulus whose scaled fold still runs on int64
+        # 25, and a modulus near 2^31 / D, whose rows fail the int64 bound
         moduli = (25, (2**31 - 1) // D)
         for max_k in (0, 1, 40):
             exact = oracles.fraction_fold(data, F.q, max_k)
@@ -80,6 +82,102 @@ def test_fold_large_modulus_matches_oracle():
     exact = oracles.fraction_fold(et.mass_data(F, cv.LEVEL1), F.q, 200)
     modulus = 7 ** 12
     assert et.interior_sequence_mod(F, cv.LEVEL1, 200, modulus) == [v % modulus for v in exact]
+
+
+def _period_primes():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("hecketrace_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up in sys.modules
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads.PERIOD_PRIMES
+
+
+def test_blocked_fold_matches_stepwise_at_the_period_primes():
+    # the benchmark's verify-period fold, k <= k0 + 3n = 3529 mod 7^2, over
+    # 98 (D = 2) or 294 (D = 6) collapsed rows instead of 513
+    for q in _period_primes():
+        F = fq_construct(q, 1)
+        data = et.mass_data(F, cv.LEVEL1)
+        D = math.lcm(*(m.denominator for _, m in data))
+        assert len(et._paired(data, 49)[2]) == 49 * D, q
+        assert et.interior_sequence_mod(F, cv.LEVEL1, 3529, 49) == \
+            oracles.fold_stepwise(data, q, 3529, 49), q
+
+
+def test_blocked_fold_matches_oracles_at_levels_2_and_4():
+    # gamma1-4 carries odd weights at q = 1 mod 4; gamma0-2 has none
+    B = et._FOLD_BLOCK
+    for q, H in ((31, cv.GAMMA0_2), (101, cv.GAMMA0_2), (13, cv.GAMMA1_4), (101, cv.GAMMA1_4)):
+        F = fq_construct(q, 1)
+        data = et.mass_data(F, H)
+        assert (et._paired(data, 25)[4] is not None) == (H is cv.GAMMA1_4), (q, H.name)
+        exact = oracles.fraction_fold(data, q, 3 * B + 5)
+        for max_k in (0, 1, B - 1, B, B + 1, 3 * B + 5):
+            for modulus in (4, 9, 25, 7**5):
+                want = [int(v) % modulus for v in exact[: max_k + 1]]
+                assert et._fold(data, q, max_k, modulus) == want, (q, H.name, max_k, modulus)
+                assert oracles.fold_stepwise(data, q, max_k, modulus) == want
+
+
+def _int64_edge(n_rows: int) -> int:
+    """The largest M with max(n, 2) (M - 1)^2 < 2^63."""
+    return math.isqrt((2**63 - 1) // max(n_rows, 2)) + 1
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 5])
+def test_fold_int64_bound_picks_the_branch(monkeypatch, n_rows):
+    # integral masses (D = 1) make M the modulus itself; classes, weights and
+    # q near M put every product of the blocked kernel next to its bound
+    edge = _int64_edge(n_rows)
+    data = [(edge - 1 - 2 * i, Fraction(edge - 7 - i)) for i in range(n_rows)]
+    q = edge - 3
+    blocks = []
+    real = et._fold_blocks
+    monkeypatch.setattr(et, "_fold_blocks", lambda *a: blocks.append(a[4]) or real(*a))
+    max_k = 2 * et._FOLD_BLOCK + 3
+    exact = oracles.fraction_fold(data, q, max_k)
+    for modulus, blocked in ((edge, True), (edge + 1, False)):
+        assert len(et._paired(data, modulus)[2]) == n_rows
+        want = [int(v) % modulus for v in exact]
+        assert et._fold(data, q, max_k, modulus) == want, modulus
+        assert oracles.fold_stepwise(data, q, max_k, modulus) == want
+        assert blocks == ([modulus] if blocked else []), modulus
+        blocks.clear()
+
+
+def _fold_lines(data, q, max_k, modulus) -> int:
+    """Line events `_fold_blocks` runs for one fold."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code is not et._fold_blocks.__code__:
+            return None
+        if event == "line":
+            count += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        et._fold(data, q, max_k, modulus)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_blocked_fold_loops_per_block_not_per_k():
+    # O(B + max_k / B) Python steps: 100 more blocks cost a few lines each,
+    # where one step per k would cost several lines per weight
+    B = et._FOLD_BLOCK
+    data = [(3, Fraction(1)), (-5, Fraction(2)), (8, Fraction(1))]
+    short, long_ = (_fold_lines(data, 13, n * B - 1, 49) for n in (100, 200))
+    assert long_ - short <= 4 * 100, (short, long_)
+    assert short <= 4 * B + 4 * 100, short
 
 
 # (a1, n, d) triples; a1 = 0, repeated a1 and masses of a1 != mass of -a1 all occur
@@ -113,12 +211,22 @@ def test_folds_match_fraction_oracle_on_random_pairs(triples, whole, q, modulus)
 
 
 _NON_INTEGRAL_FOLD = """
+import math
 from fractions import Fraction
 from hecketrace import elltrace as et
 
 for modulus in (None, 25):
     try:
         et._fold([(1, Fraction(1, 2))], 0, 3, modulus)
+    except ArithmeticError as exc:
+        print(exc)
+    else:
+        raise SystemExit(1)
+# the late masses of the test below: first non-integral at k = 66
+late = [(i, Fraction((-1) ** i * math.comb(66, i), 101)) for i in range(67)]
+for modulus in (None, 25, 2**40):
+    try:
+        et._fold(late, 7, 70, modulus)
     except ArithmeticError as exc:
         print(exc)
     else:
@@ -130,6 +238,18 @@ def test_fold_rejects_non_integral_masses():
     for modulus in (None, 25):
         with pytest.raises(ArithmeticError, match="k=0 is not integral"):
             et._fold([(1, Fraction(1, 2))], 0, 3, modulus)
+    # masses (-1)^i binom(66, i)/101 at a1 = i <= 66: the 66th difference of
+    # the monic c_k(a1) of degree k is 0 for k < 66 and +-66! at k = 66, which
+    # 101 does not divide; k = 66 lies in the second block of the modular fold
+    late = [(i, Fraction((-1) ** i * math.comb(66, i), 101)) for i in range(67)]
+    exact = oracles.fraction_fold(late, 7, 70)
+    assert [k for k, v in enumerate(exact) if v.denominator != 1][0] == 66 > et._FOLD_BLOCK
+    for modulus in (None, 25, 2**40):
+        for fold in (et._fold, oracles.fold_stepwise):
+            with pytest.raises(ArithmeticError, match="k=66 is not integral"):
+                fold(late, 7, 70, modulus)
+        assert et._fold(late, 7, 65, modulus) == [
+            int(v) if modulus is None else int(v) % modulus for v in exact[:66]]
     # the check is not an assert: it still runs under python -O
     src = os.path.dirname(os.path.dirname(et.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -137,6 +257,7 @@ def test_fold_rejects_non_integral_masses():
                          env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stdout + res.stderr
     assert res.stdout.count("k=0 is not integral") == 2
+    assert res.stdout.count("k=66 is not integral") == 3
 
 
 _NON_INTEGRAL_SINGLE_K = """

@@ -53,6 +53,26 @@ def test_prime_power_decompose():
         prime_power_decompose(12)
     with pytest.raises(ValueError):
         PrimePower(4, 2)
+    with pytest.raises(ValueError):
+        PrimePower(3, 0)
+
+
+def test_records_are_read_only_and_compare_by_value():
+    pp = PrimePower(3, 3)
+    assert pp.q == 27 and repr(pp) == "PrimePower(p=3, a=3)"
+    assert pp == PrimePower(3, 3) != PrimePower(3, 2) and len({pp, PrimePower(3, 3)}) == 1
+    with pytest.raises(AttributeError):
+        pp.a = 2
+    with pytest.raises(AttributeError):
+        del pp.p
+    with pytest.raises(AttributeError):
+        pp.extra = 1
+    # a plain record is a NamedTuple
+    from hecketrace import curves
+
+    with pytest.raises(AttributeError):
+        curves.LEVEL1.N = 2
+    assert curves.level_structure("triv") == curves.LEVEL1 != curves.GAMMA0_2
 
 
 def test_canonical_moduli():
