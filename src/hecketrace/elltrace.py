@@ -78,8 +78,8 @@ def _paired(data: MassData, modulus: Optional[int] = None):
     once; c_k(0) = 0 at odd k). odd is None when every odd weight is 0, as
     at level 1 in odd characteristic. Modulo M the classes are keyed by
     |a1| mod M, since c_k(b) mod M depends only on b mod M, so at most M rows
-    remain. The arrays are int64 when the n rows satisfy the bound
-    max(n, 2) (M - 1)^2 < 2^63 that `_fold_blocks` needs, else Python ints.
+    remain. The arrays are int64 when M meets the bound 2 (M - 1)^2 < 2^63
+    that `_fold_blocks` needs there, else Python ints.
     """
     D = math.lcm(*(m.denominator for _, m in data))
     M = None if modulus is None else modulus * D
@@ -94,7 +94,7 @@ def _paired(data: MassData, modulus: Optional[int] = None):
     cols = [keys, [even[b] for b in keys], [odd[b] for b in keys]]
     if M is not None:
         cols = [[v % M for v in col] for col in cols]
-    small = M is not None and max(len(keys), 2) * (M - 1) ** 2 < 2**63
+    small = M is not None and 2 * (M - 1) ** 2 < 2**63
     b, ev, od = (np.array(col, dtype=np.int64 if small else object) for col in cols)
     return D, M, b, ev, (od if any(cols[2]) else None)
 
@@ -112,35 +112,53 @@ _FOLD_BLOCK = 64
 
 def _fold_blocks(b: np.ndarray, even: np.ndarray, odd: Optional[np.ndarray], q: int,
                  M: int, max_k: int) -> List[int]:
-    """The scaled sums of `_fold` mod M for 0 <= k <= max_k, on int64 rows
-    that meet `_paired`'s bound, B = _FOLD_BLOCK weights per Python step.
+    """The scaled sums of `_fold` mod M for 0 <= k <= max_k, B = _FOLD_BLOCK
+    weights per Python step, on the rows of `_paired` in their dtype.
 
     Per row, c_{k0+j} = P_j c_{k0} + Q_j c_{k0-1}, where P_j = c_j and
     Q_j = -q c_{j-1} run the recurrence from (c_0, c_{-1}) = (1, 0) and
     (0, 1). The weights of each k's parity are multiplied into P and Q once,
-    as every block starts at an even k, so each block's B sums take two
-    matrix-vector products, and the state (c_{k0}, c_{k0-1}) moves on by
-    the rows B and B - 1. Entries stay below M, so a product of n terms is
-    at most n (M - 1)^2 and an update of two at most 2 (M - 1)^2.
+    as every block starts at an even k, so each block's B sums take one
+    matrix product with the state (c_{k0}, c_{k0-1}), which then moves on by
+    the rows B and B - 1. Entries stay below M, so a state update of two
+    products is at most 2 (M - 1)^2, within int64 by `_paired`'s bound. On
+    int64 the product sums chunks of c rows, 2 c (M - 1)^2 < 2^63, each
+    reduced mod M before the chunks are summed (zero rows pad the last
+    chunk); n <= M rows remain, so that sum stays below M^2.
     """
     B = min(_FOLD_BLOCK, max_k + 1)
-    P = np.empty((B + 1, b.size), dtype=np.int64)  # P[j] = c_j mod M
+    n = b.size
+    c = n if b.dtype == object else min(n, (2**63 - 1) // (2 * max(M - 1, 1) ** 2))
+    rows = -(-n // c) * c
+
+    def padded(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(rows, dtype=b.dtype)
+        out[:n] = v
+        return out
+
+    b = padded(b)
+    P = np.empty((B + 1, rows), dtype=b.dtype)  # P[j] = c_j mod M
     P[0] = 1
     P[1] = b
     for j in range(2, B + 1):
         P[j] = (b * P[j - 1] - q * P[j - 2]) % M
     Q = np.zeros_like(P)
     Q[1:] = -q * P[:-1] % M
-    w = np.zeros((B, b.size), dtype=np.int64)
-    w[0::2] = even
+    w = np.zeros((B, rows), dtype=b.dtype)
+    w[0::2] = padded(even)
     if odd is not None:
-        w[1::2] = odd
-    wP, wQ = w * P[:B] % M, w * Q[:B] % M
+        w[1::2] = padded(odd)
+    # W[chunk, j] holds the chunk's rows of w_j P_j, then of w_j Q_j
+    W = np.concatenate([(w * R[:B] % M).reshape(B, -1, c) for R in (P, Q)], axis=2)
+    W = W.transpose(1, 0, 2).copy()
+    T = np.stack([P[[B, B - 1]], Q[[B, B - 1]]], axis=1)  # state step by B
+    state = np.zeros((2, rows), dtype=b.dtype)  # (c_{k0}, c_{k0-1}) per row
+    state[0] = 1
     sums: List[int] = []
-    cur, prev = np.ones_like(b), np.zeros_like(b)
     for _ in range(0, max_k + 1, B):
-        sums += ((wP @ cur % M + wQ @ prev % M) % M).tolist()
-        cur, prev = (P[B] * cur + Q[B] * prev) % M, (P[B - 1] * cur + Q[B - 1] * prev) % M
+        x = state.reshape(2, -1, c).transpose(1, 0, 2).reshape(-1, 2 * c, 1)
+        sums += ((W @ x % M).sum(axis=0).ravel() % M).tolist()
+        state = (T * state).sum(axis=1) % M
     return sums[: max_k + 1]
 
 
@@ -150,30 +168,26 @@ def _fold(data: MassData, q: int, max_k: int, modulus: Optional[int] = None) -> 
     c_k = a1 c_{k-1} - q c_{k-2}; q = 0 gives the moments [a1^k].
 
     The recurrence runs over the paired classes of `_paired`, all at once,
-    on the sums scaled by D. Modulo M = modulus * D, when the n collapsed
-    rows meet max(n, 2) (M - 1)^2 < 2^63, `_fold_blocks` takes B weights per
-    Python step on int64 from c_{k0+j} = P_j c_{k0} + Q_j c_{k0-1}. An exact
-    fold, or one whose rows fail the int64 bound, takes one step per k on
-    Python ints, where block products would only make the integers grow;
-    odd k need no dot product when every odd weight is 0. Every scaled sum
-    must be divisible by D; the first that is not raises ArithmeticError.
+    on the sums scaled by D. Modulo M = modulus * D, `_fold_blocks` takes B
+    weights per Python step from c_{k0+j} = P_j c_{k0} + Q_j c_{k0-1}, on
+    int64 when 2 (M - 1)^2 < 2^63 and on Python ints past it. An exact fold
+    takes one step per k on Python ints, where block products would only
+    make the integers grow; odd k need no dot product when every odd weight
+    is 0. Every scaled sum must be divisible by D; the first that is not
+    raises ArithmeticError.
     """
     D, M, b, even, odd = _paired(data, modulus)
-    if b.dtype == np.int64:
+    if M is not None:
         sums = _fold_blocks(b, even, odd, q % M, M, max_k)
     else:
-        if M is not None:
-            q %= M
         sums = [0] * (max_k + 1)
         prev, cur = np.zeros_like(b), np.ones_like(b)
         for k in range(max_k + 1):
             if k:
                 prev, cur = cur, (b * cur - q * prev if q else b * cur)
-                if M is not None:
-                    cur %= M
             w = odd if k % 2 else even
             if w is not None:
-                sums[k] = int(w @ cur) if M is None else int((w * cur % M).sum()) % M
+                sums[k] = int(w @ cur)
     return [_unscale(s, D, k) for k, s in enumerate(sums)]
 
 

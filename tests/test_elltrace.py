@@ -62,7 +62,7 @@ def test_fold_matches_fraction_oracle():
         F = fq_construct(p, a)
         data = et.mass_data(F, H)
         D = math.lcm(*(m.denominator for _, m in data))
-        # 25, and a modulus near 2^31 / D, whose rows fail the int64 bound
+        # 25, and a modulus near 2^31 / D, which puts M just under the int64 bound
         moduli = (25, (2**31 - 1) // D)
         for max_k in (0, 1, 40):
             exact = oracles.fraction_fold(data, F.q, max_k)
@@ -124,30 +124,42 @@ def test_blocked_fold_matches_oracles_at_levels_2_and_4():
                 assert oracles.fold_stepwise(data, q, max_k, modulus) == want
 
 
-def _int64_edge(n_rows: int) -> int:
-    """The largest M with max(n, 2) (M - 1)^2 < 2^63."""
-    return math.isqrt((2**63 - 1) // max(n_rows, 2)) + 1
+# the largest M with 2 (M - 1)^2 < 2^63, the int64 bound of `_fold_blocks`
+_INT64_EDGE = 2**31
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 5])
-def test_fold_int64_bound_picks_the_branch(monkeypatch, n_rows):
+def test_fold_int64_bound_picks_the_dtype(monkeypatch, n_rows):
     # integral masses (D = 1) make M the modulus itself; classes, weights and
-    # q near M put every product of the blocked kernel next to its bound
-    edge = _int64_edge(n_rows)
+    # q near M put every product of the blocked kernel next to its bound; at
+    # M = 2^31 each int64 product takes one row per chunk
+    edge = _INT64_EDGE
     data = [(edge - 1 - 2 * i, Fraction(edge - 7 - i)) for i in range(n_rows)]
     q = edge - 3
-    blocks = []
+    dtypes = []
     real = et._fold_blocks
-    monkeypatch.setattr(et, "_fold_blocks", lambda *a: blocks.append(a[4]) or real(*a))
+    monkeypatch.setattr(et, "_fold_blocks", lambda *a: dtypes.append(a[0].dtype) or real(*a))
     max_k = 2 * et._FOLD_BLOCK + 3
     exact = oracles.fraction_fold(data, q, max_k)
-    for modulus, blocked in ((edge, True), (edge + 1, False)):
+    for modulus, dtype in ((edge, np.int64), (edge + 1, object)):
         assert len(et._paired(data, modulus)[2]) == n_rows
         want = [int(v) % modulus for v in exact]
         assert et._fold(data, q, max_k, modulus) == want, modulus
         assert oracles.fold_stepwise(data, q, max_k, modulus) == want
-        assert blocks == ([modulus] if blocked else []), modulus
-        blocks.clear()
+        assert dtypes == [dtype], modulus
+        dtypes.clear()
+
+
+def test_int64_fold_sums_many_rows_in_chunks():
+    # 600 rows at M = 7^10 > 2^28: one int64 product sums the terms of at
+    # most 2^63 / (2 M^2) < 600 rows, so `@` takes them in chunks of 57, the
+    # last one padded
+    modulus = 7**10
+    data = [(modulus - 3 * i - 1, Fraction(modulus - 5 * i - 2)) for i in range(600)]
+    q = modulus - 11
+    assert et._paired(data, modulus)[2].dtype == np.int64
+    max_k = et._FOLD_BLOCK + 7
+    assert et._fold(data, q, max_k, modulus) == oracles.fold_stepwise(data, q, max_k, modulus)
 
 
 def _fold_lines(data, q, max_k, modulus) -> int:

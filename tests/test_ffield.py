@@ -67,12 +67,20 @@ def test_records_are_read_only_and_compare_by_value():
         del pp.p
     with pytest.raises(AttributeError):
         pp.extra = 1
-    # a plain record is a NamedTuple
+    # a Record with behaviour equals only records of its own type
+    assert pp != (3, 3)
+    # a plain record is a NamedTuple: a tuple, equal to any tuple of its
+    # values, with len, indexing and unpacking
     from hecketrace import curves
+    from hecketrace.elltrace import TraceResult
 
     with pytest.raises(AttributeError):
         curves.LEVEL1.N = 2
     assert curves.level_structure("triv") == curves.LEVEL1 != curves.GAMMA0_2
+    r = TraceResult(13, "1", 4, -2)
+    assert isinstance(r, tuple) and r == (13, "1", 4, -2, False) and len(r) == 5
+    q, _, weight, *_ = r
+    assert (q, weight) == (13, 4) and r[3] == r.value == -2
 
 
 def test_canonical_moduli():
