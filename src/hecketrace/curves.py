@@ -1,14 +1,14 @@
-"""Point counts over finite fields, level structures, and the (a1, mass)
-data the trace formula folds.
+"""Level structures, class numbers, and the (a1, mass) data the trace
+formula folds.
 
-One batched point-count kernel, frobenius_traces, counts points on many
-curves at once over numpy code tables. Each (characteristic, level) pair has
-one mass route built on class numbers or on that kernel: deuring_route_masses
-at level 1 for every p (with a sweep of the j = 0 stratum for p = 2, 3) and
-normal_form_route_masses for gamma0-2 and gamma1-4. No route classifies
-curves up to isomorphism or handles a single curve; the scalar curve
-arithmetic the enumeration oracles need lives in tests/curve_arith.py.
-Everything here is exact.
+One mass route, deuring_route_masses, serves every (characteristic, level)
+pair. It reads the masses off Hurwitz class numbers (one batched hurwitz6
+call) and closed forms for the supersingular traces, and counts no points.
+The batched point-count kernel frobenius_traces remains for the j-line
+sweep, a point-counting cross-check of the class numbers in the selftest.
+No code here classifies curves up to isomorphism or handles a single curve;
+the scalar curve arithmetic the enumeration oracles need lives in
+tests/curve_arith.py. Everything here is exact.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 from hecketrace.ffield import FqField
 
 
-# entries of one (curves x q) block of frobenius_traces, and curves per block
-# of the normal-form sweep, so that neither grows with q^2
+# entries of one (curves x q) block of frobenius_traces, so that it does not
+# grow with q^2
 _TRACE_BLOCK = 1 << 16
 # entries of one block of the class-number kernel hurwitz6: discriminants per
 # sorted chunk, table entries per block of a, and (a, D) pairs per step
@@ -155,19 +155,15 @@ def nu_ell(H: LevelStructureSpec, field: FqField, ell: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# mass routes. Each (characteristic, level) pair has one production route,
-# chosen by elltrace.mass_data, and none of them classifies curves:
-#   level 1, every p: class numbers (deuring_route_masses). A trace t prime
-#     to p carries mass H(4q - t^2)/2; the supersingular traces follow the
-#     Waterhouse list for p >= 5 and a batched sweep of the one j = 0 stratum
-#     for p = 2, 3.
-#   gamma0-2 and gamma1-4: one normal form per pair (E, P), swept in blocks
-#     (normal_form_route_masses).
-# Every sweep counts points with frobenius_traces, the j-line sweep too; that
-# one is no route of mass_data and runs only in the class-number-identity
-# selftest, as a point-counting cross-check of the class numbers. The
-# per-curve family loop and the full isomorphism classification are
-# differential oracles in tests/oracles.py.
+# mass routes. elltrace.mass_data takes every (characteristic, level) pair
+# from class numbers (deuring_route_masses): the ordinary traces, and the
+# supersingular ones of odd extension degree, from Hurwitz class numbers of
+# the orders that contain (pi - 1)/e, split by the rational 2-power torsion;
+# the supersingular traces of even degree from closed forms. The j-line sweep
+# (jline_route_masses) counts points with frobenius_traces; it is no route of
+# mass_data and runs only in the class-number-identity selftest. The
+# normal-form and j = 0 sweeps, the per-curve family loop and the full
+# isomorphism classification are differential oracles in tests/oracles.py.
 
 
 def _collapse(hist: Dict[int, Fraction]) -> List[Tuple[int, Fraction]]:
@@ -181,13 +177,16 @@ def _tally(hist: Dict[int, Fraction], traces: np.ndarray, weight: Fraction) -> N
         hist[t] = hist.get(t, Fraction(0)) + c * weight
 
 
-def _check_level1_mass(hist: Dict[int, Fraction], q: int, name: str) -> None:
-    """The masses must add up to q; summed as integers over the lcm of their
+def _check_mass(hist: Dict[int, Fraction], q: int, H: LevelStructureSpec, route: str) -> None:
+    """The masses must add up to q, q - 1 or q - 2 at level 1, gamma0-2 or
+    gamma1-4 (q minus N/2); summed as integers over the lcm of their
     denominators, not one Fraction at a time."""
+    drop = H.N // 2
     den = math.lcm(*(m.denominator for m in hist.values()))
     num = sum(m.numerator * (den // m.denominator) for m in hist.values())
-    if num != q * den:
-        raise ArithmeticError(f"{name} route: level-1 mass is {Fraction(num, den)}, not q = {q}")
+    if num != (q - drop) * den:
+        level, want = ("level-1", "q") if H is LEVEL1 else (H.name, f"q - {drop}")
+        raise ArithmeticError(f"{route} route: {level} mass is {Fraction(num, den)}, not {want} = {q - drop}")
 
 
 def jline_route_masses(field: FqField) -> List[Tuple[int, Fraction]]:
@@ -217,7 +216,7 @@ def jline_route_masses(field: FqField) -> List[Tuple[int, Fraction]]:
     _tally(hist, np.concatenate([t[:n], -t[:n]]), Fraction(1, 2))
     _tally(hist, t[n : n + m4], Fraction(1, m4))
     _tally(hist, t[n + m4 :], Fraction(1, m6))
-    _check_level1_mass(hist, q, "j-line")
+    _check_mass(hist, q, LEVEL1, "j-line")
     return _collapse(hist)
 
 
@@ -304,107 +303,76 @@ def hurwitz6(ds: np.ndarray) -> np.ndarray:
     return six.reshape(ds.shape)
 
 
-def _j0_stratum(field: FqField) -> Tuple[np.ndarray, Fraction]:
-    """Traces of the j = 0 curves for p = 2, 3 (the supersingular ones), and
-    the mass each entry carries.
+def _level_points(H: LevelStructureSpec, m, n):
+    """Level structures of H on the group Z/m x Z/n (m | n), elementwise on
+    arrays: one at level 1, the points of order 2 for gamma0-2 and those of
+    exact order 4 for gamma1-4."""
+    if H is LEVEL1:
+        return 1
+    two = np.gcd(2, m) * np.gcd(2, n)
+    if H is GAMMA0_2:
+        return two - 1
+    if H is GAMMA1_4:
+        return np.gcd(4, m) * np.gcd(4, n) - two
+    raise ValueError("the class-number route covers level 1, gamma0-2 and gamma1-4")
 
-    Each stratum is the old reduced family with its group weight: for p = 2,
-    y^2 + a3 y = x^3 + a4 x + a6 with a3 != 0, weight 1/(q^2 (q - 1)); for
-    p = 3, y^2 = x^3 + a4 x + a6 with a4 != 0, weight 1/(q (q - 1)). The
-    scaling (x, y) -> (u^2 x, u^3 y) divides a3 by u^3 and a4 by u^4, so a3
-    (p = 2) or a4 (p = 3) runs over one unit per coset of the cubes or the
-    fourth powers, standing for the whole coset. For p = 2 the count on each
-    line x is 2 or 0 as Tr((x^3 + a4 x + a6) / a3^2) is 0 or 1, so a6 acts
-    only through Tr(a6 / a3^2): half of the q values of a6 give the trace t
-    of a6 = 0 and the other half give -t.
+
+def deuring_route_masses(field: FqField, H: LevelStructureSpec) -> List[Tuple[int, Fraction]]:
+    """(a1, mass) data of the pairs (E, structure) from class numbers, for
+    every q and every preset level; the one production mass route.
+
+    At a trace t with N = q + 1 - t and D = 4q - t^2, let A_e be the mass of
+    the curves with (pi - 1)/e in End(E): H(D/e^2)/2 when e | t - 2 and
+    e^2 | N (Deuring), else 0. E(F_q) is Z/e x Z/(N/e) for the largest such e
+    (Lenstra), so the mass is (A_1 - A_2) n(1, N) + (A_2 - A_4) n(2, N/2) +
+    A_4 n(4, N/4), n the level structures on the group (_level_points); at
+    level 1 that is A_1. This covers every ordinary t (p does not divide t)
+    and, for odd a, the supersingular t = 0 and t = +-sqrt(pq) (p = 2, 3),
+    whose orders are maximal at p, so that D loses its factor p^(a - 1). All
+    of them take one hurwitz6 call. For even a the supersingular masses are
+    Waterhouse's and Schoof's closed forms, with a cyclic 2-part at t = 0 and
+    +-sqrt(q) and E(F_q) = (Z/sqrt(N))^2 at t = +-2 sqrt(q). Two checks
+    raise ArithmeticError, also under python -O: every trace with mass has
+    N divisible by the level, and the masses add up to q, q - 1 and q - 2 at
+    level 1, gamma0-2 and gamma1-4.
     """
-    q, p = field.q, field.p
-    units, xs = field.tables()["exp"], np.arange(q, dtype=np.int64)
-    if p == 2:
-        g = math.gcd(3, q - 1)
-        t = frobenius_traces(field, 0, 0, np.repeat(units[:g], q), np.tile(xs, g), 0)
-        return np.concatenate([t, -t]), Fraction(1, 2 * q * g)
-    g = math.gcd(4, q - 1)
-    t = frobenius_traces(field, 0, 0, 0, np.repeat(units[:g], q), np.tile(xs, g))
-    return t, Fraction(1, q * g)
-
-
-def deuring_route_masses(field: FqField) -> List[Tuple[int, Fraction]]:
-    """Level-1 (a1, mass) data from class numbers, for every q.
-
-    Every ordinary trace t (p does not divide t) carries mass H(4q - t^2)/2
-    (Deuring), read from hurwitz6 for just those discriminants. The traces
-    divisible by p follow the Waterhouse list for p >= 5 and the j = 0 sweep
-    (_j0_stratum) for p = 2, 3. The total mass q is checked (an
-    ArithmeticError otherwise, also under python -O), which checks the two
-    parts against each other. This is the production level-1 route.
-    """
-    q, p = field.q, field.p
-    hist: Dict[int, Fraction] = {}
-    ts = [t for t in range(1, math.isqrt(4 * q - 1) + 1) if t % p]
-    sixh = hurwitz6(np.array([4 * q - t * t for t in ts] + [4 * p], dtype=np.int64))
-    for t, six in zip(ts, sixh[:-1].tolist()):
-        hist[t] = hist[-t] = Fraction(six, 12)
-    if p < 5:
-        _tally(hist, *_j0_stratum(field))
-    elif field.a % 2:
-        hist[0] = Fraction(int(sixh[-1]), 12)
-    else:
-        r = math.isqrt(q)
-        hist[2 * r] = hist[-2 * r] = Fraction(p - 1, 24)
-        if pow(-3 % p, (p - 1) // 2, p) != 1:
-            hist[r] = hist[-r] = Fraction(1, 3)
-        if pow(p - 1, (p - 1) // 2, p) != 1:
-            hist[0] = Fraction(1, 2)
-    _check_level1_mass(hist, q, "class-number")
-    return _collapse(hist)
-
-
-def normal_form_route_masses(field: FqField, H: LevelStructureSpec) -> List[Tuple[int, Fraction]]:
-    """(a1, mass) data of the pairs (E, P) for gamma0-2 and gamma1-4, from one
-    normal form per pair, point-counted in one batch.
-
-    gamma0-2: P of order 2 moved to (0, 0) gives y^2 = x^3 + a x^2 + b x with
-    b (a^2 - 4b) != 0; the only maps between such forms are
-    (a, b) -> (a u^-2, b u^-4), so each (a, b) weighs 1/(q - 1).
-    gamma1-4: P of order 4 gives the Tate normal form
-    y^2 + xy - by = x^3 - bx^2 with b not in {0, -1/16}, one per pair, and the
-    pairs have no automorphisms: weight 1. A rational point of order N
-    divides #E = q + 1 - t, which is checked for every trace (an
-    ArithmeticError otherwise, also under python -O). The q^2 pairs (a, b)
-    of gamma0-2 are swept in blocks of about _TRACE_BLOCK curves, so memory
-    does not grow with q^2.
-    """
-    q = field.q
+    q, p, a = field.q, field.p, field.a
     if math.gcd(H.N, q) != 1:
         raise ValueError("level must be coprime to q")
-    vm, va = field.v_mul, field.v_add
-    codes = np.arange(q, dtype=np.int64)
-    if H is GAMMA0_2:
-        minus4 = np.int64(field.coerce(-4).code)
-        rows = max(1, _TRACE_BLOCK // q)  # values of a per block
-
-        def blocks():
-            for lo in range(0, q, rows):
-                a = np.repeat(codes[lo : lo + rows], q)
-                b = np.tile(codes, a.size // q)
-                smooth = vm(b, va(vm(a, a), vm(b, minus4))) != 0
-                yield frobenius_traces(field, 0, a[smooth], 0, b[smooth], 0)
-
-        batches, weight = blocks(), Fraction(1, q - 1)
-    elif H is GAMMA1_4:
-        b = codes[(codes != 0) & (codes != (-field.one / field.coerce(16)).code)]
-        minus_b = vm(b, np.int64(field.coerce(-1).code))
-        batches, weight = [frobenius_traces(field, 1, minus_b, minus_b, 0, 0)], Fraction(1)
-    else:
-        raise ValueError("the normal-form route covers gamma0-2 and gamma1-4")
-    hist: Dict[int, Fraction] = {}
-    for traces in batches:
-        orders = q + 1 - traces
-        if (orders % H.N).any():
-            bad = int(orders[orders % H.N != 0][0])
-            raise ArithmeticError(f"{H.name} route: #E = {bad} is not divisible by {H.N}")
-        _tally(hist, traces, weight)
+    es = (1,) if H is LEVEL1 else (1, 2, 4)
+    T = math.isqrt(4 * q - 1)
+    t = np.arange(-T, T + 1, dtype=np.int64)
+    ordinary = t % p != 0
+    # for odd a the supersingular traces are t = 0 and t^2 = pq
+    keep = ordinary | ((t * t) % (p * q) == 0) if a % 2 else ordinary
+    t, ordinary = t[keep], ordinary[keep]
+    N = q + 1 - t
+    D = (4 * q - t * t) // np.where(ordinary, 1, p ** (a - 1))
+    # row i holds the t at which (pi - 1)/e_i can be an endomorphism
+    ok = np.array([((t - 2) % e == 0) & (N % (e * e) == 0) for e in es])
+    disc = np.where(ok, D // np.array(es)[:, None] ** 2, 0)
+    ds = np.sort(disc[ok])
+    ds = ds[np.concatenate(([True], ds[1:] != ds[:-1]))]  # each D once
+    sixh = np.where(ok, hurwitz6(ds)[np.searchsorted(ds, disc)], 0)
+    sixh = np.vstack([sixh, np.zeros_like(t)])
+    mass12 = sum((sixh[i] - sixh[i + 1]) * _level_points(H, e, N // e) for i, e in enumerate(es))
+    hist = {tt: Fraction(m, 12) for tt, m in zip(t.tolist(), mass12.tolist()) if m}
+    if a % 2 == 0:
+        # the supersingular traces of even a with their level-1 masses
+        r = math.isqrt(q)
+        at_r = Fraction(1, 3) if p % 3 == 2 else Fraction(1, 6) if p == 3 else 0
+        at_0 = Fraction(1, 2) if p % 4 == 3 else Fraction(1, 4) if p == 2 else 0
+        for tt, level1 in ((2 * r, Fraction(p - 1, 24)), (-2 * r, Fraction(p - 1, 24)),
+                           (r, at_r), (-r, at_r), (0, at_0)):
+            order = q + 1 - tt
+            side = math.isqrt(order) if tt * tt == 4 * q else 1
+            m = level1 * int(_level_points(H, side, order // side))
+            if m:
+                hist[tt] = m
+    bad = [q + 1 - tt for tt in hist if (q + 1 - tt) % H.N]
+    if bad:
+        raise ArithmeticError(f"class-number route: {H.name} mass at #E = {bad[0]}, not divisible by {H.N}")
+    _check_mass(hist, q, H, "class-number")
     return _collapse(hist)
 
 

@@ -39,16 +39,12 @@ def mass_data(field: FqField, H: cv.LevelStructureSpec) -> MassData:
     """Collapsed (a1, mass) pairs for one (field, H), mass = sum of 1/#Aut,
     cached per (field, H).
 
-    Each (characteristic, level) pair has one route: class numbers
-    (curves.deuring_route_masses) at level 1 for every p, and one normal form
-    per pair (curves.normal_form_route_masses) for gamma0-2 and gamma1-4.
+    Every (characteristic, level) pair takes the one class-number route
+    curves.deuring_route_masses, which counts no points.
     """
     key = (field.p, field.a, H.name)
     if key not in _MASS_CACHE:
-        if H.N == 1:
-            _MASS_CACHE[key] = cv.deuring_route_masses(field)
-        else:
-            _MASS_CACHE[key] = cv.normal_form_route_masses(field, H)
+        _MASS_CACHE[key] = cv.deuring_route_masses(field, H)
     return _MASS_CACHE[key]
 
 

@@ -628,6 +628,103 @@ def nonunit_class_count(field: "FqField", ell: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# mass routes by batched point-count sweeps, the package's former routes for
+# the j = 0 stratum (level 1, p = 2, 3) and for gamma0-2 and gamma1-4. They
+# count points with the package's frobenius_traces, looked up on the module
+# when called so that a test can wrap it, and use no class number.
+
+
+def _tally(hist: Dict[int, Fraction], traces: np.ndarray, weight: Fraction) -> None:
+    """Add weight to hist[t] once per entry t of traces."""
+    vals, counts = np.unique(traces, return_counts=True)
+    for t, c in zip(vals.tolist(), counts.tolist()):
+        hist[t] = hist.get(t, Fraction(0)) + c * weight
+
+
+def j0_stratum(field: "FqField") -> Tuple[np.ndarray, Fraction]:
+    """Traces of the j = 0 curves for p = 2, 3 (the supersingular ones), and
+    the mass each entry carries.
+
+    Each stratum is the reduced family with its group weight: for p = 2,
+    y^2 + a3 y = x^3 + a4 x + a6 with a3 != 0, weight 1/(q^2 (q - 1)); for
+    p = 3, y^2 = x^3 + a4 x + a6 with a4 != 0, weight 1/(q (q - 1)). The
+    scaling (x, y) -> (u^2 x, u^3 y) divides a3 by u^3 and a4 by u^4, so a3
+    (p = 2) or a4 (p = 3) runs over one unit per coset of the cubes or the
+    fourth powers, standing for the whole coset. For p = 2 the count on each
+    line x is 2 or 0 as Tr((x^3 + a4 x + a6) / a3^2) is 0 or 1, so a6 acts
+    only through Tr(a6 / a3^2): half of the q values of a6 give the trace t
+    of a6 = 0 and the other half give -t.
+    """
+    from hecketrace import curves as cv
+
+    q, p = field.q, field.p
+    units, xs = field.tables()["exp"], np.arange(q, dtype=np.int64)
+    if p == 2:
+        g = math.gcd(3, q - 1)
+        t = cv.frobenius_traces(field, 0, 0, np.repeat(units[:g], q), np.tile(xs, g), 0)
+        return np.concatenate([t, -t]), Fraction(1, 2 * q * g)
+    g = math.gcd(4, q - 1)
+    t = cv.frobenius_traces(field, 0, 0, 0, np.repeat(units[:g], q), np.tile(xs, g))
+    return t, Fraction(1, q * g)
+
+
+def j0_stratum_masses(field: "FqField") -> List[Tuple[int, Fraction]]:
+    """The (a1, mass) data of the j = 0 stratum, p = 2, 3."""
+    hist: Dict[int, Fraction] = {}
+    _tally(hist, *j0_stratum(field))
+    return sorted((a1, m) for a1, m in hist.items() if m)
+
+
+def normal_form_route_masses(field: "FqField", H: "LevelStructureSpec") -> List[Tuple[int, Fraction]]:
+    """(a1, mass) data of the pairs (E, P) for gamma0-2 and gamma1-4, from one
+    normal form per pair, point-counted in one batch.
+
+    gamma0-2: P of order 2 moved to (0, 0) gives y^2 = x^3 + a x^2 + b x with
+    b (a^2 - 4b) != 0; the only maps between such forms are
+    (a, b) -> (a u^-2, b u^-4), so each (a, b) weighs 1/(q - 1).
+    gamma1-4: P of order 4 gives the Tate normal form
+    y^2 + xy - by = x^3 - bx^2 with b not in {0, -1/16}, one per pair, and the
+    pairs have no automorphisms: weight 1. A rational point of order N
+    divides #E = q + 1 - t, which is checked for every trace. The q^2 pairs
+    (a, b) of gamma0-2 are swept in blocks of about curves._TRACE_BLOCK
+    curves, so memory does not grow with q^2.
+    """
+    from hecketrace import curves as cv
+
+    q = field.q
+    if math.gcd(H.N, q) != 1:
+        raise ValueError("level must be coprime to q")
+    vm, va = field.v_mul, field.v_add
+    codes = np.arange(q, dtype=np.int64)
+    if H is cv.GAMMA0_2:
+        minus4 = np.int64(field.coerce(-4).code)
+        rows = max(1, cv._TRACE_BLOCK // q)  # values of a per block
+
+        def blocks():
+            for lo in range(0, q, rows):
+                a = np.repeat(codes[lo : lo + rows], q)
+                b = np.tile(codes, a.size // q)
+                smooth = vm(b, va(vm(a, a), vm(b, minus4))) != 0
+                yield cv.frobenius_traces(field, 0, a[smooth], 0, b[smooth], 0)
+
+        batches, weight = blocks(), Fraction(1, q - 1)
+    elif H is cv.GAMMA1_4:
+        b = codes[(codes != 0) & (codes != (-field.one / field.coerce(16)).code)]
+        minus_b = vm(b, np.int64(field.coerce(-1).code))
+        batches, weight = [cv.frobenius_traces(field, 1, minus_b, minus_b, 0, 0)], Fraction(1)
+    else:
+        raise ValueError("the normal-form route covers gamma0-2 and gamma1-4")
+    hist: Dict[int, Fraction] = {}
+    for traces in batches:
+        orders = q + 1 - traces
+        if (orders % H.N).any():
+            bad = int(orders[orders % H.N != 0][0])
+            raise ArithmeticError(f"{H.name} route: #E = {bad} is not divisible by {H.N}")
+        _tally(hist, traces, weight)
+    return sorted((a1, m) for a1, m in hist.items() if m)
+
+
+# ---------------------------------------------------------------------------
 # Drinfeld classes, one orbit and one Frobenius solve at a time
 
 

@@ -75,6 +75,29 @@ def test_ell_trace_known_value(capsys):
     assert doc == {"q": 5, "H": "1", "weight": 12, "value": 4830, "interiorOnly": False}
 
 
+@pytest.mark.parametrize("argv,value", [
+    (["--q", "9", "--level", "gamma1-4", "--weight", "12"], "960405"),
+    (["--q", "31", "--level", "gamma0-2", "--weight", "18"], "15654108049822"),
+])
+def test_ell_trace_at_gamma_levels(capsys, argv, value):
+    # no boundary data at these levels: the interior sum alone
+    code, out, err = _run(capsys, ["ell", "trace"] + argv)
+    assert code == 0
+    assert out == value + "\n"
+    assert "interior sum only" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--q", "16", "--level", "gamma0-2", "--weight", "12"],
+    ["verify-period", "--q", "16", "--level", "gamma1-4", "--ell", "3", "--s", "1"],
+])
+def test_ell_level_must_be_coprime_to_q(capsys, argv):
+    code, out, err = _run(capsys, ["ell"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "error: level must be coprime to q"
+
+
 def test_ell_moments_formats_and_cache(capsys, tmp_path):
     argv = ["ell", "moments", "--q", "3", "--kmax", "4", "--cache-dir", str(tmp_path)]
     code, out, _ = _run(capsys, argv)

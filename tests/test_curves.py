@@ -244,7 +244,7 @@ def test_routes_agree_and_match_moment_forms():
         F = fq_construct(p, a)
         data = {"family": oracles.family_route_masses(F, cv.LEVEL1)}
         data["class"] = oracles.class_route_masses(F, cv.LEVEL1)
-        data["deuring"] = cv.deuring_route_masses(F)
+        data["deuring"] = cv.deuring_route_masses(F, cv.LEVEL1)
         if p >= 5:
             data["jline"] = cv.jline_route_masses(F)
         vals = list(data.values())
@@ -260,7 +260,8 @@ def test_gamma0_2_routes_agree():
         F = fq_construct(p, 1)
         fam = oracles.family_route_masses(F, cv.GAMMA0_2)
         clsm = oracles.class_route_masses(F, cv.GAMMA0_2)
-        assert fam == clsm == cv.normal_form_route_masses(F, cv.GAMMA0_2)
+        sweep = oracles.normal_form_route_masses(F, cv.GAMMA0_2)
+        assert fam == clsm == sweep == cv.deuring_route_masses(F, cv.GAMMA0_2)
         # twisting pairs up the odd moments here too
         assert _moment(fam, 1) == 0
 
@@ -269,13 +270,19 @@ def test_family_route_rejects_bad_level():
     F = fq_construct(2, 1)
     with pytest.raises(ValueError):
         oracles.family_route_masses(F, cv.GAMMA0_2)  # gcd(2, q) != 1
-    with pytest.raises(ValueError):
-        cv.normal_form_route_masses(F, cv.GAMMA1_4)  # gcd(4, q) != 1
+    for H in (cv.GAMMA0_2, cv.GAMMA1_4):  # gcd(N, q) != 1
+        with pytest.raises(ValueError, match="level must be coprime to q"):
+            cv.deuring_route_masses(F, H)
+        with pytest.raises(ValueError, match="level must be coprime to q"):
+            oracles.normal_form_route_masses(F, H)
     F3 = fq_construct(3, 1)
     with pytest.raises(ValueError):
         oracles.family_route_masses(F3, cv.GAMMA1_4)  # not in the family route
     with pytest.raises(ValueError):
-        cv.normal_form_route_masses(F3, cv.LEVEL1)  # level 1 takes class numbers
+        oracles.normal_form_route_masses(F3, cv.LEVEL1)  # only the gamma levels
+    gamma0_3 = cv.LevelStructureSpec("gamma0-3", 3, frozenset(), False)
+    with pytest.raises(ValueError, match="covers level 1, gamma0-2 and gamma1-4"):
+        cv.deuring_route_masses(fq_construct(5, 1), gamma0_3)  # no preset
     with pytest.raises(ValueError):
         cv.jline_route_masses(F3)  # characteristic too small
 
@@ -361,7 +368,7 @@ def test_deuring_route_matches_point_counts():
     assert len(fields) == 178
     for (p, a) in fields:
         F = fq_construct(p, a)
-        assert cv.deuring_route_masses(F) == cv.jline_route_masses(F), (p, a)
+        assert cv.deuring_route_masses(F, cv.LEVEL1) == cv.jline_route_masses(F), (p, a)
 
 
 _WRONG_CLASS_NUMBER = """
@@ -372,7 +379,7 @@ from hecketrace.ffield import fq_construct
 good = cv.hurwitz6
 cv.hurwitz6 = lambda ds: good(ds) + 6 * (np.arange(len(ds)) == 0)
 try:
-    cv.deuring_route_masses(fq_construct(101, 1))
+    cv.deuring_route_masses(fq_construct(101, 1), cv.LEVEL1)
 except ArithmeticError as exc:
     print(exc)
     raise SystemExit(0)
@@ -384,7 +391,7 @@ def test_deuring_route_rejects_wrong_class_number(monkeypatch):
     good = cv.hurwitz6
     monkeypatch.setattr(cv, "hurwitz6", lambda ds: good(ds) + 6 * (np.arange(len(ds)) == 0))
     with pytest.raises(ArithmeticError, match="level-1 mass is 102"):
-        cv.deuring_route_masses(fq_construct(101, 1))
+        cv.deuring_route_masses(fq_construct(101, 1), cv.LEVEL1)
     # the check is not an assert: it still runs under python -O
     src = os.path.dirname(os.path.dirname(cv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -444,11 +451,20 @@ def test_frobenius_traces_match_naive_counts(monkeypatch):
 
 
 def test_level1_low_characteristic_matches_family_oracle():
-    # class numbers for p not dividing t, the j = 0 sweep for the rest; the
-    # per-curve family loop takes about 9 s at q = 27, so it stops at 16
+    # the per-curve family loop takes about 9 s at q = 27, so it stops at 16
     for (p, a) in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]:
         F = fq_construct(p, a)
-        assert cv.deuring_route_masses(F) == oracles.family_route_masses(F, cv.LEVEL1), F.q
+        assert cv.deuring_route_masses(F, cv.LEVEL1) == oracles.family_route_masses(F, cv.LEVEL1), F.q
+
+
+def test_level1_supersingular_matches_j0_oracle():
+    # for p = 2, 3 the traces divisible by p are those of the j = 0 stratum,
+    # which the oracle sweeps; odd and even extension degrees
+    for p, a_max in ((2, 10), (3, 6)):
+        for a in range(1, a_max + 1):
+            F = fq_construct(p, a)
+            got = [(t, m) for t, m in cv.deuring_route_masses(F, cv.LEVEL1) if t % p == 0]
+            assert got == oracles.j0_stratum_masses(F), F.q
 
 
 def test_level1_low_characteristic_matches_qexpansion():
@@ -456,7 +472,7 @@ def test_level1_low_characteristic_matches_qexpansion():
     # cusp space against t_a = a_p t_{a-1} - p^(k-1) t_{a-2}
     from hecketrace import elltrace as et
 
-    for (p, a) in [(3, 3), (2, 5), (2, 6), (3, 4), (2, 8)]:
+    for (p, a) in [(3, 3), (2, 5), (2, 6), (3, 4), (2, 8), (2, 12), (3, 8)]:
         F = fq_construct(p, a)
         for k in (12, 16, 18, 20, 22, 26):
             ap = oracles.cusp_form_coefficients(k, p + 1)[p]
@@ -470,24 +486,120 @@ def test_level_routes_match_class_oracle():
     for q in (3, 5, 7, 9, 11, 13, 17):
         F = fq_construct(3, 2) if q == 9 else fq_construct(q, 1)
         for H in (cv.GAMMA0_2, cv.GAMMA1_4):
-            assert cv.normal_form_route_masses(F, H) == oracles.class_route_masses(F, H), (q, H.name)
+            assert cv.deuring_route_masses(F, H) == oracles.class_route_masses(F, H), (q, H.name)
+
+
+def _odd_prime_powers(limit):
+    return [(p, a) for p in range(3, limit + 1) if is_prime(p)
+            for a in range(1, limit.bit_length()) if p ** a <= limit]
+
+
+def test_level_routes_match_normal_form_oracle():
+    # every odd q <= 127, ordinary and supersingular traces, odd and even a
+    fields = _odd_prime_powers(127)
+    assert len(fields) == 37
+    for p, a in fields:
+        F = fq_construct(p, a)
+        for H in (cv.GAMMA0_2, cv.GAMMA1_4):
+            assert cv.deuring_route_masses(F, H) == oracles.normal_form_route_masses(F, H), (F.q, H.name)
 
 
 def test_level_routes_check_torsion_divisibility(monkeypatch):
+    # one level structure on every group puts mass on traces with N odd
     F = fq_construct(13, 1)
+    monkeypatch.setattr(cv, "_level_points", lambda H, m, n: 1)
+    for H in (cv.GAMMA0_2, cv.GAMMA1_4):
+        with pytest.raises(ArithmeticError, match=f"not divisible by {H.N}"):
+            cv.deuring_route_masses(F, H)
+    # the oracle's check on the swept point counts
     good = cv.frobenius_traces
     monkeypatch.setattr(cv, "frobenius_traces", lambda *a, **k: good(*a, **k) + 1)
     for H in (cv.GAMMA0_2, cv.GAMMA1_4):
         with pytest.raises(ArithmeticError, match=f"not divisible by {H.N}"):
-            cv.normal_form_route_masses(F, H)
+            oracles.normal_form_route_masses(F, H)
+
+
+_WRONG_LEVEL_MASS = """
+from hecketrace import curves as cv
+from hecketrace.ffield import fq_construct
+
+good_h, good_n = cv.hurwitz6, cv._level_points
+F = fq_construct(101, 1)
+for name in ("gamma0-2", "gamma1-4"):
+    H = cv.level_structure(name)
+    # every class number one form too large: the total mass moves
+    cv.hurwitz6 = lambda ds: good_h(ds) + 6
+    try:
+        cv.deuring_route_masses(F, H)
+        raise SystemExit(f"{name}: wrong class numbers passed")
+    except ArithmeticError as exc:
+        print(exc)
+    cv.hurwitz6 = good_h
+    # one structure on every group: mass on traces of odd #E
+    cv._level_points = lambda H, m, n: 1
+    try:
+        cv.deuring_route_masses(F, H)
+        raise SystemExit(f"{name}: odd #E passed")
+    except ArithmeticError as exc:
+        print(exc)
+    cv._level_points = good_n
+    try:
+        cv.deuring_route_masses(fq_construct(2, 4), H)
+        raise SystemExit(f"{name}: even q passed")
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_level_routes_reject_wrong_masses_under_O(monkeypatch):
+    # the mass total (q - 1, q - 2), the torsion divisibility and the
+    # coprime level are checks, not asserts: they still run under python -O
+    good = cv.hurwitz6
+    monkeypatch.setattr(cv, "hurwitz6", lambda ds: good(ds) + 6)
+    with pytest.raises(ArithmeticError, match=r"gamma0-2 mass is [0-9/]+, not q - 1 = 100$"):
+        cv.deuring_route_masses(fq_construct(101, 1), cv.GAMMA0_2)
+    with pytest.raises(ArithmeticError, match=r"gamma1-4 mass is [0-9/]+, not q - 2 = 99$"):
+        cv.deuring_route_masses(fq_construct(101, 1), cv.GAMMA1_4)
+    src = os.path.dirname(os.path.dirname(cv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", _WRONG_LEVEL_MASS],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 6, res.stdout
+    assert "gamma0-2 mass is" in lines[0] and lines[0].endswith("not q - 1 = 100")
+    assert "gamma1-4 mass is" in lines[3] and lines[3].endswith("not q - 2 = 99")
+    assert "not divisible by 2" in lines[1] and "not divisible by 4" in lines[4]
+    assert lines[2] == lines[5] == "level must be coprime to q"
+
+
+def test_mass_data_counts_no_points(monkeypatch):
+    # no route point-counts: every mass comes from class numbers and closed
+    # forms, also where the former routes swept q^2 or q^3 curves
+    from hecketrace import elltrace as et
+    from hecketrace.ffield import FqField
+
+    cases = [(fq_construct(p, a), cv.LEVEL1) for p, a in ((2, 4), (3, 2), (2, 12), (3, 8))]
+    cases += [(fq_construct(q, 1), H) for q in (13, 31, 1009) for H in (cv.GAMMA0_2, cv.GAMMA1_4)]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("point count")
+
+    monkeypatch.setattr(cv, "frobenius_traces", boom)
+    monkeypatch.setattr(FqField, "tables", boom)
+    monkeypatch.setattr(et, "_MASS_CACHE", {})
+    for F, H in cases:
+        total = sum(m for _, m in et.mass_data(F, H))
+        assert total == F.q - H.N // 2, (F.q, H.name)
 
 
 def test_gamma0_2_sweep_is_blocked(monkeypatch):
-    # the q^2 pairs (a, b) reach the kernel in blocks of at most _TRACE_BLOCK
-    # curves, so memory does not grow with q^2, and the blocks add up to the
-    # one-block result
+    # the oracle's q^2 pairs (a, b) reach the kernel in blocks of at most
+    # _TRACE_BLOCK curves, so memory does not grow with q^2, and the blocks
+    # add up to the one-block result
     F = fq_construct(31, 1)
-    whole = cv.normal_form_route_masses(F, cv.GAMMA0_2)
+    whole = oracles.normal_form_route_masses(F, cv.GAMMA0_2)
+    assert whole == cv.deuring_route_masses(F, cv.GAMMA0_2)
     sizes = []
     good = cv.frobenius_traces
 
@@ -497,7 +609,7 @@ def test_gamma0_2_sweep_is_blocked(monkeypatch):
 
     monkeypatch.setattr(cv, "frobenius_traces", spy)
     monkeypatch.setattr(cv, "_TRACE_BLOCK", 4 * F.q)
-    assert cv.normal_form_route_masses(F, cv.GAMMA0_2) == whole
+    assert oracles.normal_form_route_masses(F, cv.GAMMA0_2) == whole
     assert len(sizes) == 8 and max(sizes) <= 4 * F.q
 
 
@@ -509,7 +621,7 @@ from hecketrace.ffield import fq_construct
 good = cv.hurwitz6
 cv.hurwitz6 = lambda ds: good(ds) + 6 * (np.arange(len(ds)) == 0)
 try:
-    cv.deuring_route_masses(fq_construct(2, 5))
+    cv.deuring_route_masses(fq_construct(2, 5), cv.LEVEL1)
 except ArithmeticError as exc:
     print(exc)
     raise SystemExit(0)
@@ -518,7 +630,8 @@ raise SystemExit(1)
 
 
 def test_low_characteristic_route_rejects_wrong_class_number():
-    # t = 1 gains mass 1/2 and with it t = -1: the total is q + 1, under python -O too
+    # the smallest discriminant, 4 at t = +-8, gains 1/2 at both traces: the
+    # total is q + 1, under python -O too
     src = os.path.dirname(os.path.dirname(cv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-O", "-c", _WRONG_CLASS_NUMBER_P2],
