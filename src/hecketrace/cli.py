@@ -253,6 +253,8 @@ def cmd_ell_verify_period(args) -> int:
 def cmd_ell_hecke_poly(args) -> int:
     from hecketrace import heckepoly as hp
 
+    if args.mod is not None and args.mod < 2:
+        raise ValueError(f"--mod must be >= 2, not {args.mod}")
     cp = hp.charpoly_Tp(args.p, args.weight, max_field_size=args.max_field_size)
     coeffs = list(hp.poly_mod(cp.poly, args.mod)) if args.mod else list(cp.poly)
     rows = [

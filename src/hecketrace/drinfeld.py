@@ -10,10 +10,10 @@ classes at once on int64 code arrays:
 
 - `enumerate_classes` names each orbit by a complete invariant of logarithms
   (log g mod q-1 and log delta - (q+1) log g, or log delta alone when g = 0),
-  takes the lex-least pair of each, and finds the Frobenius polynomials
-  X^2 - a X + b wp of all classes with stacked Gauss-Jordan solves over F_p
-  in the twisted polynomial ring (tau c = c^q tau), a block of classes at a
-  time.  It returns one `ClassTable`: read-only code arrays of g, delta,
+  takes the lex-least pair of each, and reads the Frobenius polynomials
+  X^2 - a X + b wp of all classes off the motive L{tau} (tau c = c^q tau),
+  on which tau^m acts by a 2 x 2 matrix with trace a, a block of classes at
+  a time.  It returns one `ClassTable`: read-only code arrays of g, delta,
   autOrder, orbit size and the Frobenius data a (T-digits) and b, which
   every later step reads as they are; only `dr enumerate` decodes them;
 - `_h_kernel` runs the recurrence h_k = a h_{k-1} - b wp h_{k-2} and folds
@@ -258,15 +258,19 @@ def drinfeld_params(P: FqPoly, n: int, max_field_size: Optional[int] = None) -> 
 
 def _tw_mul(L: FqField, q: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise products x y of twisted polynomials, from
-    (x_i tau^i)(y_j tau^j) = x_i y_j^{q^i} tau^{i+j}; y -> y^{q^i} is one
-    gather through the log and exp tables."""
-    t, n, ny = L.tables(), L.q - 1, y.shape[1]
-    log_y = t["log"][y]
+    (x_i tau^i)(y_j tau^j) = x_i y_j^{q^i} tau^{i+j}."""
+    ny = y.shape[1]
     out = np.zeros((max(len(x), len(y)), x.shape[1] + ny - 1), dtype=np.int64)
     for i in range(x.shape[1]):
-        y_qi = np.where(y == 0, 0, t["exp"][log_y * (q**i % n) % n])
+        y_qi = _frobenius_twist(L, y, q**i)
         out[:, i : i + ny] = L.v_add(out[:, i : i + ny], L.v_mul(x[:, i : i + 1], y_qi))
     return out
+
+
+def _frobenius_twist(L: FqField, x: np.ndarray, e: int) -> np.ndarray:
+    """x^e for every L-code x (e > 0), by one gather through the log and exp tables."""
+    t, n = L.tables(), L.q - 1
+    return np.where(x == 0, 0, t["exp"][t["log"][x] * (e % n) % n])
 
 
 def _embed_codes(params: DrinfeldParams, codes) -> np.ndarray:
@@ -304,7 +308,7 @@ def _pad(x: np.ndarray, shift: int, width: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stacked linear algebra over F_p
+# stacked linear algebra over F_p, for the torsion oracle
 
 
 def _system(params: DrinfeldParams, polys: Sequence[np.ndarray], rhs: np.ndarray) -> np.ndarray:
@@ -379,8 +383,8 @@ class ClassTable(Record):
     g and delta are L-codes, aut the twist stabilizer size (autOrder), size
     the orbit size; a holds the base-field codes of the T-digits of a
     (classes x digits, trailing all-zero columns trimmed, at least one) and
-    b the base-field code of b. Tables compare and hash by identity, as
-    numpy compares arrays elementwise.
+    b the base-field code of b, for the Frobenius X^2 - a X + b wp. Tables
+    compare and hash by identity, as numpy compares arrays elementwise.
     """
 
     __slots__ = ("g", "delta", "aut", "size", "a", "b")
@@ -397,29 +401,10 @@ class ClassTable(Record):
         return len(self.g)
 
 
-# (g, delta) pairs per block when orbit sizes are counted
-_PAIR_BLOCK = 1 << 12
-# classes per block of the Frobenius solve, whose stacked systems and
-# Gauss-Jordan temporaries take about 9 KB per class at |L| = 5^6
-_SOLVE_BLOCK = 1 << 11
-
-
-def _twist_key(L: FqField, q: int, g: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Class index of each (g, delta), from the complete twist invariant.
-
-    With u = zeta^t the twist adds t(q-1) to log g and t(q^2-1) to
-    log delta mod n = |L| - 1.  For g != 0 that leaves log g mod q-1 and
-    log delta - (q+1) log g mod n, indices [0, (q-1) n); for g = 0 it leaves
-    log delta mod gcd(q^2-1, n), indices after those.
-    """
-    n = L.q - 1
-    log = L.tables()["log"]
-    lg, ld = log[g], log[delta]
-    return np.where(
-        g == 0,
-        (q - 1) * n + ld % math.gcd(q * q - 1, n),
-        lg % (q - 1) * n + (ld - (q + 1) % n * lg) % n,
-    )
+# classes per block of the Frobenius data and its re-substitution check: over
+# F_{5^6} (62520 classes) one block of all classes would raise the peak RSS
+# of a fresh process's `enumerate_classes` from 41 to 127 MB
+_FROBENIUS_BLOCK = 1 << 11
 
 
 def _first_of_each(codes: np.ndarray, residues: np.ndarray, k: int) -> np.ndarray:
@@ -435,11 +420,12 @@ def _twist_orbits(L: FqField, q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     """Code arrays (g, delta, autOrder, orbitSize) of the lex-least orbit
     representatives, in (g, delta) code order.
 
-    For g = 0 the representative of each invariant is the first delta that
-    carries it.  For g != 0 it is the first g of its class log g mod q-1,
-    with every delta: one g carries each value of the second invariant once.
-    Orbit sizes count every pair by its invariant, in blocks of g; a unit
-    fixes (g, delta) when u^{q^2-1} = 1 and, for g != 0, u^{q-1} = 1.
+    For g = 0 the representative of each invariant log delta mod
+    gcd(q^2-1, |L|-1) is the first delta that carries it.  For g != 0 it is
+    the first g of its class log g mod q-1, with every delta: one g carries
+    each value of log delta - (q+1) log g mod |L|-1 once.  A unit u fixes
+    (g, delta) when u^{q^2-1} = 1 and, for g != 0, u^{q-1} = 1; the orbit
+    size is (|L| - 1)/autOrder.
     """
     n = L.q - 1
     log, exp = L.tables()["log"], L.tables()["exp"]
@@ -449,69 +435,47 @@ def _twist_orbits(L: FqField, q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     g_first = _first_of_each(units, log[units] % (q - 1), q - 1)
     g = np.concatenate([np.zeros(len(d_first), dtype=np.int64), np.repeat(g_first, n)])
     delta = np.concatenate([d_first, np.tile(units, len(g_first))])
-    counts = np.zeros((q - 1) * n + g0, dtype=np.int64)
-    rows = max(1, _PAIR_BLOCK // n)
-    for lo in range(0, L.q, rows):
-        gs = np.arange(lo, min(L.q, lo + rows), dtype=np.int64)[:, None]
-        counts += np.bincount(_twist_key(L, q, gs, units).ravel(), minlength=len(counts))
-    size = counts[_twist_key(L, q, g, delta)]
     t = np.arange(n, dtype=np.int64)
     fix_delta = exp[t * ((q * q - 1) % n) % n] == 1
     fix_g = exp[t * ((q - 1) % n) % n] == 1
     aut = np.where(g == 0, np.count_nonzero(fix_delta), np.count_nonzero(fix_delta & fix_g))
-    return g, delta, aut, size
+    return g, delta, aut, n // aut
 
 
-def _frobenius_solve(
-    params: DrinfeldParams, phi_t: np.ndarray, phi_wp: np.ndarray
+def _motive_frobenius(
+    params: DrinfeldParams, g: np.ndarray, delta: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Codes (a, b) with tau^{2m} + b phi_wp = phi_a tau^m for every row.
+    """Codes (a, b) of X^2 - a X + b wp for every (g, delta), from the motive.
 
-    The unknowns are the F_q-coefficients of a (degree <= m/2) and of b; the
-    systems match tau-coefficients and are solved in one stack.  When tau^m
-    is phi_c for some c the relation admits every unit b, so for even m the
-    scalar case is solved first: there the characteristic polynomial is
-    (X - c)^2, i.e. a = 2c and b = c^2/wp.  Every solve must be unique.
+    tau acts on the basis {1, tau} of the motive L{tau} over L[T]
+    semilinearly by A = [[0, (T - gamma)/delta], [1, -g/delta]], so tau^m
+    acts by B = A A^(1) ... A^(m-1), where A^(i) raises the L-coefficients
+    of A to the power q^i (Musleh-Schost, ISSAC 2019).  B takes m steps
+    B <- B A^(i) on (classes x (m+1)) T-digit arrays, as deg B <= m.  Then
+    a = tr B, with m + 1 digits that must lie in F_q (else ArithmeticError),
+    and det B = b wp gives b = (-1)^m / N(delta), N the norm to F_q.
     """
-    base, L, m, p = params.base, params.L, params.m, params.p
-    nslots, half = 2 * m + 1, m // 2
-    tpow = [np.ones((len(phi_t), 1), dtype=np.int64)]
-    for _ in range(half):
-        tpow.append(_tw_mul(L, params.q, phi_t, tpow[-1]))
-    a = np.zeros((len(phi_t), half + 1), dtype=np.int64)
-    b = np.zeros(len(phi_t), dtype=np.int64)
-    todo = np.ones(len(phi_t), dtype=bool)
-    if m % 2 == 0:
-        rhs = np.zeros((len(phi_t), nslots), dtype=np.int64)
-        rhs[:, m] = 1
-        sol, status = _gauss_jordan_mod_p(_system(params, [_pad(t, 0, nslots) for t in tpow], rhs), p)
-        if (status == _MANY).any():
-            raise ArithmeticError("scalar Frobenius solve underdetermined")
-        scalar = status == _UNIQUE
-        c = _base_codes(params, sol[scalar])
-        norm = np.zeros((len(c), m + 1), dtype=np.int64)
-        _mul_add(base, norm, c, c)
-        unit = norm[:, m]
-        wp = np.array(params.wp.codes(), dtype=np.int64)
-        if not (unit.all() and np.array_equal(norm, base.v_mul(unit[:, None], wp))):
-            raise ArithmeticError("scalar Frobenius norm is not a unit times wp")
-        a[scalar], b[scalar], todo = base.v_add(c, c), unit, ~scalar
-    if todo.any():
-        # b phi_wp + sum_i a'_i phi_{T^i} tau^m = -tau^{2m}, and a = -a'
-        rhs = np.zeros((np.count_nonzero(todo), nslots), dtype=np.int64)
-        rhs[:, 2 * m] = p - 1
-        polys = [phi_wp[todo]] + [_pad(t[todo], m, nslots) for t in tpow]
-        sol, status = _gauss_jordan_mod_p(_system(params, polys, rhs), p)
-        bad = np.flatnonzero(status != _UNIQUE)
-        if len(bad):
-            g, delta = phi_t[todo][bad[0], 1:]
-            raise ArithmeticError(
-                f"Frobenius solve is {_STATUS[status[bad[0]]]} for (g, delta) = "
-                f"({L.decode(int(g))}, {L.decode(int(delta))})"
-            )
-        codes = _base_codes(params, sol)
-        b[todo] = codes[:, 0]
-        a[todo] = base.v_mul(codes[:, 1:], np.int64(p - 1))
+    L, p, q, m, n = params.L, params.p, params.q, params.m, params.L.q - 1
+    log, exp = L.tables()["log"], L.tables()["exp"]
+    inv = exp[-log[delta] % n]
+    # A's L-coefficients: 1/delta and -gamma/delta of (T - gamma)/delta, and -g/delta
+    coeffs = (inv, L.v_mul(inv, np.int64((-params.gamma_t).code)), L.v_mul(L.v_mul(inv, g), np.int64(p - 1)))
+    # columns 0 and 1 of B = I, each with its two rows on axis 0
+    b0 = np.zeros((2, len(g), m + 1), dtype=np.int64)
+    b1 = b0.copy()
+    b0[0, :, 0] = b1[1, :, 0] = 1
+    for i in range(m):
+        u, c, d = (_frobenius_twist(L, x, q**i)[:, None] for x in coeffs)
+        new = L.v_add(L.v_mul(b0, c), L.v_mul(b1, d))
+        new[..., 1:] = L.v_add(new[..., 1:], L.v_mul(b0[..., :-1], u))
+        b0, b1 = b1, new
+    to_base = np.full(L.q, -1, dtype=np.int64)
+    to_base[_embed_codes(params, np.arange(q))] = np.arange(q)
+    a = to_base[L.v_add(b0[0], b1[1])]
+    if (a < 0).any():
+        raise ArithmeticError("Frobenius trace has a coefficient outside F_q")
+    # log(-1) = n/2 for odd p (0 for p = 2), and log N(delta) = log(delta) n/(q-1)
+    b = to_base[exp[(m * (n // 2 if p > 2 else 0) - log[delta] * (n // (q - 1))) % n]]
     return a, b
 
 
@@ -520,19 +484,20 @@ def _frobenius_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Checked codes (a, b) of X^2 - a X + b wp for every (g, delta).
 
-    After the solve b != 0 and 2 deg(a) <= m must hold, and the relation
-    tau^{2m} + b phi_wp = phi_a tau^m is re-substituted exactly, with phi_a
-    built by Horner from a; each failure raises ArithmeticError.
+    After the motive product b != 0 and 2 deg(a) <= m must hold, and the
+    relation tau^{2m} + b phi_wp = phi_a tau^m is re-substituted exactly,
+    with phi_a built by Horner from a; each failure raises ArithmeticError.
     """
     L, m = params.L, params.m
     phi_t = _phi_t(params, g, delta)
     phi_wp = _phi(params, phi_t, np.array(params.wp.codes(), dtype=np.int64))
-    a, b = _frobenius_solve(params, phi_t, phi_wp)
+    a, b = _motive_frobenius(params, g, delta)
     if not b.all():
-        raise ArithmeticError("Frobenius solve returned b = 0")
+        raise ArithmeticError("Frobenius motive returned b = 0")
     deg = int(_code_degrees(a).max())
     if 2 * deg > m:
         raise ArithmeticError(f"deg a = {deg} exceeds m/2 for m = {m}")
+    a = a[:, : m // 2 + 1]
     lhs = L.v_mul(phi_wp, _embed_codes(params, b)[:, None])
     lhs[:, 2 * m] = L.v_add(lhs[:, 2 * m], np.int64(1))
     rhs = _phi(params, phi_t, a)
@@ -544,7 +509,7 @@ def _frobenius_batch(
 
 def frobenius_poly(pair, params: DrinfeldParams) -> Tuple[FqPoly, FqElem]:
     """(a, b) with tau^{2m} + b phi_{wp} = phi_a tau^m for the module given
-    by the pair (g, delta): the batched solve and its checks on one row."""
+    by the pair (g, delta): `_frobenius_batch` and its checks on one row."""
     g, delta = pair
     if delta.is_zero():
         raise ValueError("delta must be nonzero")
@@ -558,14 +523,14 @@ _CLASS_CACHE: Dict[DrinfeldParams, ClassTable] = {}
 def enumerate_classes(params: DrinfeldParams) -> ClassTable:
     """All twist-orbit representatives of (g, delta) in L x L^*, lex-least.
 
-    The representatives are read off the complete orbit invariant of
-    `_twist_key`, without a bitmap of seen pairs, and the Frobenius data of
-    all classes come from stacked solves, `_SOLVE_BLOCK` classes at a time to
-    bound their memory; autOrder is the twist stabilizer size.  Checked, each failure raising ArithmeticError: the orbit-stabilizer
-    identity autOrder * orbitSize = |L| - 1, autOrder = -1 mod p, the
+    The representatives are read off complete orbit invariants, without a
+    bitmap of seen pairs; autOrder is the twist stabilizer size, which gives
+    the orbit size, and the Frobenius data come from the motive product,
+    `_FROBENIUS_BLOCK` classes at a time.  Checked, each failure raising
+    ArithmeticError: autOrder * orbitSize = |L| - 1, autOrder = -1 mod p, the
     partition total sum(orbitSize) = |L|(|L|-1), and, in `_frobenius_batch`,
-    a unique Frobenius solve with b != 0, the slope bound 2 deg(a) <= m and
-    the re-substituted relation, for every class.  The table is cached per
+    a trace in F_q[T], b != 0, the slope bound 2 deg(a) <= m and the
+    re-substituted relation, for every class.  The table is cached per
     params; its arrays are read-only.
     """
     cached = _CLASS_CACHE.get(params)
@@ -583,8 +548,8 @@ def enumerate_classes(params: DrinfeldParams) -> ClassTable:
     if total != qL * (qL - 1):
         raise ArithmeticError(f"orbits cover {total} pairs, not |L|(|L|-1) = {qL * (qL - 1)}")
     blocks = [
-        _frobenius_batch(params, g[lo : lo + _SOLVE_BLOCK], delta[lo : lo + _SOLVE_BLOCK])
-        for lo in range(0, len(g), _SOLVE_BLOCK)
+        _frobenius_batch(params, g[lo : lo + _FROBENIUS_BLOCK], delta[lo : lo + _FROBENIUS_BLOCK])
+        for lo in range(0, len(g), _FROBENIUS_BLOCK)
     ]
     a, b = (np.concatenate(parts) for parts in zip(*blocks))
     table = ClassTable(g, delta, aut, size, _trim_columns(a), b)

@@ -3,9 +3,11 @@ polynomials with FqElem coefficients, phi_f by Horner, the per-class
 Frobenius solve by Gauss-Jordan over F_p on Python lists, and the class
 enumeration that walks an |L|^2 bitmap of (g, delta) pairs.
 
-The package does all of this on int64 code arrays for every class at once
-(hecketrace.drinfeld.enumerate_classes); this module does it one class and
-one element at a time, so that the two can be compared. It is kept apart from
+The package finds the same classes and Frobenius data on int64 code arrays
+for every class at once (hecketrace.drinfeld.enumerate_classes), from orbit
+invariants and the motive product rather than a bitmap and a linear solve;
+this module works one class and one element at a time, so that the two can
+be compared. It is kept apart from
 oracles.py because perfbench/run.py loads that file into its own process and
 needs none of this.
 """

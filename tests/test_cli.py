@@ -210,6 +210,24 @@ def test_ell_hecke_poly(capsys):
     assert doc["dim"] == 1 and doc["coeffs"][0] == 1
 
 
+def test_ell_hecke_poly_mod_needs_at_least_two(capsys, monkeypatch):
+    # --mod 0 printed the exact polynomial, --mod 1 printed 0 and --mod -7
+    # printed -6; the modulus is refused before any charpoly is computed
+    from hecketrace import heckepoly as hp
+
+    def no_charpoly(*args, **kwargs):
+        raise AssertionError("charpoly computed")
+
+    monkeypatch.setattr(hp, "charpoly_Tp", no_charpoly)
+    for mod in ("0", "1", "-7"):
+        code, out, err = _run(capsys, ["ell", "hecke-poly", "--p", "5", "--weight", "12", "--mod", mod])
+        assert code == 2 and out == "", mod
+        assert f"error: --mod must be >= 2, not {mod}" in err and "Traceback" not in err
+    monkeypatch.undo()
+    code, out, _ = _run(capsys, ["ell", "hecke-poly", "--p", "5", "--weight", "12", "--mod", "5"])
+    assert code == 0 and out.strip() == "1"
+
+
 def test_ell_class_number(capsys):
     code, out, _ = _run(capsys, ["ell", "class-number", "--p", "31", "--format", "json"])
     assert code == 0
@@ -240,8 +258,9 @@ def test_dr_enumerate_emission(capsys):
     assert out.splitlines()[0] == "q,P,n,g,delta,autOrder,orbitSize,a,b"
 
 
-# sha256 of `dr enumerate --q 5 --P T^2+2 --n 2` as the emission that built
-# every row before printing the first wrote it; 2520 classes span two blocks
+# sha256 of `dr enumerate --q 5 --P T^2+2 --n 2` as written when every row
+# was built before printing the first and the Frobenius data came from a
+# stacked linear solve; 2520 classes span two blocks
 @pytest.mark.parametrize("fmt, digest", [
     ("json", "200d728c815116dfc2cea95a0c4963bbdd6f620b579141593cbe6f41aa43c09e"),
     ("csv", "05d491f0e5b5856a4498810aa9f725fe2707943a6588c61263208609415277de"),

@@ -153,13 +153,29 @@ DIFFERENTIAL_GRID = (
 
 
 def test_enumeration_matches_bitmap_oracle():
-    # the batched route (orbit invariants, one stacked solve) against the
-    # |L|^2 bitmap walk with a per-class TwistedPoly solve
+    # the batched route (orbit invariants and stabilizers, the motive
+    # product) against the |L|^2 bitmap walk with a per-class TwistedPoly
+    # solve; P = T (gamma = 0) and m odd and even are all on the grid
     for field, pcodes, n in DIFFERENTIAL_GRID:
         pp = _params(field, pcodes, n)
         assert pp.L.q <= 125
         got = _rows(da.decode_table(pp, dr.enumerate_classes(pp)))
         assert got == _rows(oracles.enumerate_classes(pp)), (field.q, pcodes, n)
+
+
+def test_motive_matches_scalar_solve_at_m4():
+    # m = 4 and |L| = 625, past the bitmap grid: 40 seeded classes of each
+    # case against the per-class TwistedPoly solve; P = T has gamma = 0
+    rng = random.Random(18)
+    for pcodes, n in (((2, 0, 1), 2), ((0, 1), 4)):
+        pp = _params(F5, pcodes, n)
+        assert pp.m == 4 and pp.L.q == 625
+        table = dr.enumerate_classes(pp)
+        for i in rng.sample(range(len(table)), 40):
+            g, delta = pp.L.decode(int(table.g[i])), pp.L.decode(int(table.delta[i]))
+            a, b = da.frobenius_poly((g, delta), pp)
+            assert _poly(F5, table.a[i].tolist()) == a, (pcodes, n, i)
+            assert F5.decode(int(table.b[i])) == b, (pcodes, n, i)
 
 
 def test_code_array_phi_matches_scalar_phi():
@@ -175,13 +191,13 @@ def test_code_array_phi_matches_scalar_phi():
 
 
 def test_enumeration_in_blocks_matches_one_block(monkeypatch):
-    # the Frobenius solve in blocks of a few classes, against one block
+    # the Frobenius data in blocks of a few classes, against one block
     for field, pcodes, n in ((F3, (0, 1), 2), (F4, (1, 1), 2)):
         pp = _params(field, pcodes, n)
         tables = []
         for block in (1 << 30, 7):
             monkeypatch.setattr(dr, "_CLASS_CACHE", {})
-            monkeypatch.setattr(dr, "_SOLVE_BLOCK", block)
+            monkeypatch.setattr(dr, "_FROBENIUS_BLOCK", block)
             tables.append(dr.enumerate_classes(pp))
         whole, blocks = tables
         assert len(whole) > 3 * 7
@@ -192,7 +208,11 @@ def test_enumeration_in_blocks_matches_one_block(monkeypatch):
 # Failure injection: each fault breaks one check of the enumeration, which
 # must raise ArithmeticError with its own message (also under python -O).
 # A fault is (patch, match); patch(dr, install) installs it on module dr
-# through install(attribute name, value).
+# through install(attribute name, value). The faults run at FAULT_CASE,
+# where L = F_9 is larger than F_q = F_3 (m = 2), so that a trace
+# coefficient can fall outside F_q.
+
+FAULT_CASE = (F3, (1, 0, 1), 1)
 
 
 def _orbit_fault(change):
@@ -206,9 +226,9 @@ def _orbit_fault(change):
 
 def _solve_fault(change):
     def patch(dr, install):
-        good = dr._frobenius_solve
+        good = dr._motive_frobenius
         install("_CLASS_CACHE", {})
-        install("_frobenius_solve", lambda params, phi_t, phi_wp: change(params, *good(params, phi_t, phi_wp)))
+        install("_motive_frobenius", lambda params, g, delta: change(params, *good(params, g, delta)))
 
     return patch
 
@@ -220,16 +240,13 @@ def _first_aut_one(L, g, delta, aut, size):
     return g, delta, aut, size
 
 
-def _drop_b_column(dr, install):
-    good = dr._gauss_jordan_mod_p
-
-    def solve(mats, p):
-        mats = mats.copy()
-        mats[:, :, 0] = 0  # the first F_p digit of b
-        return good(mats, p)
-
+def _linear_twist(dr, install):
+    # A^(i) = A drops the semilinearity: tau^2 then acts by A^2, whose trace
+    # (g/delta)^2 + 2(T - gamma)/delta leaves F_3[T] already at (g, delta) =
+    # (0, 1), as gamma, a root of T^2 + 1, is not in F_3. The twist also
+    # serves phi, but phi_wp is not checked before the trace is
     install("_CLASS_CACHE", {})
-    install("_gauss_jordan_mod_p", solve)
+    install("_frobenius_twist", lambda L, x, e: x)
 
 
 def _wide_a(params, a, b):
@@ -249,7 +266,7 @@ FAULTS = {
     "orbit-size": (_orbit_fault(lambda L, g, d, aut, size: (g, d, aut, 2 * size)), "times orbit size"),
     "partition": (_orbit_fault(lambda L, g, d, aut, size: (g[:-1], d[:-1], aut[:-1], size[:-1])), "orbits cover"),
     "aut-order": (_orbit_fault(_first_aut_one), "is not -1 mod p"),
-    "unique-solve": (_drop_b_column, "Frobenius solve is (none|many)"),
+    "trace-in-F_q": (_linear_twist, "Frobenius trace has a coefficient outside F_q"),
     "b-zero": (_solve_fault(lambda params, a, b: (a, 0 * b)), "returned b = 0"),
     "slope": (_solve_fault(_wide_a), "exceeds m/2"),
     "re-substitution": (_solve_fault(_shifted_a), "re-substitution failed"),
@@ -261,7 +278,7 @@ sys.path.insert(0, {tests!r})
 import test_drinfeld as t
 from hecketrace import drinfeld as dr
 
-pp = t._params(t.F3, (0, 1), 1)
+pp = t._params(*t.FAULT_CASE)
 failed = []
 for name in {names!r}:
     patch, match = t.FAULTS[name]
@@ -308,7 +325,7 @@ def test_enumeration_rejects_a_past_the_slope_bound(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_enumeration_rejects_injected_fault(monkeypatch, name):
-    pp = _params(F3, (0, 1), 1)
+    pp = _params(*FAULT_CASE)
     with pytest.raises(ArithmeticError, match=_inject(monkeypatch, name)):
         dr.enumerate_classes(pp)
 
@@ -343,8 +360,9 @@ def test_frobenius_poly_accepts_bare_pair():
 
 
 def test_frobenius_poly_scalar_square_case():
-    # gamma(T) = 0 and g = 0 make tau^m itself lie in the image of phi; the
-    # solve must fall back to phi_c = tau^m and report (2c, c^2/wp)
+    # gamma(T) = 0 and g = 0 make tau^m itself lie in the image of phi, as
+    # phi_c = tau^m; the motive product needs no special case there and
+    # gives the characteristic polynomial (X - c)^2, i.e. (2c, c^2/wp)
     pp = _params(F3, (0, 1), 2)
     a, b = dr.frobenius_poly((pp.L.zero, pp.L.one), pp)
     assert a == _poly(F3, (0, 2))
@@ -354,8 +372,8 @@ def test_frobenius_poly_scalar_square_case():
 
 
 def test_char_poly_matches_torsion_action():
-    # the torsion route never sees the linear solve: full agreement on every
-    # class, for auxiliary primes of degree 1 and 2
+    # the torsion route never sees the motive product: full agreement on
+    # every class, for auxiliary primes of degree 1 and 2
     grid = [
         (F2, (0, 1), 1),
         (F2, (0, 1), 2),
