@@ -258,9 +258,8 @@ def test_dr_enumerate_emission(capsys):
     assert out.splitlines()[0] == "q,P,n,g,delta,autOrder,orbitSize,a,b"
 
 
-# sha256 of `dr enumerate --q 5 --P T^2+2 --n 2` as written when every row
-# was built before printing the first and the Frobenius data came from a
-# stacked linear solve; 2520 classes span two blocks
+# sha256 of the stdout bytes of `dr enumerate --q 5 --P T^2+2 --n 2` in each
+# format; its 2520 classes span two blocks
 @pytest.mark.parametrize("fmt, digest", [
     ("json", "200d728c815116dfc2cea95a0c4963bbdd6f620b579141593cbe6f41aa43c09e"),
     ("csv", "05d491f0e5b5856a4498810aa9f725fe2707943a6588c61263208609415277de"),
