@@ -133,8 +133,10 @@ def _compact_json(v) -> str:
 
 
 def _csv_cell(v):
-    if isinstance(v, (list, tuple)):
-        return _compact_json(v)
+    # list cells are int lists from .tolist(), whose str differs from their
+    # compact JSON only by the spaces
+    if isinstance(v, list):
+        return str(v).replace(" ", "")
     if v is None:
         return ""
     return v

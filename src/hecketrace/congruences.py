@@ -310,6 +310,8 @@ def verify_periodicity(
     kmin = spec.k0 if kmin is None else max(kmin, spec.k0)
     if kmax is None:
         kmax = spec.k0 + 2 * spec.n
+    if kmax < kmin:
+        raise ValueError("empty window")
     weight_budget_check(kmax + spec.n + 2, max_weight)
     modulus = ell ** s
     interior = elltrace.interior_sequence_mod(field, H, kmax + spec.n, modulus)

@@ -1008,79 +1008,69 @@ def _split_parts(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-k values (N, U) of the zero-trace / unit-trace split, mod lpoly^s.
 
-    N runs over classes with a = 0 mod lpoly and keeps the exact j-sum with
-    the (-b wp)^{floor(k/2)-j} history (no inversions, so lpoly = P is fine);
-    U folds the g-family recurrence against per-b power sums of the units.
+    N sums the terms binom(k-j, j) a^i (-b wp)^j of h_k, i = k - 2j, over
+    the classes with a = 0 mod lpoly, where a^i = 0 for i >= s.  As b lies
+    in F_q^*, (-b wp)^t b^e = (-wp)^t b^(t+e); so with t = (k - i)/2 and
+    f = (l-1-k) mod (q-1) every k reads one (q-1, s) table M:
+
+        N_k = sum over i < s, i = k mod 2, of binom(t+i, i) (-wp)^t M[(t+f) mod (q-1), i],
+        M[f, i] = sum over those classes of b^f a^i / autOrder.
+
+    U runs g_k[r] = g_{k-1}[r] - b wp g_{k-2}[r-1] (g_{-1} = 0, g_0[0] = 1)
+    for every b at once, and with S_b[e] the sum of a^e over the unit
+    classes with that b, e < 2m (a unit's a^e depends on e mod 2m only),
+    U_k = sum over b and r < m of b^f / autOrder g_k[k//2 - r] S_b[2r + k%2].
+    Neither part inverts, so lpoly = P is fine.
     """
-    base, q, p, s = params.base, params.q, params.p, spec.s
-    m = spec.m_ls
+    base, q, p, s, m = params.base, params.q, params.p, spec.s, spec.m_ls
     table, scales = _class_weights(params)
-    nw = kmax - kmin + 1
-    Nvals = ring.zeros(nw)
-    Uvals = ring.zeros(nw)
     abar = ring.reduce(table.a)
-    wneg = ring.reduce(_neg_b_wp(params, table.b, np.array(params.wp.codes(), dtype=np.int64)))
+    wp = np.array(params.wp.codes(), dtype=np.int64)
     zero_a = ~ResidueRing(base, spec.lpoly.codes()).reduce(table.a).any(axis=1)
+    bvals = np.array(list(dict.fromkeys(table.b.tolist())), dtype=np.int64)
+    in_row = table.b[:, None] == bvals  # (classes, b values)
+    ks = np.arange(kmin, kmax + 1)
 
-    nidx = np.flatnonzero(zero_a)
-    if len(nidx):
-        Cn = len(nidx)
-        jtop = (s - 1) // 2
-        apow = [ring.ones(Cn)]
-        for _ in range(2 * jtop + 1):
-            apow.append(ring.mul(apow[-1], abar[nidx]))
-        phalf = ring.zeros(kmax + 1, Cn)
-        phalf[0] = ring.ones(Cn)
-        for t in range(1, kmax + 1):
-            phalf[t] = ring.mul(phalf[t - 1], wneg[nidx]) if t % 2 == 0 else phalf[t - 1]
-        scn = scales[(l - 1 - np.arange(q - 1)) % (q - 1)][:, nidx]
-        for k in range(kmin, kmax + 1):
-            delta = k % 2
-            acc = ring.zeros(Cn)
-            for j in range((s - 1 - delta) // 2 + 1):
-                c = math.comb((k + delta) // 2 + j, 2 * j + delta) % p
-                if c:
-                    term = ring.mul(apow[2 * j + delta], phalf[k - 2 * j])
-                    acc = base.v_add(acc, base.v_mul(term, np.int64(c)))
-            acc = base.v_mul(acc, scn[k % (q - 1)][:, None])
-            Nvals[k - kmin] = _fold_add(base, acc)
+    # power sums over the classes: M[f, i] of the zero-trace ones, i < s,
+    # and S_b[e] of the units, e < 2m (and 2m >= s)
+    w_zero = np.where(zero_a, scales, 0).T[:, :, None]
+    in_units = (in_row & ~zero_a[:, None])[:, :, None]
+    apow, M, S = ring.ones(len(table)), [], []
+    for e in range(2 * m):
+        if e < s:
+            M.append(_fold_add(base, base.v_mul(w_zero, apow[:, None, :])))
+        S.append(_fold_add(base, np.where(in_units, apow[:, None, :], 0)))
+        apow = ring.mul(apow, abar)
+    M, S = np.stack(M, axis=1), np.stack(S, axis=1)
+    bscale = scales[:, np.argmax(in_row, axis=0)]  # b^f / autOrder, one column per b
 
-    units = ~zero_a
-    for bcode in dict.fromkeys(table.b[units].tolist()):
-        idx = np.flatnonzero(units & (table.b == bcode))
-        abar_b = abar[idx]
-        inv_codes = scales[0, idx]
-        spow = []
-        cur = ring.ones(len(idx))
-        for e in range(2 * m):
-            spow.append(_fold_add(base, base.v_mul(cur, inv_codes[:, None])))
-            cur = ring.mul(cur, abar_b)
-        s_even = np.stack([spow[2 * r] for r in range(m)])
-        s_odd = np.stack([spow[2 * r + 1] for r in range(m)])
-        bpow = [np.int64(1)]
-        for _ in range(q - 2):
-            bpow.append(base.v_mul(bpow[-1], np.int64(bcode)))
-        g_prev = ring.zeros(m)
-        g_prev[0] = ring.ones()
-        g_cur = g_prev.copy()
-        rolled = np.arange(m)
+    # N at every k of the window at once
+    binom = np.ones((s, kmax // 2 + 1), dtype=np.int64)  # binom(t+i, i) mod p
+    for j in range(1, s):
+        binom[j] = np.cumsum(binom[j - 1]) % p
+    neg_wp = ring.reduce(_neg_b_wp(params, np.ones(1, dtype=np.int64), wp))
+    wpow = ring.ones(1)  # (-wp)^t, the run of powers doubled each step
+    while len(wpow) < binom.shape[1]:
+        wpow = np.concatenate([wpow, ring.mul(wpow, ring.mul(wpow[-1:], neg_wp))])
+    i = np.arange(s)[:, None]
+    live = (ks >= i) & ((ks - i) % 2 == 0)
+    t = np.where(live, (ks - i) // 2, 0)
+    terms = ring.mul(wpow[t], M[(t + l - 1 - ks) % (q - 1), i])
+    nvals = _fold_add(base, base.v_mul(terms, np.where(live, binom[i, t], 0)[..., None]))
 
-        def u_at(k: int, g_now: np.ndarray) -> np.ndarray:
-            delta = k % 2
-            sel = g_now[(k // 2 - rolled) % m]
-            tot = _fold_add(base, ring.mul(sel, s_even if delta == 0 else s_odd))
-            return base.v_mul(tot, bpow[(l - 1 - k) % (q - 1)])
-
-        if kmin <= 0 <= kmax:
-            Uvals[0 - kmin] = base.v_add(Uvals[0 - kmin], u_at(0, g_prev))
-        if kmin <= 1 <= kmax and kmax >= 1:
-            Uvals[1 - kmin] = base.v_add(Uvals[1 - kmin], u_at(1, g_cur))
-        for k in range(2, kmax + 1):
-            g_next = base.v_add(g_cur, ring.mul(np.roll(g_prev, 1, axis=0), wneg[idx[0]]))
-            g_prev, g_cur = g_cur, g_next
-            if k >= kmin:
-                Uvals[k - kmin] = base.v_add(Uvals[k - kmin], u_at(k, g_cur))
-    return Nvals, Uvals
+    # U, one g-family row per b
+    wneg = ring.reduce(_neg_b_wp(params, bvals, wp))[:, None]
+    r = np.arange(m)
+    g_prev, g = ring.zeros(len(bvals), m), ring.zeros(len(bvals), m)
+    g[:, 0, 0] = 1
+    uvals = ring.zeros(len(ks))
+    for k in range(kmax + 1):
+        if k >= kmin:
+            tot = ring.mul(g[:, (k // 2 - r) % m], S[:, k % 2 :: 2])
+            tot = base.v_mul(tot, bscale[(l - 1 - k) % (q - 1), :, None, None])
+            uvals[k - kmin] = _fold_add(base, tot.reshape(-1, ring.d))
+        g_prev, g = g, base.v_add(g, ring.mul(np.roll(g_prev, 1, axis=1), wneg))
+    return nvals, uvals
 
 
 def verify_period_ff(
@@ -1114,24 +1104,17 @@ def verify_period_ff(
     seq = trace_sequence_mod(params, lpoly, s, l, kmax + spec.period)
     nvals, uvals = _split_parts(params, spec, ring, l, kmin, kmax)
     resums = base.v_mul(base.v_add(nvals, uvals), np.int64(base.coerce(-1).code))
-    records = []
-    all_ok = True
-    for k in range(kmin, kmax + 1):
-        ok = bool(np.array_equal(seq[k], seq[k + spec.period]))
-        split_ok = bool(np.array_equal(resums[k - kmin], seq[k]))
-        all_ok = all_ok and ok and split_ok
-        records.append(
-            {
-                "k": k,
-                "trace": tuple(int(c) for c in seq[k]),
-                "shifted": tuple(int(c) for c in seq[k + spec.period]),
-                "ok": ok,
-                "n_part": tuple(int(c) for c in nvals[k - kmin]),
-                "u_part": tuple(int(c) for c in uvals[k - kmin]),
-                "split_ok": split_ok,
-            }
-        )
-    return spec, records, all_ok
+    window, shifted = seq[kmin : kmax + 1], seq[kmin + spec.period : kmax + spec.period + 1]
+    ok = (window == shifted).all(axis=1)
+    split_ok = (resums == window).all(axis=1)
+    cols = zip(window.tolist(), shifted.tolist(), ok.tolist(), nvals.tolist(), uvals.tolist(),
+               split_ok.tolist())
+    records = [
+        {"k": k, "trace": tuple(tr), "shifted": tuple(sh), "ok": o,
+         "n_part": tuple(nv), "u_part": tuple(uv), "split_ok": so}
+        for k, (tr, sh, o, nv, uv, so) in enumerate(cols, kmin)
+    ]
+    return spec, records, bool(ok.all() and split_ok.all())
 
 
 # ---------------------------------------------------------------------------

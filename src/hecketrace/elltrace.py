@@ -305,7 +305,11 @@ def moments(
     table = MomentTable(field, H, max_k, tuple(_fold(mass_data(field, H), 0, max_k)))
     _MOMENT_CACHE[key] = table
     if cache_dir is not None:
-        _write_atomic(_cache_path(cache_dir, field, H), _table_payload(table))
+        try:
+            _write_atomic(_cache_path(cache_dir, field, H), _table_payload(table))
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ValueError(f"cannot write the moment cache in {cache_dir!r}: {reason}") from None
     return table
 
 

@@ -831,3 +831,95 @@ def trace_from_cl_table(params: "DrinfeldParams", k: int, l: int) -> "FqPoly":
             acc = acc + wpj * base.coerce(c) * table.value(k - 2 * j, l - j)
         wpj = wpj * neg_wp
     return -acc
+
+
+# ---------------------------------------------------------------------------
+# the zero-trace / unit-trace split one b at a time: the reference for the
+# table-based hecketrace.drinfeld._split_parts
+
+
+def split_parts(
+    params: "DrinfeldParams",
+    spec: "DPeriodSpec",
+    ring: "ResidueRing",
+    l: int,
+    kmin: int,
+    kmax: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-k values (N, U) of the zero-trace / unit-trace split, mod lpoly^s.
+
+    N runs over classes with a = 0 mod lpoly and keeps the exact j-sum with
+    the (-b wp)^{floor(k/2)-j} history (no inversions, so lpoly = P is fine);
+    U folds the g-family recurrence against per-b power sums of the units.
+    """
+    from hecketrace.drinfeld import ResidueRing, _class_weights, _fold_add, _neg_b_wp
+
+    base, q, p, s = params.base, params.q, params.p, spec.s
+    m = spec.m_ls
+    table, scales = _class_weights(params)
+    nw = kmax - kmin + 1
+    Nvals = ring.zeros(nw)
+    Uvals = ring.zeros(nw)
+    abar = ring.reduce(table.a)
+    wneg = ring.reduce(_neg_b_wp(params, table.b, np.array(params.wp.codes(), dtype=np.int64)))
+    zero_a = ~ResidueRing(base, spec.lpoly.codes()).reduce(table.a).any(axis=1)
+
+    nidx = np.flatnonzero(zero_a)
+    if len(nidx):
+        Cn = len(nidx)
+        jtop = (s - 1) // 2
+        apow = [ring.ones(Cn)]
+        for _ in range(2 * jtop + 1):
+            apow.append(ring.mul(apow[-1], abar[nidx]))
+        phalf = ring.zeros(kmax + 1, Cn)
+        phalf[0] = ring.ones(Cn)
+        for t in range(1, kmax + 1):
+            phalf[t] = ring.mul(phalf[t - 1], wneg[nidx]) if t % 2 == 0 else phalf[t - 1]
+        scn = scales[(l - 1 - np.arange(q - 1)) % (q - 1)][:, nidx]
+        for k in range(kmin, kmax + 1):
+            delta = k % 2
+            acc = ring.zeros(Cn)
+            for j in range((s - 1 - delta) // 2 + 1):
+                c = math.comb((k + delta) // 2 + j, 2 * j + delta) % p
+                if c:
+                    term = ring.mul(apow[2 * j + delta], phalf[k - 2 * j])
+                    acc = base.v_add(acc, base.v_mul(term, np.int64(c)))
+            acc = base.v_mul(acc, scn[k % (q - 1)][:, None])
+            Nvals[k - kmin] = _fold_add(base, acc)
+
+    units = ~zero_a
+    for bcode in dict.fromkeys(table.b[units].tolist()):
+        idx = np.flatnonzero(units & (table.b == bcode))
+        abar_b = abar[idx]
+        inv_codes = scales[0, idx]
+        spow = []
+        cur = ring.ones(len(idx))
+        for e in range(2 * m):
+            spow.append(_fold_add(base, base.v_mul(cur, inv_codes[:, None])))
+            cur = ring.mul(cur, abar_b)
+        s_even = np.stack([spow[2 * r] for r in range(m)])
+        s_odd = np.stack([spow[2 * r + 1] for r in range(m)])
+        bpow = [np.int64(1)]
+        for _ in range(q - 2):
+            bpow.append(base.v_mul(bpow[-1], np.int64(bcode)))
+        g_prev = ring.zeros(m)
+        g_prev[0] = ring.ones()
+        g_cur = g_prev.copy()
+        rolled = np.arange(m)
+
+        def u_at(k: int, g_now: np.ndarray) -> np.ndarray:
+            delta = k % 2
+            sel = g_now[(k // 2 - rolled) % m]
+            tot = _fold_add(base, ring.mul(sel, s_even if delta == 0 else s_odd))
+            return base.v_mul(tot, bpow[(l - 1 - k) % (q - 1)])
+
+        if kmin <= 0 <= kmax:
+            Uvals[0 - kmin] = base.v_add(Uvals[0 - kmin], u_at(0, g_prev))
+        if kmin <= 1 <= kmax and kmax >= 1:
+            Uvals[1 - kmin] = base.v_add(Uvals[1 - kmin], u_at(1, g_cur))
+        for k in range(2, kmax + 1):
+            g_next = base.v_add(g_cur, ring.mul(np.roll(g_prev, 1, axis=0), wneg[idx[0]]))
+            g_prev, g_cur = g_cur, g_next
+            if k >= kmin:
+                Uvals[k - kmin] = base.v_add(Uvals[k - kmin], u_at(k, g_cur))
+    return Nvals, Uvals

@@ -116,6 +116,19 @@ def test_ell_moments_formats_and_cache(capsys, tmp_path):
     assert out.splitlines() == ["0 3", "1 0", "2 8"]
 
 
+def test_ell_moments_cache_dir_naming_a_file(capsys, tmp_path, monkeypatch):
+    from hecketrace import elltrace as et
+
+    monkeypatch.setattr(et, "_MOMENT_CACHE", {})  # reach the disk cache
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    code, out, err = _run(capsys, ["ell", "moments", "--q", "3", "--kmax", "4",
+                                   "--cache-dir", str(path)])
+    assert code == 2 and out == ""
+    assert f"error: cannot write the moment cache in {str(path)!r}" in err
+    assert "Traceback" not in err
+
+
 def test_ell_split_rejoins(capsys):
     code, out, _ = _run(
         capsys,
@@ -163,6 +176,14 @@ def test_ell_verify_period_output_and_exit(capsys):
     lines = out.splitlines()
     assert lines[-1] == "period 8: all pass"
     assert all(json.loads(l)["pass"] for l in lines[:-1])
+
+
+def test_ell_verify_period_empty_window(capsys):
+    # kmin is raised to k0 = 0 first; the window [100, 50] then checks nothing
+    code, out, err = _run(capsys, ["ell", "verify-period", "--q", "13", "--ell", "5",
+                                   "--kmin", "100", "--kmax", "50"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: empty window"
 
 
 def test_ell_verify_period_budget_error(capsys):
@@ -338,6 +359,26 @@ def test_dr_verify_period(capsys):
     assert lines[-1] == "period 24: all pass"
     assert all(json.loads(l)["pass"] and json.loads(l)["splitPass"] for l in lines[:-1])
     assert "case=odd-deg" in err
+
+
+# sha256 of the stdout bytes of `dr verify-period`, the only command that
+# prints the split parts nPart and uPart (json and csv rows)
+@pytest.mark.parametrize("args, digest", [
+    ("--q 5 --P T --ell T+1 --format json",
+     "465aecbf85010e3200c332e822d56dfc2ec5f6a8aae61dc59c5782acedd50b8d"),
+    ("--q 3 --P T --ell T+1 --s 2 --format json",
+     "de43e2767b6bfb4c76148de04a2936f64d376512e67318907b626ad0c9ffae50"),
+    ("--q 4 --P T --ell T+1 --format json",
+     "96d6b769931ff25f7541bf8e29d5eccb169e25959397d6796c83e1065c10b3ae"),
+    ("--q 5 --P T --ell T+1",
+     "0913d34bae1b6c3f6f183738c0c65ed266a661d1a4d91c9b03895b056e0f4b2f"),
+    ("--q 3 --P T --ell T+1 --s 2",
+     "b8c7cd5388d488abbfd2f27a652f6a170021cdbf0aec0225a4d7b808ccad49a4"),
+])
+def test_dr_verify_period_prints_the_same_bytes(capsys, args, digest):
+    code, out, _ = _run(capsys, ["dr", "verify-period", *args.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_dr_verify_period_budget_error(capsys):

@@ -17,6 +17,7 @@ from hecketrace.ffield import BudgetError, fq_construct
 F2 = fq_construct(2, 1)
 F3 = fq_construct(3, 1)
 F4 = fq_construct(2, 2)
+F8 = fq_construct(2, 3)
 F9 = fq_construct(3, 2)
 F5 = fq_construct(5, 1)
 F7 = fq_construct(7, 1)
@@ -622,6 +623,36 @@ def test_verify_period_certificates():
     pp = _params(F3, (1, 1), 1)
     spec, records, ok = dr.verify_period_ff(pp, _poly(F3, (0, 1)), 1, 1, kmin=3, kmax=30)
     assert ok and records[0]["k"] == 3 and records[-1]["k"] == 30
+
+
+# (field, P, n, lpoly, s): characteristic 2, a degree-2 base field, lpoly = P
+# (where wp = 0 mod lpoly), an lpoly of degree 2, s up to 5 and n = 2
+_SPLIT_GRID = [
+    (F2, (0, 1), 1, (0, 1), 3),
+    (F2, (1, 1), 2, (0, 1), 2),
+    (F4, (0, 1), 1, (1, 1), 2),
+    (F4, (0, 1), 2, (0, 1), 1),
+    (F8, (0, 1), 1, (1, 1), 1),
+    (F9, (0, 1), 1, (1, 1), 1),
+    (F3, (0, 1), 1, (1, 0, 1), 2),
+    (F3, (1, 1), 1, (1, 1), 5),
+    (F3, (0, 1), 2, (1, 1), 4),
+    (F5, (0, 1), 1, (0, 1), 2),
+]
+
+
+@pytest.mark.parametrize("field, pcodes, n, lcodes, s", _SPLIT_GRID)
+def test_split_parts_match_the_per_b_oracle(field, pcodes, n, lcodes, s):
+    pp, lpoly = _params(field, pcodes, n), _poly(field, lcodes)
+    spec = dr.dperiod_for(pp, lpoly, s)
+    ring = dr.ResidueRing(field, (lpoly**s).codes())
+    k0 = spec.k0
+    windows = [(k0, k0 + min(2 * spec.period, 40)), (k0 + 5, k0 + 23), (k0 + 9, k0 + 9)]
+    for l in sorted({1, field.q - 1}):
+        for kmin, kmax in windows:
+            got = dr._split_parts(pp, spec, ring, l, kmin, kmax)
+            want = oracles.split_parts(pp, spec, ring, l, kmin, kmax)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (l, kmin, kmax)
 
 
 def test_verify_period_window_guards():
