@@ -428,6 +428,8 @@ def cmd_selftest_lemmas(args) -> int:
 
     from hecketrace import selftest
 
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, not {args.trials}")
     rng = random.Random(args.seed)
     rows = []
     failed = False

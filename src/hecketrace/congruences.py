@@ -20,13 +20,6 @@ from hecketrace.ffield import (
 )
 
 
-def binom_mod(k: int, j: int, ell: int, s: int) -> int:
-    """binom(k, j) as a big integer, reduced mod ell^s."""
-    if j < 0 or j > k:
-        return 0
-    return math.comb(k, j) % ell ** s
-
-
 def legendre(a: int, ell: int) -> int:
     """Legendre symbol (a/ell) for an odd prime ell, in {-1, 0, 1}."""
     a %= ell
@@ -48,38 +41,25 @@ def is_square_mod_2s(q: int, s: int) -> bool:
 # of j mod m, where the class is anchored at floor(k/2) - r
 
 
-class CoeffFamily:
-    """Rows of binom(k-j, j) mod M, each computed directly and cached per k.
+def f_values(q: int, m: int, k: int, modulus: Optional[int] = None) -> List[int]:
+    """The f family of weight k for every residue r mod m: entry r is the sum
+    of binom(k-j, j) (-q)^j over the j <= k//2 with k//2 - j = r mod m,
+    reduced mod modulus when one is given.
 
-    Row k holds B_k[j] = binom(k-j, j) for 0 <= j <= k//2.
+    One pass over j adds each term into its bucket, stepping the binomial by
+    binom(k-j, j) = binom(k-j+2, j-1) (k-2j+2)(k-2j+1) / (j (k-j+1)). As
+    k//2 - j takes only the values 0..k//2, the buckets past k//2 stay 0, so
+    at most k//2 + 1 entries are returned; a residue past the list has f = 0.
     """
-
-    def __init__(self, modulus: Optional[int] = None):
-        self.modulus = modulus
-        self._rows: Dict[int, List[int]] = {}
-
-    def row(self, k: int) -> List[int]:
-        row = self._rows.get(k)
-        if row is None:
-            row = [math.comb(k - j, j) for j in range(k // 2 + 1)]
-            if self.modulus:
-                row = [v % self.modulus for v in row]
-            self._rows[k] = row
-        return row
-
-    def f_value(self, q: int, r: int, m: int, k: int) -> int:
-        """Family value from the cached rows (mod modulus when one is set)."""
-        row = self.row(k)
-        half = k // 2
-        target = (half - r) % m
-        mod = self.modulus
-        total = 0
-        qq = 1
-        for j in range(half + 1):
-            if j % m == target:
-                total += row[j] * qq * (1 if j % 2 == 0 else -1)
-            qq = qq * q % mod if mod else qq * q
-        return total % mod if mod else total
+    half = k // 2
+    out = [0] * min(m, half + 1)
+    c, x = 1, 1  # binom(k-j, j) exactly, (-q)^j
+    for j in range(half + 1):
+        if j:
+            c = c * (k - 2 * j + 2) * (k - 2 * j + 1) // (j * (k - j + 1))
+            x = -x * q if modulus is None else -x * q % modulus
+        out[(half - j) % m] += c * x
+    return out if modulus is None else [v % modulus for v in out]
 
 
 def f_denominator(q: int, m: int) -> List[int]:
@@ -101,9 +81,9 @@ def f_numerator(q: int, r: int, m: int, delta: int, horizon_mult: int = 10) -> L
     den = f_denominator(q, m)
     horizon = horizon_mult * m + 4
     series = [0] * (horizon + 1)
-    fam = CoeffFamily()
     for k in range(delta, horizon + 1, 2):
-        series[k] = fam.f_value(q, r, m, k)
+        vals = f_values(q, m, k)
+        series[k] = vals[r % m] if r % m < len(vals) else 0
     prod = [0] * (horizon + 1)
     for i, c in enumerate(den):
         if c:

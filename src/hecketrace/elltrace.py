@@ -25,14 +25,13 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from hecketrace import curves as cv
-from hecketrace.ffield import FqField, Record, fraction_mod, is_prime, unlimited_int_digits
+from hecketrace.ffield import FqField, Record, is_prime, unlimited_int_digits
 
 MassData = List[Tuple[int, Fraction]]
 
 CACHE_VERSION = 1
 
 _MASS_CACHE: Dict[Tuple[int, int, str], MassData] = {}
-_MOMENT_CACHE: Dict[Tuple[int, int, str], "MomentTable"] = {}
 
 
 def mass_data(field: FqField, H: cv.LevelStructureSpec) -> MassData:
@@ -75,7 +74,8 @@ def _paired(data: MassData, modulus: Optional[int] = None):
     at level 1 in odd characteristic. Modulo M the classes are keyed by
     |a1| mod M, since c_k(b) mod M depends only on b mod M, so at most M rows
     remain. The arrays are int64 when M meets the bound 2 (M - 1)^2 < 2^63
-    that `_fold_blocks` needs there, else Python ints.
+    that `_fold_blocks` and the Horner steps of `split_trace` need there,
+    else Python ints.
     """
     D = math.lcm(*(m.denominator for _, m in data))
     M = None if modulus is None else modulus * D
@@ -293,17 +293,11 @@ def moments(
         raise ValueError("max_k must be >= 0")
     if H.N > 1 and math.gcd(field.q, H.N) != 1:
         raise ValueError("level must be coprime to q")
-    key = (field.p, field.a, H.name)
-    mem = _MOMENT_CACHE.get(key)
-    if mem is not None and mem.max_k >= max_k:
-        return mem
     if cache_dir is not None:
         disk = _load_table(_cache_path(cache_dir, field, H), field, H)
         if disk is not None and disk.max_k >= max_k:
-            _MOMENT_CACHE[key] = disk
             return disk
     table = MomentTable(field, H, max_k, tuple(_fold(mass_data(field, H), 0, max_k)))
-    _MOMENT_CACHE[key] = table
     if cache_dir is not None:
         try:
             _write_atomic(_cache_path(cache_dir, field, H), _table_payload(table))
@@ -393,13 +387,6 @@ def trace(
 # the unit / non-unit split modulo ell^s
 
 
-def split_mass_data(field: FqField, H, ell: int):
-    data = mass_data(field, H)
-    part_n = [(a1, m) for a1, m in data if a1 % ell == 0]
-    part_u = [(a1, m) for a1, m in data if a1 % ell != 0]
-    return part_n, part_u
-
-
 class SplitTrace(NamedTuple):
     ell: int
     s: int
@@ -417,15 +404,21 @@ def split_trace(
     s: int,
     eis: Optional[EisSpec] = None,
 ) -> SplitTrace:
-    """The interior sum split into its non-unit and unit parts mod ell^s.
+    """The interior sum split into its non-unit part N and unit part U mod ell^s.
 
-    Non-unit classes (ell | a1) contribute only the a1-degrees below s; unit
-    classes are folded through a1^(2 m) = 1 mod ell^s. The two parts add up
-    to I(k) mod ell^s. The fold's m holds for a prime ell only, so a
-    composite ell is refused.
+    c_k(a) = sum_j binom(k-j, j) (-q)^j a^(k-2j) has k's parity delta in a,
+    so each part is a small polynomial in a^2 times a^delta, evaluated by
+    Horner on the paired rows b = |a1| mod ell^s * D of `_paired`. N, on the
+    rows with ell | b, keeps the degrees 2j + delta < s, as a1^s = 0 mod
+    ell^s. U, on the other rows, folds the degrees through a1^(2m) = 1 mod
+    ell^s, m = m_ls_value(ell, s): the term of j lands on a^(2r+delta) with
+    r = k//2 - j mod m, so U's coefficient of a^(2r+delta) is the f family
+    member `f_values(q, m, k)[r]`. Each part is the weighted sum of its rows
+    times D^-1 mod ell^s, and N + U = I(k) mod ell^s. The fold's m holds for
+    a prime ell only, so a composite ell is refused.
     """
     # imported at its one use, so that other elltrace jobs skip compiling it
-    from hecketrace.congruences import CoeffFamily, binom_mod, m_ls_value
+    from hecketrace.congruences import f_values, m_ls_value
 
     if not is_prime(ell):
         raise ValueError("ell must be prime")
@@ -434,36 +427,33 @@ def split_trace(
     if k < s - 1:
         raise ValueError("the split needs k >= s - 1")
     mod = ell ** s
-    part_n, part_u = split_mass_data(field, H, ell)
-    for a1, m in part_n + part_u:
-        if math.gcd(m.denominator, ell) != 1:
-            raise ValueError(
-                f"automorphism weight 1/{m.denominator} is not invertible mod "
-                f"{ell}; the split needs ell >= 5 or a representable structure"
-            )
-    delta = k % 2
-    q = field.q
-    n_part = 0
-    for a1, m in part_n:
-        acc = 0
-        for jp in range(0, min((s - 1 - delta) // 2, (k - delta) // 2) + 1):
-            term = (
-                binom_mod((k + delta) // 2 + jp, 2 * jp + delta, ell, s)
-                * pow(-q % mod, (k - delta) // 2 - jp, mod)
-                * pow(a1 % mod, 2 * jp + delta, mod)
-            )
-            acc = (acc + term) % mod
-        n_part = (n_part + acc * fraction_mod(m, mod)) % mod
-    m_ls = m_ls_value(ell, s)
-    fam = CoeffFamily(mod)
-    u_part = 0
-    if part_u:
-        f_row = [fam.f_value(q, r, m_ls, k) for r in range(m_ls)]
-        for a1, m in part_u:
-            acc = 0
-            for r in range(m_ls):
-                acc = (acc + f_row[r] * pow(a1 % mod, 2 * r + delta, mod)) % mod
-            u_part = (u_part + acc * fraction_mod(m, mod)) % mod
+    data = mass_data(field, H)
+    D, M, b, even, odd = _paired(data, mod)
+    if D % ell == 0:
+        # the first class with such a weight, the non-unit classes first
+        den = min(data, key=lambda c: (c[1].denominator % ell != 0, c[0] % ell != 0))[1].denominator
+        raise ValueError(
+            f"automorphism weight 1/{den} is not invertible mod "
+            f"{ell}; the split needs ell >= 5 or a representable structure"
+        )
+    delta, half, q = k % 2, k // 2, field.q % mod
+    w = odd if delta else even
+    n_part = u_part = 0
+    if w is not None:
+        n_coeffs = [math.comb(half + delta + j, 2 * j + delta) * pow(-q, half - j, mod) % mod
+                    for j in range((s - 1 - delta) // 2 + 1)]
+        wb = w * b % M if delta else w  # the factor b^delta of both polynomials
+        b2 = b * b % M
+        unit = b % ell != 0
+
+        def part(rows: np.ndarray, coeffs: List[int]) -> int:
+            x, acc = b2[rows], np.zeros_like(b2[rows])
+            for c in reversed(coeffs):
+                acc = (acc * x + c) % M
+            return int((wb[rows] * acc % M).sum()) * pow(D, -1, mod) % mod
+
+        n_part = part(~unit, n_coeffs)
+        u_part = part(unit, f_values(q, m_ls_value(ell, s), k, mod))
     if eis is None:
         eis = eis_for(H)
     e = eis.value(k)
@@ -525,8 +515,7 @@ def kronecker_H(disc: int) -> Fraction:
 
 def nonunit_mass(field: FqField, ell: int) -> Fraction:
     """Total mass of classes with a1 = 0 mod ell."""
-    part_n, _ = split_mass_data(field, cv.LEVEL1, ell)
-    return sum((m for _, m in part_n), Fraction(0))
+    return sum((m for a1, m in mass_data(field, cv.LEVEL1) if a1 % ell == 0), Fraction(0))
 
 
 def class_number_identity_sides(p: int, ell: int = 11) -> Tuple[Fraction, Fraction]:

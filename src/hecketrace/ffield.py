@@ -13,7 +13,6 @@ import contextlib
 import functools
 import math
 import sys
-from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -726,15 +725,3 @@ def embed(e: FqElem, target: FqField) -> FqElem:
         if c:
             acc = acc + pw * c
     return acc
-
-
-# ---------------------------------------------------------------------------
-# rationals mod m
-
-
-def fraction_mod(x: Fraction, m: int) -> int:
-    """Reduce an exact rational with denominator prime to m into Z/m."""
-    den = x.denominator
-    if math.gcd(den, m) != 1:
-        raise ZeroDivisionError(f"denominator {den} is not invertible mod {m}")
-    return x.numerator * pow(den, -1, m) % m

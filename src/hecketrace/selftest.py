@@ -34,11 +34,13 @@ def lemma_trials(rng: random.Random, trials: int) -> Iterable[Tuple[str, Callabl
     """One (name, thunk) per property instance; thunks raise on failure."""
 
     def binom_rows():
-        fam = cg.CoeffFamily()
+        # the m buckets of f_values split the terms of c_k(1)
         k = rng.randrange(2, 60)
-        row = fam.row(k)
-        for j in range(len(row)):
-            check(row[j] == math.comb(k - j, j))
+        q = rng.choice([2, 3, 4, 5, 7, 9])
+        m = rng.randrange(1, 40)
+        vals = cg.f_values(q, m, k)
+        check(len(vals) == min(m, k // 2 + 1))
+        check(sum(vals) == sum(math.comb(k - j, j) * (-q) ** j for j in range(k // 2 + 1)))
 
     def series_rational_int():
         q = rng.choice([2, 3, 4, 5, 7, 9])

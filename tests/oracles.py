@@ -1,11 +1,11 @@
 """Independent oracles: q-expansions that pin expected trace values, a
 full-range sieve of Hurwitz class numbers, the per-a and (a, b)-rectangle
 class-number kernels, a rational fold of mass lists and the uncollapsed
-one-k-at-a-time fold, the f coefficient family summed term by term, the
-mass routes by enumeration (reduced families, the full isomorphism
-classification and its automorphism stabilizers), Drinfeld classes by a
-walk over all (g, delta) pairs, and Drinfeld traces from the [c_{k,l}]
-table.
+one-k-at-a-time fold, the f coefficient family summed term by term and the
+elliptic unit / non-unit split one class at a time, the mass routes by
+enumeration (reduced families, the full isomorphism classification and its
+automorphism stabilizers), Drinfeld classes by a walk over all (g, delta)
+pairs, and Drinfeld traces from the [c_{k,l}] table.
 
 Everything but the enumeration routes and the [c_{k,l}] table is plain
 integer series or numpy arithmetic. The enumeration routes handle single
@@ -288,9 +288,72 @@ def fold_stepwise(pairs: Sequence[Tuple[int, Fraction]], q: int, max_k: int,
 def f_coeff(q: int, r: int, m: int, k: int) -> int:
     """The f family member of weight k for residue r mod m, summed term by
     term: binom(k-j, j) (-q)^j over the j = floor(k/2) - r mod m; the
-    reference for congruences.CoeffFamily."""
+    reference for congruences.f_values, one residue at a time."""
     target = (k // 2 - r) % m
     return sum(math.comb(k - j, j) * (-q) ** j for j in range(k // 2 + 1) if j % m == target)
+
+
+def fraction_mod(x: Fraction, m: int) -> int:
+    """Reduce an exact rational with denominator prime to m into Z/m."""
+    den = x.denominator
+    if math.gcd(den, m) != 1:
+        raise ZeroDivisionError(f"denominator {den} is not invertible mod {m}")
+    return x.numerator * pow(den, -1, m) % m
+
+
+def ell_split_parts(field: "FqField", H: "LevelStructureSpec", k: int, ell: int,
+                    s: int) -> Tuple[int, int]:
+    """(N, U) of the elliptic split mod ell^s one class at a time: the
+    reference for the two-polynomial hecketrace.elltrace.split_trace, with
+    its guards and their messages.
+
+    N sums, over the classes with ell | a1, m * the terms of c_k(a1) of
+    a1-degree below s; U sums, over the other classes, m * sum_r
+    f(q, r, m_ls, k) a1^(2r+delta), each f summed term by term (f_coeff).
+    """
+    from hecketrace.congruences import m_ls_value
+    from hecketrace.elltrace import mass_data
+    from hecketrace.ffield import is_prime
+
+    if not is_prime(ell):
+        raise ValueError("ell must be prime")
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if k < s - 1:
+        raise ValueError("the split needs k >= s - 1")
+    mod = ell ** s
+    data = mass_data(field, H)
+    part_n = [(a1, m) for a1, m in data if a1 % ell == 0]
+    part_u = [(a1, m) for a1, m in data if a1 % ell != 0]
+    for a1, m in part_n + part_u:
+        if math.gcd(m.denominator, ell) != 1:
+            raise ValueError(
+                f"automorphism weight 1/{m.denominator} is not invertible mod "
+                f"{ell}; the split needs ell >= 5 or a representable structure"
+            )
+    delta = k % 2
+    q = field.q
+    n_part = 0
+    for a1, m in part_n:
+        acc = 0
+        for jp in range(0, min((s - 1 - delta) // 2, (k - delta) // 2) + 1):
+            term = (
+                math.comb((k + delta) // 2 + jp, 2 * jp + delta)
+                * pow(-q % mod, (k - delta) // 2 - jp, mod)
+                * pow(a1 % mod, 2 * jp + delta, mod)
+            )
+            acc = (acc + term) % mod
+        n_part = (n_part + acc * fraction_mod(m, mod)) % mod
+    m_ls = m_ls_value(ell, s)
+    u_part = 0
+    if part_u:
+        f_row = [f_coeff(q, r, m_ls, k) % mod for r in range(m_ls)]
+        for a1, m in part_u:
+            acc = 0
+            for r in range(m_ls):
+                acc = (acc + f_row[r] * pow(a1 % mod, 2 * r + delta, mod)) % mod
+            u_part = (u_part + acc * fraction_mod(m, mod)) % mod
+    return n_part, u_part
 
 
 def elements(field: "FqField"):

@@ -116,10 +116,7 @@ def test_ell_moments_formats_and_cache(capsys, tmp_path):
     assert out.splitlines() == ["0 3", "1 0", "2 8"]
 
 
-def test_ell_moments_cache_dir_naming_a_file(capsys, tmp_path, monkeypatch):
-    from hecketrace import elltrace as et
-
-    monkeypatch.setattr(et, "_MOMENT_CACHE", {})  # reach the disk cache
+def test_ell_moments_cache_dir_naming_a_file(capsys, tmp_path):
     path = tmp_path / "not-a-dir"
     path.write_text("")
     code, out, err = _run(capsys, ["ell", "moments", "--q", "3", "--kmax", "4",
@@ -381,6 +378,35 @@ def test_dr_verify_period_prints_the_same_bytes(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout bytes of `ell split` (the nPart / uPart certificate,
+# csv with every odd weight 0, s far past the a1-degrees), of `ell
+# class-number` (the non-unit mass) and of both selftest suites
+@pytest.mark.parametrize("args, digest", [
+    ("ell split --q 13 --weight 12 --ell 5 --level gamma0-2",
+     "c1d3fa784886b1f9a1f85699cd348b492404a8eb886ef1323a700792d9f19754"),
+    ("ell split --q 13 --weight 13 --ell 5 --s 2 --level gamma1-4 --format json",
+     "ef3f07cdbf44428f54a39d578fb8faa4c2a00b7c8876be05a287299a5ad748ba"),
+    ("ell split --q 10007 --weight 800 --ell 5 --s 3",
+     "eec629aeb006f80b0df8e19ea74dbffec55dbf390e2b4614b5181ac9c99b5a6e"),
+    ("ell split --q 10007 --weight 800 --ell 5 --s 3 --format json",
+     "b985509b333a980ccaab52271353ca3606745ccaf49f3658c39c1446de921c3b"),
+    ("ell split --q 65543 --weight 1001 --ell 7 --s 2 --format csv",
+     "239e2fa380f4abedf3eea78239ccd65c1cd2bd0ab6eb57f379cb899a1fd1a5a5"),
+    ("ell split --q 13 --weight 200 --ell 5 --s 7",
+     "872aefe94fb83458d6054de28749ce6c30b6c6725221d7c2f2638e1f675e43ff"),
+    ("ell class-number --p 100003",
+     "971f60d879bfe369dba1611d59485c310e947be805f7046d42b7f05dd30f9470"),
+    ("selftest lemmas --trials 2",
+     "d53b1c889d253dfbea8aed039c3859e72a16f6b3a6a4d253739b74c1fa2cb5a4"),
+    ("selftest paper-examples",
+     "3c2886e3fcf4f4288b4dfede5348efaaea0a21a9959af8626ecc0c61497d5398"),
+])
+def test_ell_split_and_selftest_print_the_same_bytes(capsys, args, digest):
+    code, out, _ = _run(capsys, args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_dr_verify_period_budget_error(capsys):
     # the default window reaches k = k0 + 3 * period = 72, weight 74
     argv = ["dr", "verify-period", "--q", "3", "--P", "T+1", "--ell", "T"]
@@ -415,6 +441,20 @@ def test_selftest_lemmas_seeded(capsys):
     # the run is reproducible from the seed
     code, out2, _ = _run(capsys, ["selftest", "lemmas", "--trials", "1", "--seed", "7"])
     assert out2 == out
+
+
+def test_selftest_lemmas_need_a_trial(capsys, monkeypatch):
+    # --trials 0 and -2 printed no rows and passed without checking anything
+    from hecketrace import selftest
+
+    def no_lemmas(*args, **kwargs):
+        raise AssertionError("lemmas drawn")
+
+    monkeypatch.setattr(selftest, "lemma_trials", no_lemmas)
+    for trials in ("0", "-2"):
+        code, out, err = _run(capsys, ["selftest", "lemmas", "--trials", trials])
+        assert code == 2 and out == "", trials
+        assert f"error: --trials must be >= 1, not {trials}" in err and "Traceback" not in err
 
 
 def test_selftest_examples(capsys):

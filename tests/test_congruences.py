@@ -5,10 +5,10 @@ import pytest
 
 from hecketrace.congruences import (
     CertificateRefused,
-    CoeffFamily,
     d_qt_poly,
     f_denominator,
     f_numerator,
+    f_values,
     is_square_mod_2s,
     legendre,
     m_ls_value,
@@ -197,19 +197,20 @@ def test_f_coeff_recurrence():
 
 
 def test_coeff_family_matches_exact():
+    # one pass of f_values against each residue summed term by term; m past
+    # k//2 + 1 leaves the residues past the returned list at 0
     rng = random.Random(41)
-    fam = {}
     for _ in range(200):
         q = rng.choice([2, 3, 4, 5, 7, 9])
-        M = rng.choice([8, 27, 25, 121, 5336100])
-        m = rng.choice([1, 2, 3, 5])
-        r = rng.randrange(m)
+        M = rng.choice([None, 8, 27, 25, 121, 5336100])
+        m = rng.choice([1, 2, 3, 5, 50])
         k = rng.randrange(0, 80)
-        key = M
-        if key not in fam:
-            fam[key] = CoeffFamily(M)
-        got = fam[key].f_value(q, r, m, k)
-        assert got == f_coeff(q, r, m, k) % M
+        got = f_values(q, m, k, M)
+        assert len(got) == min(m, k // 2 + 1)
+        want = [f_coeff(q, r, m, k) for r in range(m)]
+        if M is not None:
+            want = [v % M for v in want]
+        assert got + [0] * (m - len(got)) == want, (q, M, m, k)
 
 
 def test_f_sum_collapse():

@@ -369,6 +369,51 @@ def test_split_trace_rejoins_interior():
                 assert st.trace_mod == full % mod
 
 
+def _split_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_split_trace_matches_class_oracle():
+    # the two polynomials on the paired rows against the per-class split,
+    # every level, and the same ValueError message wherever the oracle raises
+    grid = [(cv.LEVEL1, (4, 7, 13), (2, 3, 5, 7)), (cv.GAMMA0_2, (7, 9), (2, 3, 5)),
+            (cv.GAMMA1_4, (5, 9, 13), (2, 3, 5))]
+    errors = set()
+    for H, qs, ells in grid:
+        for q in qs:
+            pp = prime_power_decompose(q)
+            F = fq_construct(pp.p, pp.a)
+            for ell in ells:
+                for s in (1, 2, 3):
+                    for k in sorted({s - 1, s, 10, 11, 30, 31}):
+                        st = _split_or_error(et.split_trace, F, H, k, ell, s)
+                        want = _split_or_error(oracles.ell_split_parts, F, H, k, ell, s)
+                        got = st if isinstance(st, str) else (st.n_part, st.u_part)
+                        assert got == want, (q, H.name, k, ell, s)
+                        if isinstance(want, str):
+                            errors.add((H.name, q, ell))
+    # level-1 masses carry 2 and 3 in their denominators, gamma0-2 over F_9
+    # carries 4 and gamma1-4 is representable
+    assert errors == {("1", q, ell) for q in (4, 7, 13) for ell in (2, 3)} | {("gamma0-2", 9, 2)}
+    F7 = fq_construct(7, 1)
+    for k, ell, s in ((10, 4, 1), (10, 5, 0), (0, 5, 2)):
+        assert (_split_or_error(et.split_trace, F7, cv.LEVEL1, k, ell, s)
+                == _split_or_error(oracles.ell_split_parts, F7, cv.LEVEL1, k, ell, s))
+
+
+@pytest.mark.parametrize("q, k, ell, s", [(13, 198, 5, 7), (13, 1998, 5, 1000)])
+def test_split_trace_rejoins_far_s(q, k, ell, s):
+    # m = 2 * 5^(s-1) is far past k//2 + 1, so only the first k//2 + 1 residues
+    # carry terms; at s = 1000, N keeps the 500 a1-degrees below s
+    F = fq_construct(q, 1)
+    st = et.split_trace(F, cv.LEVEL1, k, ell, s)
+    interior = et.interior_sequence_mod(F, cv.LEVEL1, k, ell**s)
+    assert (st.n_part + st.u_part) % ell**s == interior[k]
+
+
 def test_split_trace_guards():
     F2 = fq_construct(2, 1)
     # an even collapsed denominator appears at q=2, a 3-divisible one at q=3
@@ -553,13 +598,11 @@ def test_nonunit_counts():
 def test_moment_cache_roundtrip(tmp_path, monkeypatch):
     F5 = fq_construct(5, 1)
     cache = str(tmp_path)
-    et._MOMENT_CACHE.clear()
     table = et.moments(F5, cv.LEVEL1, 12, cache_dir=cache)
     path = et._cache_path(cache, F5, cv.LEVEL1)
     assert json.load(open(path))["maxK"] == 12
 
-    # a fresh process must be served from disk without recomputing
-    et._MOMENT_CACHE.clear()
+    # a second call must be served from disk without recomputing
 
     def boom(*a, **k):
         raise AssertionError("cache miss")
@@ -570,7 +613,6 @@ def test_moment_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     # asking beyond the stored range recomputes and rewrites
-    et._MOMENT_CACHE.clear()
     bigger = et.moments(F5, cv.LEVEL1, 20, cache_dir=cache)
     assert bigger.max_k == 20
     assert json.load(open(path))["maxK"] == 20
@@ -580,7 +622,6 @@ def test_moment_cache_roundtrip(tmp_path, monkeypatch):
 def test_moment_cache_rejects_foreign_payload(tmp_path):
     F5 = fq_construct(5, 1)
     cache = str(tmp_path)
-    et._MOMENT_CACHE.clear()
     good = et.moments(F5, cv.LEVEL1, 20, cache_dir=cache)
     path = et._cache_path(cache, F5, cv.LEVEL1)
     doc = json.load(open(path))
@@ -595,7 +636,6 @@ def test_moment_cache_rejects_foreign_payload(tmp_path):
          for e in ("x", 5, "1.5", None)]
     for payload in [json.dumps(d) for d in bad_docs] + ["not json", json.dumps([doc])]:
         open(path, "w").write(payload)
-        et._MOMENT_CACHE.clear()
         table = et.moments(F5, cv.LEVEL1, 20, cache_dir=cache)
         assert table.moments == good.moments, payload  # recomputed
         assert json.load(open(path)) == doc  # and rewritten
@@ -608,25 +648,21 @@ def test_moment_cache_past_the_digit_limit(tmp_path):
     # of 4300 on int <-> str conversions: written and read back exactly
     F5 = fq_construct(5, 1)
     cache = str(tmp_path)
-    et._MOMENT_CACHE.clear()
     table = et.moments(F5, cv.LEVEL1, 7500, cache_dir=cache)
     with et.unlimited_int_digits():
         assert len(str(table.moments[7500])) > 4300
-    et._MOMENT_CACHE.clear()
     assert et._load_table(et._cache_path(cache, F5, cv.LEVEL1), F5, cv.LEVEL1) == table
 
 
 def test_moment_cache_rejects_overlong_entry(tmp_path, monkeypatch):
     F5 = fq_construct(5, 1)
     cache = str(tmp_path)
-    et._MOMENT_CACHE.clear()
     good = et.moments(F5, cv.LEVEL1, 20, cache_dir=cache)
     path = et._cache_path(cache, F5, cv.LEVEL1)
     doc = json.load(open(path))
     # one digit past the Hasse bound q (4q)^(k/2) at k = 3: rejected unparsed
     doc["moments"][3] = "1" * (et._max_moment_digits(5, 3) + 1)
     open(path, "w").write(json.dumps(doc))
-    et._MOMENT_CACHE.clear()
     parsed = []
     real_int = int
 

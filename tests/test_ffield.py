@@ -13,7 +13,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_factor, gf_gcd, gf_irreducible_p, gf_mul, gf_pow_mod
 
 from drinfeld_arith import poly_evaluate
-from oracles import elements
+from oracles import elements, fraction_mod
 from hecketrace import ffield
 from hecketrace.drinfeld import FqPoly, canonical_irreducibles
 from hecketrace.ffield import (
@@ -24,7 +24,6 @@ from hecketrace.ffield import (
     canonical_modulus,
     embed,
     fq_construct,
-    fraction_mod,
     is_prime,
     prime_power_decompose,
     rp_divmod,
