@@ -4,8 +4,9 @@ Every subcommand echoes its resolved parameters to stderr (runs are
 reproducible from that line alone) and emits results on stdout in one of
 three formats.  All numbers are exact decimals; polynomial ring elements of
 F_q[T] appear as ascending coefficient arrays, each F_q coefficient itself
-an ascending F_p coefficient vector.  Verification subcommands exit nonzero
-when any check fails.
+an ascending F_p coefficient vector.  Verification subcommands exit 1 when
+any check fails.  Bad input and budget refusals exit 2, and a computed result
+that fails one of its exact invariant checks exits 3.
 
 Each job is one process, so it imports only the layer it runs.  This module
 first sets OPENBLAS_NUM_THREADS to 1, unless the user set it to a non-empty
@@ -42,6 +43,7 @@ from hecketrace.ffield import (
     CertificateRefused,
     FqElem,
     FqField,
+    InvariantError,
     field_budget_check,
     field_for,
     unlimited_int_digits,
@@ -565,6 +567,11 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     return top
 
 
+# exit status when a computed result fails an invariant check: a fault in the
+# program, not in its input
+EXIT_INVARIANT = 3
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv).parse_args(argv)
@@ -572,6 +579,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with unlimited_int_digits():
             return args.func(args)
+    except InvariantError as exc:
+        print(f"error: invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ValueError, ArithmeticError, CertificateRefused) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 import numpy as np
 
-from hecketrace.ffield import FqField
+from hecketrace.ffield import FqField, InvariantError
 
 
 # entries of one (curves x q) block of frobenius_traces, so that it does not
@@ -186,7 +186,7 @@ def _check_mass(hist: Dict[int, Fraction], q: int, H: LevelStructureSpec, route:
     num = sum(m.numerator * (den // m.denominator) for m in hist.values())
     if num != (q - drop) * den:
         level, want = ("level-1", "q") if H is LEVEL1 else (H.name, f"q - {drop}")
-        raise ArithmeticError(f"{route} route: {level} mass is {Fraction(num, den)}, not {want} = {q - drop}")
+        raise InvariantError(f"{route} route: {level} mass is {Fraction(num, den)}, not {want} = {q - drop}")
 
 
 def jline_route_masses(field: FqField) -> List[Tuple[int, Fraction]]:
@@ -332,7 +332,7 @@ def deuring_route_masses(field: FqField, H: LevelStructureSpec) -> List[Tuple[in
     of them take one hurwitz6 call. For even a the supersingular masses are
     Waterhouse's and Schoof's closed forms, with a cyclic 2-part at t = 0 and
     +-sqrt(q) and E(F_q) = (Z/sqrt(N))^2 at t = +-2 sqrt(q). Two checks
-    raise ArithmeticError, also under python -O: every trace with mass has
+    raise InvariantError, also under python -O: every trace with mass has
     N divisible by the level, and the masses add up to q, q - 1 and q - 2 at
     level 1, gamma0-2 and gamma1-4.
     """
@@ -371,7 +371,7 @@ def deuring_route_masses(field: FqField, H: LevelStructureSpec) -> List[Tuple[in
                 hist[tt] = m
     bad = [q + 1 - tt for tt in hist if (q + 1 - tt) % H.N]
     if bad:
-        raise ArithmeticError(f"class-number route: {H.name} mass at #E = {bad[0]}, not divisible by {H.N}")
+        raise InvariantError(f"class-number route: {H.name} mass at #E = {bad[0]}, not divisible by {H.N}")
     _check_mass(hist, q, H, "class-number")
     return _collapse(hist)
 

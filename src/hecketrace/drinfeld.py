@@ -5,8 +5,8 @@ objects: tuples of coefficient codes on the polynomial kernel of `ffield`.
 A module over the field L with q^m elements is a pair (g, delta) through
 phi_T = gamma(T) + g tau + delta tau^2; isomorphism classes are orbits under
 the twist (g, delta) -> (u^{q-1} g, u^{q^2-1} delta).  Every trace-side
-quantity is a weighted fold over those classes, and both steps run for all
-classes at once on int64 code arrays:
+quantity is a weighted fold over those classes that depends on a class only
+through its Frobenius data (a, b), and both steps run on int64 code arrays:
 
 - `enumerate_classes` names each orbit by a complete invariant of logarithms
   (log g mod q-1 and log delta - (q+1) log g, or log delta alone when g = 0),
@@ -16,8 +16,8 @@ classes at once on int64 code arrays:
   a time.  It returns one `ClassTable`: read-only code arrays of g, delta,
   autOrder, orbit size and the Frobenius data a (T-digits) and b, which
   every later step reads as they are; only `dr enumerate` decodes them;
-- `_h_kernel` runs the recurrence h_k = a h_{k-1} - b wp h_{k-2} and folds
-  each h_k into the requested types.
+- `_h_kernel` runs the recurrence h_k = a h_{k-1} - b wp h_{k-2} on the
+  weighted (a, b) rows of `_rows` and folds each h_k into the requested types.
 
 Together they give the exact traces of the Hecke operator at wp = P^n in
 F_q[T], their residues mod powers of a prime l of F_q[T] (which certify
@@ -26,8 +26,8 @@ tables.  One `ResidueRing` serves every quotient ring on code arrays:
 F_q[T]/l^s for the periods and the split parts, F_q[T]/l for the unit
 filter of the exponent check, and L[x]/(u1) for the torsion oracle.  It and
 `_mul_add` stay apart from the scalar kernel behind `FqPoly`: they pay a
-numpy call per digit, which pays off across thousands of classes and not
-on one polynomial.
+numpy call per digit, which pays off across hundreds of rows and not on
+one polynomial.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from hecketrace.ffield import (
     BudgetError,
     FqElem,
     FqField,
+    InvariantError,
     Record,
     embed,
     factorize,
@@ -452,7 +453,7 @@ def _motive_frobenius(
     acts by B = A A^(1) ... A^(m-1), where A^(i) raises the L-coefficients
     of A to the power q^i (Musleh-Schost, ISSAC 2019).  B takes m steps
     B <- B A^(i) on (classes x (m+1)) T-digit arrays, as deg B <= m.  Then
-    a = tr B, with m + 1 digits that must lie in F_q (else ArithmeticError),
+    a = tr B, with m + 1 digits that must lie in F_q (else InvariantError),
     and det B = b wp gives b = (-1)^m / N(delta), N the norm to F_q.
     """
     L, p, q, m, n = params.L, params.p, params.q, params.m, params.L.q - 1
@@ -473,7 +474,7 @@ def _motive_frobenius(
     to_base[_embed_codes(params, np.arange(q))] = np.arange(q)
     a = to_base[L.v_add(b0[0], b1[1])]
     if (a < 0).any():
-        raise ArithmeticError("Frobenius trace has a coefficient outside F_q")
+        raise InvariantError("Frobenius trace has a coefficient outside F_q")
     # log(-1) = n/2 for odd p (0 for p = 2), and log N(delta) = log(delta) n/(q-1)
     b = to_base[exp[(m * (n // 2 if p > 2 else 0) - log[delta] * (n // (q - 1))) % n]]
     return a, b
@@ -486,24 +487,24 @@ def _frobenius_batch(
 
     After the motive product b != 0 and 2 deg(a) <= m must hold, and the
     relation tau^{2m} + b phi_wp = phi_a tau^m is re-substituted exactly,
-    with phi_a built by Horner from a; each failure raises ArithmeticError.
+    with phi_a built by Horner from a; each failure raises InvariantError.
     """
     L, m = params.L, params.m
     phi_t = _phi_t(params, g, delta)
     phi_wp = _phi(params, phi_t, np.array(params.wp.codes(), dtype=np.int64))
     a, b = _motive_frobenius(params, g, delta)
     if not b.all():
-        raise ArithmeticError("Frobenius motive returned b = 0")
+        raise InvariantError("Frobenius motive returned b = 0")
     deg = int(_code_degrees(a).max())
     if 2 * deg > m:
-        raise ArithmeticError(f"deg a = {deg} exceeds m/2 for m = {m}")
+        raise InvariantError(f"deg a = {deg} exceeds m/2 for m = {m}")
     a = a[:, : m // 2 + 1]
     lhs = L.v_mul(phi_wp, _embed_codes(params, b)[:, None])
     lhs[:, 2 * m] = L.v_add(lhs[:, 2 * m], np.int64(1))
     rhs = _phi(params, phi_t, a)
     width = max(lhs.shape[1], m + rhs.shape[1])
     if not np.array_equal(_pad(lhs, 0, width), _pad(rhs, m, width)):
-        raise ArithmeticError("Frobenius relation re-substitution failed")
+        raise InvariantError("Frobenius relation re-substitution failed")
     return a, b
 
 
@@ -527,7 +528,7 @@ def enumerate_classes(params: DrinfeldParams) -> ClassTable:
     bitmap of seen pairs; autOrder is the twist stabilizer size, which gives
     the orbit size, and the Frobenius data come from the motive product,
     `_FROBENIUS_BLOCK` classes at a time.  Checked, each failure raising
-    ArithmeticError: autOrder * orbitSize = |L| - 1, autOrder = -1 mod p, the
+    InvariantError: autOrder * orbitSize = |L| - 1, autOrder = -1 mod p, the
     partition total sum(orbitSize) = |L|(|L|-1), and, in `_frobenius_batch`,
     a trace in F_q[T], b != 0, the slope bound 2 deg(a) <= m and the
     re-substituted relation, for every class.  The table is cached per
@@ -540,13 +541,13 @@ def enumerate_classes(params: DrinfeldParams) -> ClassTable:
     g, delta, aut, size = _twist_orbits(params.L, params.q)
     bad = np.flatnonzero(aut * size != qL - 1)
     if len(bad):
-        raise ArithmeticError(f"autOrder {aut[bad[0]]} times orbit size {size[bad[0]]} is not {qL - 1}")
+        raise InvariantError(f"autOrder {aut[bad[0]]} times orbit size {size[bad[0]]} is not {qL - 1}")
     bad = np.flatnonzero(aut % p != p - 1)
     if len(bad):
-        raise ArithmeticError(f"autOrder {aut[bad[0]]} is not -1 mod p = {p}")
+        raise InvariantError(f"autOrder {aut[bad[0]]} is not -1 mod p = {p}")
     total = int(size.sum())
     if total != qL * (qL - 1):
-        raise ArithmeticError(f"orbits cover {total} pairs, not |L|(|L|-1) = {qL * (qL - 1)}")
+        raise InvariantError(f"orbits cover {total} pairs, not |L|(|L|-1) = {qL * (qL - 1)}")
     blocks = [
         _frobenius_batch(params, g[lo : lo + _FROBENIUS_BLOCK], delta[lo : lo + _FROBENIUS_BLOCK])
         for lo in range(0, len(g), _FROBENIUS_BLOCK)
@@ -628,23 +629,25 @@ def frobenius_mod_torsion(
 # the h-recurrence kernel and the Hecke trace
 
 
-def _class_weights(params: DrinfeldParams) -> Tuple[ClassTable, np.ndarray]:
-    """The class table and the codes of its type scales b^e / autOrder.
-
-    Row e of the (q - 1, classes) table is b^e / autOrder for every class,
-    where 1/autOrder is the inverse of autOrder mod p inside F_p <= F_q; a
-    type l at weight index k reads row (l - 1 - k) mod (q - 1).
+def _rows(params: DrinfeldParams, ring: Optional["ResidueRing"] = None) -> Tuple[np.ndarray, ...]:
+    """Codes (a, b, scales) of the classes' keys (a, b), a mod the ring's
+    modulus when a ring is given.  `enumerate_classes` checks that every
+    autOrder is -1 mod p, so a key's classes sum to one row of weight
+    -count mod p in F_p <= F_q; rows of weight 0 are dropped.  Row e of the
+    (q - 1, rows) scales is weight * b^e; a type l at weight index k reads
+    row (l - 1 - k) mod (q - 1).
     """
     base, p, q = params.base, params.p, params.q
     table = enumerate_classes(params)
-    bad = np.flatnonzero(table.aut % p != p - 1)
-    if len(bad):
-        raise ArithmeticError(f"autOrder {table.aut[bad[0]]} is not -1 mod p = {p}")
-    scales = np.empty((q - 1, len(table)), dtype=np.int64)
-    scales[0] = p - 1  # autOrder = -1 mod p, so 1/autOrder = -1
+    a = table.a if ring is None else ring.reduce(table.a)
+    keys, counts = np.unique(np.column_stack([a, table.b]), axis=0, return_counts=True)
+    keep = counts % p != 0
+    a, b = _trim_columns(keys[keep, :-1]), keys[keep, -1]
+    scales = np.empty((q - 1, len(b)), dtype=np.int64)
+    scales[0] = -counts[keep] % p
     for e in range(1, q - 1):
-        scales[e] = base.v_mul(scales[e - 1], table.b)
-    return table, scales
+        scales[e] = base.v_mul(scales[e - 1], b)
+    return a, b, scales
 
 
 def _trim_columns(arr: np.ndarray) -> np.ndarray:
@@ -684,43 +687,43 @@ def _h_kernel(
     """Yield, for k = 0..kmax, the codes of trace(k, l) for every l in types.
 
     One recurrence h_k = a h_{k-1} - b wp h_{k-2} (h_0 = 1, h_1 = a) runs
-    for all classes at once on (classes, T-digits) code arrays; h_k is the
-    symmetric kernel sum x^i y^{k-i} at the two Frobenius roots.  Each h_k is
-    folded into every type as soon as it is made,
+    for all rows of `_rows` at once on (rows, T-digits) code arrays; h_k,
+    the symmetric sum x^i y^{k-i} at the Frobenius roots, is folded into
+    every type as soon as it is made,
 
-        trace(k, l) = -sum over classes of h_k b^{(l-1-k) mod (q-1)} / autOrder,
+        trace(k, l) = -sum over rows of h_k weight b^{(l-1-k) mod (q-1)},
 
     and only h_{k-1} and h_{k-2} are kept.  The row for k has shape
     (len(types), width).  Without `ring` the arithmetic is exact in F_q[T]
     with width floor(kmax m / 2) + 1, which bounds deg h_k, and a digit
-    spilling past it raises ArithmeticError; with `ring` every step is
-    reduced mod its modulus.  `moments` drops the b wp term and the sign,
-    which gives the table [c_{k,l}] = sum a^k b^{l-k-1} / autOrder.
+    spilling past it raises InvariantError; with `ring` the rows key on a
+    mod its modulus and every step is reduced.  `moments` drops the b wp
+    term and the sign, which gives [c_{k,l}] = sum a^k b^{l-k-1} / autOrder.
     """
     base, q = params.base, params.q
-    table, scales = _class_weights(params)
+    a, b, scales = _rows(params, ring)
     wp = np.array(params.wp.codes(), dtype=np.int64)
     if ring is None:
-        width, a = kmax * params.m // 2 + 1, table.a
+        width = kmax * params.m // 2 + 1
     else:
-        width, wp, a = ring.d, ring.reduce(wp), _trim_columns(ring.reduce(table.a))
-    w = _trim_columns(_neg_b_wp(params, table.b, wp))
+        width, wp = ring.d, ring.reduce(wp)
+    w = _trim_columns(_neg_b_wp(params, b, wp))
     span = width + max(a.shape[1], w.shape[1]) - 1
     lres = np.array([l - 1 for l in types], dtype=np.int64)
     neg_one = np.int64(base.coerce(-1).code)
     h_prev = None
-    h = np.zeros((len(table), width), dtype=np.int64)
+    h = np.zeros((len(b), width), dtype=np.int64)
     h[:, 0] = 1
     for k in range(kmax + 1):
         if k:
-            acc = np.zeros((len(table), span), dtype=np.int64)
+            acc = np.zeros((len(b), span), dtype=np.int64)
             _mul_add(base, acc, h, a)
             if h_prev is not None and not moments:
                 _mul_add(base, acc, h_prev, w)
             if ring is not None:
                 h_next = ring.reduce(acc)
             elif acc[:, width:].any():
-                raise ArithmeticError(f"h_{k} has a digit past degree {width - 1}")
+                raise InvariantError(f"h_{k} has a digit past degree {width - 1}")
             else:
                 h_next = acc[:, :width]
             h_prev, h = h, h_next
@@ -740,7 +743,7 @@ def cl_table(params: DrinfeldParams, max_k: int) -> List[List[FqPoly]]:
     """[c_{k,l}] = sum over classes of a^k b^{l-k-1}/autOrder, for k <= max_k.
 
     Entries are exact elements of F_q[T], indexed [k][(l-1) mod (q-1)]: the
-    moments case of `_h_kernel` (h_k = a^k, no sign).
+    moments case of `_h_kernel` (h_k = a^k, no sign) on the exact rows.
     """
     base = params.base
     return [
@@ -752,8 +755,8 @@ def cl_table(params: DrinfeldParams, max_k: int) -> List[List[FqPoly]]:
 def trace_Tpn(params: DrinfeldParams, k: int, l: int) -> FqPoly:
     """Exact trace of the wp-Hecke operator on weight k+2, type l forms.
 
-    The last row of `_h_kernel` run to k, an element of F_q[T]; the type is
-    read mod q-1.  It equals -sum_j binom(k-j, j) (-wp)^j [c_{k-2j, l-j}].
+    The last row of `_h_kernel` run to k on the exact rows, in F_q[T]; the
+    type is read mod q-1.  It is -sum_j binom(k-j, j) (-wp)^j [c_{k-2j, l-j}].
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -912,8 +915,8 @@ def trace_sequence_mod(
 ) -> np.ndarray:
     """Trace residues mod lpoly^s for k = 0..kmax, shape (kmax+1, deg(lpoly^s)).
 
-    `_h_kernel` run on residues mod lpoly^s: row k is the residue of
-    trace_Tpn(params, k, l), without ever forming the exact trace.
+    `_h_kernel` on the rows keyed (a mod lpoly^s, b): row k is the residue
+    of trace_Tpn(params, k, l), without ever forming the exact trace.
     """
     ring = ResidueRing(params.base, (lpoly**s).codes())
     return np.stack([rows[0] for rows in _h_kernel(params, kmax, (l,), ring)])
@@ -1008,43 +1011,33 @@ def _split_parts(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-k values (N, U) of the zero-trace / unit-trace split, mod lpoly^s.
 
-    N sums the terms binom(k-j, j) a^i (-b wp)^j of h_k, i = k - 2j, over
-    the classes with a = 0 mod lpoly, where a^i = 0 for i >= s.  As b lies
-    in F_q^*, (-b wp)^t b^e = (-wp)^t b^(t+e); so with t = (k - i)/2 and
+    Both parts read the rows of `_rows` keyed (a mod lpoly^s, b).  N sums
+    the terms binom(k-j, j) a^i (-b wp)^j of h_k, i = k - 2j, over the rows
+    with a = 0 mod lpoly, where a^i = 0 for i >= s.  As b lies in F_q^*,
+    (-b wp)^t b^e = (-wp)^t b^(t+e); so with t = (k - i)/2 and
     f = (l-1-k) mod (q-1) every k reads one (q-1, s) table M:
 
         N_k = sum over i < s, i = k mod 2, of binom(t+i, i) (-wp)^t M[(t+f) mod (q-1), i],
-        M[f, i] = sum over those classes of b^f a^i / autOrder.
+        M[f, i] = sum over those rows of weight b^f a^i.
 
     U runs g_k[r] = g_{k-1}[r] - b wp g_{k-2}[r-1] (g_{-1} = 0, g_0[0] = 1)
-    for every b at once, and with S_b[e] the sum of a^e over the unit
-    classes with that b, e < 2m (a unit's a^e depends on e mod 2m only),
-    U_k = sum over b and r < m of b^f / autOrder g_k[k//2 - r] S_b[2r + k%2].
+    for every row at once, and as a unit's a^e depends on e mod 2m only,
+    U_k = sum over the other rows and r < m of weight b^f g_k[k//2 - r] a^(2r + k%2).
     Neither part inverts, so lpoly = P is fine.
     """
     base, q, p, s, m = params.base, params.q, params.p, spec.s, spec.m_ls
-    table, scales = _class_weights(params)
-    abar = ring.reduce(table.a)
+    a, b, scales = _rows(params, ring)
+    zero = ~ResidueRing(base, spec.lpoly.codes()).reduce(a).any(axis=1)
     wp = np.array(params.wp.codes(), dtype=np.int64)
-    zero_a = ~ResidueRing(base, spec.lpoly.codes()).reduce(table.a).any(axis=1)
-    bvals = np.array(list(dict.fromkeys(table.b.tolist())), dtype=np.int64)
-    in_row = table.b[:, None] == bvals  # (classes, b values)
     ks = np.arange(kmin, kmax + 1)
-
-    # power sums over the classes: M[f, i] of the zero-trace ones, i < s,
-    # and S_b[e] of the units, e < 2m (and 2m >= s)
-    w_zero = np.where(zero_a, scales, 0).T[:, :, None]
-    in_units = (in_row & ~zero_a[:, None])[:, :, None]
-    apow, M, S = ring.ones(len(table)), [], []
-    for e in range(2 * m):
-        if e < s:
-            M.append(_fold_add(base, base.v_mul(w_zero, apow[:, None, :])))
-        S.append(_fold_add(base, np.where(in_units, apow[:, None, :], 0)))
-        apow = ring.mul(apow, abar)
-    M, S = np.stack(M, axis=1), np.stack(S, axis=1)
-    bscale = scales[:, np.argmax(in_row, axis=0)]  # b^f / autOrder, one column per b
+    apow = [ring.ones(len(b))]  # a^e for e < 2m, and 2m >= s
+    for _ in range(2 * m - 1):
+        apow.append(ring.mul(apow[-1], a))
+    apow = np.stack(apow, axis=1)
 
     # N at every k of the window at once
+    zscale = np.where(zero, scales, 0).T[:, :, None, None]
+    M = _fold_add(base, base.v_mul(zscale, apow[:, None, :s]))
     binom = np.ones((s, kmax // 2 + 1), dtype=np.int64)  # binom(t+i, i) mod p
     for j in range(1, s):
         binom[j] = np.cumsum(binom[j - 1]) % p
@@ -1058,16 +1051,17 @@ def _split_parts(
     terms = ring.mul(wpow[t], M[(t + l - 1 - ks) % (q - 1), i])
     nvals = _fold_add(base, base.v_mul(terms, np.where(live, binom[i, t], 0)[..., None]))
 
-    # U, one g-family row per b
-    wneg = ring.reduce(_neg_b_wp(params, bvals, wp))[:, None]
+    # U, one g-family row per row of the table
+    uscale = np.where(zero, 0, scales)[:, :, None, None]
+    wneg = ring.reduce(_neg_b_wp(params, b, wp))[:, None]
     r = np.arange(m)
-    g_prev, g = ring.zeros(len(bvals), m), ring.zeros(len(bvals), m)
+    g_prev, g = ring.zeros(len(b), m), ring.zeros(len(b), m)
     g[:, 0, 0] = 1
     uvals = ring.zeros(len(ks))
     for k in range(kmax + 1):
         if k >= kmin:
-            tot = ring.mul(g[:, (k // 2 - r) % m], S[:, k % 2 :: 2])
-            tot = base.v_mul(tot, bscale[(l - 1 - k) % (q - 1), :, None, None])
+            tot = ring.mul(g[:, (k // 2 - r) % m], apow[:, k % 2 :: 2])
+            tot = base.v_mul(tot, uscale[(l - 1 - k) % (q - 1)])
             uvals[k - kmin] = _fold_add(base, tot.reshape(-1, ring.d))
         g_prev, g = g, base.v_add(g, ring.mul(np.roll(g_prev, 1, axis=1), wneg))
     return nvals, uvals

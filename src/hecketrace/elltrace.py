@@ -25,7 +25,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from hecketrace import curves as cv
-from hecketrace.ffield import FqField, Record, is_prime, unlimited_int_digits
+from hecketrace.ffield import FqField, InvariantError, Record, is_prime, unlimited_int_digits
 
 MassData = List[Tuple[int, Fraction]]
 
@@ -98,7 +98,7 @@ def _paired(data: MassData, modulus: Optional[int] = None):
 def _unscale(s: int, D: int, k: int) -> int:
     """A scaled sum divided by D; one that D does not divide raises."""
     if s % D:
-        raise ArithmeticError(f"the mass fold at k={k} is not integral (lcm {D})")
+        raise InvariantError(f"the mass fold at k={k} is not integral (lcm {D})")
     return s // D
 
 
@@ -170,7 +170,7 @@ def _fold(data: MassData, q: int, max_k: int, modulus: Optional[int] = None) -> 
     takes one step per k on Python ints, where block products would only
     make the integers grow; odd k need no dot product when every odd weight
     is 0. Every scaled sum must be divisible by D; the first that is not
-    raises ArithmeticError.
+    raises InvariantError.
     """
     D, M, b, even, odd = _paired(data, modulus)
     if M is not None:

@@ -25,6 +25,10 @@ class BudgetError(ValueError):
     """Raised when a computation would exceed a configured resource cap."""
 
 
+class InvariantError(ArithmeticError):
+    """Raised when a computed result fails one of its exact invariant checks."""
+
+
 class CertificateRefused(Exception):
     """The certificate preconditions failed, as opposed to a value mismatch."""
 

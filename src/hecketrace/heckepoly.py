@@ -6,7 +6,7 @@ Hecke polynomial drops out of that determinant triangularly. Computing the
 full 2d power sums over-determines the answer, so the upper half of the
 determinant doubles as a consistency check on every run. That check, the
 integrality of the symmetric functions, the functional equation and the
-eigenvalue bound raise ArithmeticError when they fail, also under python -O.
+eigenvalue bound raise InvariantError when they fail, also under python -O.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from hecketrace import curves as cv
 from hecketrace import elltrace as et
-from hecketrace.ffield import BudgetError, fq_construct, is_prime
+from hecketrace.ffield import BudgetError, InvariantError, fq_construct, is_prime
 
 # dim 4 already needs point data over F_{p^8}
 MAX_DIM = 4
@@ -68,13 +68,13 @@ def charpoly_Tp(
             acc += (-1) ** (i - 1) * e[n - i] * psums[i - 1]
         val = acc / n
         if val.denominator != 1:
-            raise ArithmeticError(f"non-integral symmetric function e_{n}")
+            raise InvariantError(f"non-integral symmetric function e_{n}")
         e.append(val)
     C = [int(e[j]) * (-1 if j % 2 else 1) for j in range(2 * d + 1)]
     P = p ** (weight - 1)
     for j in range(d + 1):
         if C[2 * d - j] != P ** (d - j) * C[j]:
-            raise ArithmeticError(f"functional equation failed at degree {2 * d - j}")
+            raise InvariantError(f"functional equation failed at degree {2 * d - j}")
 
     def product_coeff(m: int, f: Sequence[int]) -> int:
         # x^m coefficient of prod_i (1 - a_i x + P x^2) given f_j = e_j(a)-signs
@@ -94,10 +94,10 @@ def charpoly_Tp(
         f.append(C[m] - tail)
     for m in range(d + 1, 2 * d + 1):
         if product_coeff(m, f) != C[m]:
-            raise ArithmeticError(f"power sums inconsistent at degree {m}")
+            raise InvariantError(f"power sums inconsistent at degree {m}")
     for j in range(1, d + 1):
         if f[j] ** 2 > math.comb(d, j) ** 2 * (4 * P) ** j:
-            raise ArithmeticError(f"coefficient {j} breaks the eigenvalue bound")
+            raise InvariantError(f"coefficient {j} breaks the eigenvalue bound")
     return HeckeCharPoly(p=p, weight=weight, poly=tuple(f))
 
 

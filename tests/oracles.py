@@ -5,7 +5,8 @@ one-k-at-a-time fold, the f coefficient family summed term by term and the
 elliptic unit / non-unit split one class at a time, the mass routes by
 enumeration (reduced families, the full isomorphism classification and its
 automorphism stabilizers), Drinfeld classes by a walk over all (g, delta)
-pairs, and Drinfeld traces from the [c_{k,l}] table.
+pairs, Drinfeld traces from the [c_{k,l}] table, and the Drinfeld
+h-recurrence and split parts one class at a time.
 
 Everything but the enumeration routes and the [c_{k,l}] table is plain
 integer series or numpy arithmetic. The enumeration routes handle single
@@ -14,8 +15,10 @@ curves, the group law, exact-order torsion) and single Drinfeld modules with
 that of drinfeld_arith.py (twisted polynomials, a per-class linear solve),
 and the [c_{k,l}] table uses the package's polynomial arithmetic and class
 data; none of them uses the package's mass routes, its batched class
-enumeration or its h-recurrence kernel. They import what they need when
-called, because perfbench/run.py loads this file without the package,
+enumeration or its h-recurrence kernel. The per-class Drinfeld kernels use
+the package's class table and code-array helpers, but weigh every class on
+its own and never group the classes by (a, b). They import what they need
+when called, because perfbench/run.py loads this file without the package,
 curve_arith.py or drinfeld_arith.py on the path.
 """
 
@@ -897,6 +900,77 @@ def trace_from_cl_table(params: "DrinfeldParams", k: int, l: int) -> "FqPoly":
 
 
 # ---------------------------------------------------------------------------
+# the h-recurrence one class at a time: the reference for the weighted
+# (a, b) rows of hecketrace.drinfeld._h_kernel
+
+
+def _class_scales(params: "DrinfeldParams") -> Tuple["ClassTable", np.ndarray]:
+    """The class table and the codes of its type scales b^e / autOrder.
+
+    Row e of the (q - 1, classes) table is (p - 1) b^e for every class, as
+    the enumeration checks that every autOrder is -1 mod p.
+    """
+    from hecketrace.drinfeld import enumerate_classes
+
+    base, p, q = params.base, params.p, params.q
+    table = enumerate_classes(params)
+    scales = np.empty((q - 1, len(table)), dtype=np.int64)
+    scales[0] = p - 1
+    for e in range(1, q - 1):
+        scales[e] = base.v_mul(scales[e - 1], table.b)
+    return table, scales
+
+
+def h_kernel_per_class(
+    params: "DrinfeldParams",
+    kmax: int,
+    types: Sequence[int],
+    ring: Optional["ResidueRing"] = None,
+    moments: bool = False,
+):
+    """hecketrace.drinfeld._h_kernel with one row per class.
+
+    Yields the codes of trace(k, l) = -sum over classes of
+    h_k b^{(l-1-k) mod (q-1)} / autOrder for k = 0..kmax, with h_k from
+    h_k = a h_{k-1} - b wp h_{k-2} on (classes, T-digits) code arrays, exact
+    with width floor(kmax m / 2) + 1 or reduced mod `ring`; `moments` drops
+    the b wp term and the sign.
+    """
+    from hecketrace.drinfeld import _fold_add, _mul_add, _neg_b_wp, _trim_columns
+
+    base, q = params.base, params.q
+    table, scales = _class_scales(params)
+    wp = np.array(params.wp.codes(), dtype=np.int64)
+    if ring is None:
+        width, a = kmax * params.m // 2 + 1, table.a
+    else:
+        width, wp, a = ring.d, ring.reduce(wp), _trim_columns(ring.reduce(table.a))
+    w = _trim_columns(_neg_b_wp(params, table.b, wp))
+    span = width + max(a.shape[1], w.shape[1]) - 1
+    lres = np.array([l - 1 for l in types], dtype=np.int64)
+    neg_one = np.int64(base.coerce(-1).code)
+    h_prev = None
+    h = np.zeros((len(table), width), dtype=np.int64)
+    h[:, 0] = 1
+    for k in range(kmax + 1):
+        if k:
+            acc = np.zeros((len(table), span), dtype=np.int64)
+            _mul_add(base, acc, h, a)
+            if h_prev is not None and not moments:
+                _mul_add(base, acc, h_prev, w)
+            if ring is not None:
+                h_next = ring.reduce(acc)
+            elif acc[:, width:].any():
+                raise ArithmeticError(f"h_{k} has a digit past degree {width - 1}")
+            else:
+                h_next = acc[:, :width]
+            h_prev, h = h, h_next
+        terms = base.v_mul(scales[(lres - k) % (q - 1)][:, :, None], h[None, :, :])
+        row = _fold_add(base, np.moveaxis(terms, 1, 0))
+        yield row if moments else base.v_mul(row, neg_one)
+
+
+# ---------------------------------------------------------------------------
 # the zero-trace / unit-trace split one b at a time: the reference for the
 # table-based hecketrace.drinfeld._split_parts
 
@@ -915,11 +989,11 @@ def split_parts(
     the (-b wp)^{floor(k/2)-j} history (no inversions, so lpoly = P is fine);
     U folds the g-family recurrence against per-b power sums of the units.
     """
-    from hecketrace.drinfeld import ResidueRing, _class_weights, _fold_add, _neg_b_wp
+    from hecketrace.drinfeld import ResidueRing, _fold_add, _neg_b_wp
 
     base, q, p, s = params.base, params.q, params.p, spec.s
     m = spec.m_ls
-    table, scales = _class_weights(params)
+    table, scales = _class_scales(params)
     nw = kmax - kmin + 1
     Nvals = ring.zeros(nw)
     Uvals = ring.zeros(nw)

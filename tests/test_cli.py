@@ -483,6 +483,41 @@ def test_selftest_examples_fail_under_python_O():
     assert "first mismatch: weight12-eigenvalues" in res.stderr
 
 
+# shifts the constant digit of every Frobenius trace, so that the motive's
+# relation no longer re-substitutes: a fault in the program, not in its input
+_SHIFTED_TRACE = """
+from hecketrace import cli
+from hecketrace import drinfeld as dr
+
+good = dr._motive_frobenius
+
+
+def shifted(params, g, delta):
+    a, b = good(params, g, delta)
+    a = a.copy()
+    a[:, 0] = (a[:, 0] + 1) % params.p
+    return a, b
+
+
+dr._motive_frobenius = shifted
+raise SystemExit(cli.run(["dr", "trace", "--q", "3", "--P", "T^2+1", "--weight", "8"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_failed_invariant_exits_3(flags, capsys):
+    # a failed invariant has its own exit code and one error line, also under
+    # python -O, while bad input and budget refusals keep exit 2
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    res = subprocess.run([sys.executable, *flags, "-c", _SHIFTED_TRACE],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert res.returncode == 3 and res.stdout == "", res.stderr
+    assert res.stderr.splitlines()[1:] == ["error: invariant failed: Frobenius relation re-substitution failed"]
+    code, out, err = _run(capsys, ["ell", "hecke-poly", "--p", "2", "--weight", "96"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[1:] == ["error: dimension 8 exceeds the degree budget 4"]
+
+
 @pytest.mark.parametrize(
     "bad, named",
     [

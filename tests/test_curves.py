@@ -15,7 +15,7 @@ import pytest
 import curve_arith as ca
 import oracles
 from hecketrace import curves as cv
-from hecketrace.ffield import BudgetError, fq_construct, is_prime
+from hecketrace.ffield import BudgetError, InvariantError, fq_construct, is_prime
 
 
 def test_invariants_match_known_example():
@@ -390,7 +390,7 @@ raise SystemExit(1)
 def test_deuring_route_rejects_wrong_class_number(monkeypatch):
     good = cv.hurwitz6
     monkeypatch.setattr(cv, "hurwitz6", lambda ds: good(ds) + 6 * (np.arange(len(ds)) == 0))
-    with pytest.raises(ArithmeticError, match="level-1 mass is 102"):
+    with pytest.raises(InvariantError, match="level-1 mass is 102"):
         cv.deuring_route_masses(fq_construct(101, 1), cv.LEVEL1)
     # the check is not an assert: it still runs under python -O
     src = os.path.dirname(os.path.dirname(cv.__file__))
@@ -509,7 +509,7 @@ def test_level_routes_check_torsion_divisibility(monkeypatch):
     F = fq_construct(13, 1)
     monkeypatch.setattr(cv, "_level_points", lambda H, m, n: 1)
     for H in (cv.GAMMA0_2, cv.GAMMA1_4):
-        with pytest.raises(ArithmeticError, match=f"not divisible by {H.N}"):
+        with pytest.raises(InvariantError, match=f"not divisible by {H.N}"):
             cv.deuring_route_masses(F, H)
     # the oracle's check on the swept point counts
     good = cv.frobenius_traces
@@ -556,9 +556,9 @@ def test_level_routes_reject_wrong_masses_under_O(monkeypatch):
     # coprime level are checks, not asserts: they still run under python -O
     good = cv.hurwitz6
     monkeypatch.setattr(cv, "hurwitz6", lambda ds: good(ds) + 6)
-    with pytest.raises(ArithmeticError, match=r"gamma0-2 mass is [0-9/]+, not q - 1 = 100$"):
+    with pytest.raises(InvariantError, match=r"gamma0-2 mass is [0-9/]+, not q - 1 = 100$"):
         cv.deuring_route_masses(fq_construct(101, 1), cv.GAMMA0_2)
-    with pytest.raises(ArithmeticError, match=r"gamma1-4 mass is [0-9/]+, not q - 2 = 99$"):
+    with pytest.raises(InvariantError, match=r"gamma1-4 mass is [0-9/]+, not q - 2 = 99$"):
         cv.deuring_route_masses(fq_construct(101, 1), cv.GAMMA1_4)
     src = os.path.dirname(os.path.dirname(cv.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -12,7 +12,7 @@ import drinfeld_arith as da
 import oracles
 from hecketrace import drinfeld as dr
 from hecketrace.drinfeld import FqPoly, fq_poly_from_codes
-from hecketrace.ffield import BudgetError, fq_construct
+from hecketrace.ffield import BudgetError, InvariantError, fq_construct
 
 F2 = fq_construct(2, 1)
 F3 = fq_construct(3, 1)
@@ -207,7 +207,7 @@ def test_enumeration_in_blocks_matches_one_block(monkeypatch):
 
 
 # Failure injection: each fault breaks one check of the enumeration, which
-# must raise ArithmeticError with its own message (also under python -O).
+# must raise InvariantError with its own message (also under python -O).
 # A fault is (patch, match); patch(dr, install) installs it on module dr
 # through install(attribute name, value). The faults run at FAULT_CASE,
 # where L = F_9 is larger than F_q = F_3 (m = 2), so that a trace
@@ -288,7 +288,7 @@ for name in {names!r}:
     try:
         dr.enumerate_classes(pp)
         failed.append(name + ": no error")
-    except ArithmeticError as exc:
+    except dr.InvariantError as exc:
         print(name, exc)
         if not re.search(match, str(exc)):
             failed.append(name + ": " + str(exc))
@@ -319,7 +319,7 @@ def test_enumeration_rejects_a_past_the_slope_bound(monkeypatch):
     # a Frobenius a of degree m breaks 2 deg(a) <= m; the check is not an
     # assert, so it also stops the enumeration under python -O
     pp = _params(F3, (0, 1), 1)
-    with pytest.raises(ArithmeticError, match=_inject(monkeypatch, "slope")):
+    with pytest.raises(InvariantError, match=_inject(monkeypatch, "slope")):
         dr.enumerate_classes(pp)
     assert "exceeds m/2" in _faults_under_python_O(["slope"])
 
@@ -327,7 +327,7 @@ def test_enumeration_rejects_a_past_the_slope_bound(monkeypatch):
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_enumeration_rejects_injected_fault(monkeypatch, name):
     pp = _params(*FAULT_CASE)
-    with pytest.raises(ArithmeticError, match=_inject(monkeypatch, name)):
+    with pytest.raises(InvariantError, match=_inject(monkeypatch, name)):
         dr.enumerate_classes(pp)
 
 
@@ -338,7 +338,7 @@ def test_enumeration_checks_survive_python_O():
 
 def test_kernel_rejects_a_digit_past_its_width(monkeypatch):
     # the exact kernel's width floor(k m / 2) + 1 holds only under the slope
-    # bound; a class past it spills a digit, which is refused, not truncated
+    # bound; a row past it spills a digit, which is refused, not truncated
     pp = _params(F3, (0, 1), 1)
     table = dr.enumerate_classes(pp)
     a_plus_t = np.zeros((len(table), max(2, table.a.shape[1])), dtype=np.int64)
@@ -346,8 +346,71 @@ def test_kernel_rejects_a_digit_past_its_width(monkeypatch):
     a_plus_t[:, 1] = (a_plus_t[:, 1] + 1) % pp.p
     wide = dr.ClassTable(table.g, table.delta, table.aut, table.size, a_plus_t, table.b)
     monkeypatch.setattr(dr, "enumerate_classes", lambda params: wide)
-    with pytest.raises(ArithmeticError, match="past degree"):
+    a, _, _ = dr._rows(pp)
+    assert (a[:, 1] != 0).any()  # the spill comes from the rows the kernel reads
+    with pytest.raises(InvariantError, match="past degree"):
         dr.trace_Tpn(pp, 6, 1)
+
+
+# (field, P, n, long_windows): characteristic 2, the Zech fields F_4 and F_9,
+# n = 2, and F_5 at T^2 + 2 with n = 2, where 40 of the 332 exact keys and
+# 36 of the 100 keys mod (T + 1)^2 weigh 0 mod p. `long_windows` marks the
+# cases where the oracle runs the windows of the slope and infinity checks
+# (k past p^{1+st}(q^2-1)) in well under a second
+_ROW_GRID = [
+    (F2, (1, 1), 2, True),
+    (F3, (0, 1), 2, True),
+    (F4, (1, 1), 2, True),
+    (F9, (0, 1), 1, False),
+    (F5, (2, 0, 1), 2, False),
+]
+
+
+def _routes(pp, long_windows):
+    """What every Drinfeld route that runs `_h_kernel` returns, for every
+    type: exact (the kernel itself, its moments, `trace_Tpn` and, with
+    long_windows, `verify_infty_period` and `ramanujan_check`) and mod
+    (T + 1)^2 and mod P, where wp = 0 (`trace_sequence_mod`)."""
+    types = range(1, pp.q)
+    out = {
+        "kernel": [r.tolist() for r in dr._h_kernel(pp, 12, types)],
+        "moments": [r.tolist() for r in dr._h_kernel(pp, 12, types, moments=True)],
+        "trace_Tpn": [dr.trace_Tpn(pp, 9, l) for l in types],
+    }
+    for lpoly, s in ((_poly(pp.base, (1, 1)), 2), (pp.P, 1)):
+        out[lpoly, s] = [dr.trace_sequence_mod(pp, lpoly, s, l, 20).tolist() for l in types]
+    if long_windows:
+        out["infty"] = [dr.verify_infty_period(pp, 1, l, kmax=3) for l in types]
+        out["ramanujan"] = dr.ramanujan_check(pp)
+    return out
+
+
+@pytest.mark.parametrize("field, pcodes, n, long_windows", _ROW_GRID)
+def test_rows_match_the_per_class_kernel(monkeypatch, field, pcodes, n, long_windows):
+    # the same routes with `_h_kernel` swapped for the oracle's kernel on one
+    # row per class, each class weighted 1/autOrder
+    pp = _params(field, pcodes, n)
+    got = _routes(pp, long_windows)
+    monkeypatch.setattr(dr, "_h_kernel", oracles.h_kernel_per_class)
+    want = _routes(pp, long_windows)
+    assert got.keys() == want.keys()
+    for key in got:
+        assert got[key] == want[key], key
+
+
+def test_row_counts_at_F5():
+    # the 2520 classes of (F_5, T^2 + 2, n = 2) fall into 332 exact keys
+    # (a, b) and 100 keys mod (T + 1)^2; the keys whose count is 0 mod p drop
+    pp = _params(F5, (2, 0, 1), 2)
+    table = dr.enumerate_classes(pp)
+    ring = dr.ResidueRing(F5, (_poly(F5, (1, 1)) ** 2).codes())
+    for a, keys, rows in ((table.a, 332, 292), (ring.reduce(table.a), 100, 64)):
+        _, counts = np.unique(np.column_stack([a, table.b]), axis=0, return_counts=True)
+        assert (len(table), len(counts), int(np.count_nonzero(counts % pp.p))) == (2520, keys, rows)
+    for r, rows in ((None, 292), (ring, 64)):
+        a, b, scales = dr._rows(pp, r)
+        assert len(a) == len(b) == scales.shape[1] == rows
+        assert scales[0].all() and (scales[0] < pp.p).all()
 
 
 def test_frobenius_poly_accepts_bare_pair():
@@ -626,7 +689,8 @@ def test_verify_period_certificates():
 
 
 # (field, P, n, lpoly, s): characteristic 2, a degree-2 base field, lpoly = P
-# (where wp = 0 mod lpoly), an lpoly of degree 2, s up to 5 and n = 2
+# (where wp = 0 mod lpoly), an lpoly of degree 2, s up to 5, n = 2, and
+# keys (a mod lpoly^s, b) whose count is 0 mod p (36 of the 100 at F_5)
 _SPLIT_GRID = [
     (F2, (0, 1), 1, (0, 1), 3),
     (F2, (1, 1), 2, (0, 1), 2),
@@ -638,6 +702,7 @@ _SPLIT_GRID = [
     (F3, (1, 1), 1, (1, 1), 5),
     (F3, (0, 1), 2, (1, 1), 4),
     (F5, (0, 1), 1, (0, 1), 2),
+    (F5, (2, 0, 1), 2, (1, 1), 2),
 ]
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from hecketrace import curves as cv
 from hecketrace import elltrace as et
-from hecketrace.ffield import fq_construct, prime_power_decompose
+from hecketrace.ffield import InvariantError, fq_construct, prime_power_decompose
 
 TAU = oracles.delta_coefficients(15)
 
@@ -209,14 +209,14 @@ def test_folds_match_fraction_oracle_on_random_pairs(triples, whole, q, modulus)
     exact = oracles.fraction_fold(pairs, q, max_k)
     bad = [k for k, v in enumerate(exact) if v.denominator != 1]
     if bad:
-        with pytest.raises(ArithmeticError, match=f"k={bad[0]} is not integral"):
+        with pytest.raises(InvariantError, match=f"k={bad[0]} is not integral"):
             et._fold(pairs, q, max_k, modulus)
     else:
         want = [int(v) if modulus is None else int(v) % modulus for v in exact]
         assert et._fold(pairs, q, max_k, modulus) == want
     for k, v in enumerate(exact):
         if v.denominator != 1:
-            with pytest.raises(ArithmeticError, match=f"k={k} is not integral"):
+            with pytest.raises(InvariantError, match=f"k={k} is not integral"):
                 et._fold_at(pairs, q, k)
         else:
             assert et._fold_at(pairs, q, k) == v, k
@@ -248,7 +248,7 @@ for modulus in (None, 25, 2**40):
 
 def test_fold_rejects_non_integral_masses():
     for modulus in (None, 25):
-        with pytest.raises(ArithmeticError, match="k=0 is not integral"):
+        with pytest.raises(InvariantError, match="k=0 is not integral"):
             et._fold([(1, Fraction(1, 2))], 0, 3, modulus)
     # masses (-1)^i binom(66, i)/101 at a1 = i <= 66: the 66th difference of
     # the monic c_k(a1) of degree k is 0 for k < 66 and +-66! at k = 66, which
@@ -295,7 +295,7 @@ def test_single_k_rejects_non_integral_masses(monkeypatch):
     data = [(1, Fraction(1, 2)), (-2, Fraction(1, 3))]
     monkeypatch.setattr(et, "mass_data", lambda field, H: data)
     for k in (0, 3, 998):
-        with pytest.raises(ArithmeticError, match=f"k={k} is not integral"):
+        with pytest.raises(InvariantError, match=f"k={k} is not integral"):
             et.trace_interior(fq_construct(5, 1), cv.LEVEL1, k)
     # the check is not an assert: it still runs under python -O
     src = os.path.dirname(os.path.dirname(et.__file__))

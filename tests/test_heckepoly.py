@@ -72,13 +72,14 @@ raise SystemExit(cli.run(["ell", "hecke-poly", "--p", "5", "--weight", "12"]))
     (2, "functional equation failed"),
 ], ids=["integrality", "functional-equation"])
 def test_corrupt_power_sum_raises_under_python_O(delta, message):
-    # a wrong Tr(F_{p^2}) fails a hard check, not an assert: exit 2 under -O
+    # a wrong Tr(F_{p^2}) fails a hard check, not an assert: under -O it
+    # still exits 3, the code of a failed invariant
     src = os.path.dirname(os.path.dirname(hp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_POWER_SUM, str(delta)],
                          env=env, capture_output=True, text=True, timeout=120)
-    assert res.returncode == 2, res.stdout + res.stderr
-    assert res.stdout == "" and message in res.stderr
+    assert res.returncode == 3, res.stdout + res.stderr
+    assert res.stdout == "" and f"error: invariant failed: {message}" in res.stderr
 
 
 def test_weight_periodicity_mod_p_spot_checks():
