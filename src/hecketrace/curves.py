@@ -150,7 +150,7 @@ def nu_ell(H: LevelStructureSpec, field: FqField, ell: int) -> int:
     elif H is not LEVEL1:
         raise ValueError("stabilizers only implemented for the preset structures")
     if 24 % (2**nu2 * 3**nu3):
-        raise ArithmeticError(f"nu = ({nu2}, {nu3}): 2^nu2 3^nu3 must divide 24")
+        raise InvariantError(f"nu = ({nu2}, {nu3}): 2^nu2 3^nu3 must divide 24")
     return nu2 if ell == 2 else nu3
 
 

@@ -14,10 +14,12 @@ through its Frobenius data (a, b), and both steps run on int64 code arrays:
   X^2 - a X + b wp of all classes off the motive L{tau} (tau c = c^q tau),
   on which tau^m acts by a 2 x 2 matrix with trace a, a block of classes at
   a time.  It returns one `ClassTable`: read-only code arrays of g, delta,
-  autOrder, orbit size and the Frobenius data a (T-digits) and b, which
-  every later step reads as they are; only `dr enumerate` decodes them;
-- `_h_kernel` runs the recurrence h_k = a h_{k-1} - b wp h_{k-2} on the
-  weighted (a, b) rows of `_rows` and folds each h_k into the requested types.
+  autOrder, orbit size and the Frobenius data a (T-digits) and b; only
+  `dr enumerate` decodes them;
+- `_rows` sums the table into weighted (a, b) rows, once per job, and the
+  caller hands them to `_h_kernel`, which runs the recurrence
+  h_k = a h_{k-1} - b wp h_{k-2} and folds each h_k into the requested
+  types, and to `_split_parts`.
 
 Together they give the exact traces of the Hecke operator at wp = P^n in
 F_q[T], their residues mod powers of a prime l of F_q[T] (which certify
@@ -33,7 +35,7 @@ one polynomial.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,11 +246,11 @@ def drinfeld_params(P: FqPoly, n: int, max_field_size: Optional[int] = None) -> 
         raise ValueError("P must be irreducible")
     roots = FqPoly(L, [embed(c, L) for c in P.coeffs]).roots()
     if not roots:
-        raise ArithmeticError(f"P has no root in the field with {L.q} elements")
+        raise InvariantError(f"P has no root in the field with {L.q} elements")
     gamma_t = roots[0]
     params = DrinfeldParams(base, P, n, L, gamma_t, P**n, m)
     if not params.reduce(P).is_zero():
-        raise ArithmeticError("P does not reduce to 0 at its chosen root")
+        raise InvariantError("P does not reduce to 0 at its chosen root")
     return params
 
 
@@ -309,68 +311,48 @@ def _pad(x: np.ndarray, shift: int, width: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stacked linear algebra over F_p, for the torsion oracle
+# one linear system over F_p, for the torsion oracle
 
 
 def _system(params: DrinfeldParams, polys: Sequence[np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Augmented F_p systems sum_k x_k polys[k] = rhs, one per row, with each
-    x_k in F_q: a column eps_j polys[k] for every basis element eps_j of F_q
-    over F_p, every tau-coefficient unrolled into its F_p coordinates."""
+    """Augmented F_p system sum_k x_k polys[k] = rhs with each x_k in F_q:
+    a column eps_j polys[k] for every basis element eps_j of F_q over F_p,
+    every tau-coefficient unrolled into its F_p coordinates."""
     L = params.L
     eps = _embed_codes(params, params.p ** np.arange(params.base.a))
     cols = [(poly, e) for poly in polys for e in eps] + [(rhs, 1)]
     place = L.p ** np.arange(L.a, dtype=np.int64)
-    mats = np.empty((len(rhs), rhs.shape[1] * L.a, len(cols)), dtype=np.int64)
-    for k, (poly, e) in enumerate(cols):
-        codes = L.v_mul(poly, np.int64(e))
-        mats[:, :, k] = (codes[..., None] // place % L.p).reshape(len(rhs), -1)
-    return mats
+    digits = [L.v_mul(poly, np.int64(e))[:, None] // place % L.p for poly, e in cols]
+    return np.stack([d.reshape(-1) for d in digits], axis=1)
 
 
 def _base_codes(params: DrinfeldParams, sol: np.ndarray) -> np.ndarray:
-    """Base-field codes of solution rows, [F_q : F_p] F_p digits per unknown."""
+    """Base-field codes of a solution, [F_q : F_p] F_p digits per unknown."""
     a = params.base.a
-    digits = sol.reshape(len(sol), sol.shape[1] // a, a)
-    return (digits * params.p ** np.arange(a, dtype=np.int64)).sum(axis=-1)
+    return (sol.reshape(-1, a) * params.p ** np.arange(a, dtype=np.int64)).sum(axis=-1)
 
 
-# statuses of a linear system, and their names
-_UNIQUE, _NONE, _MANY = 0, 1, 2
-_STATUS = ("unique", "none", "many")
-
-
-def _gauss_jordan_mod_p(mats: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of augmented systems (systems, rows, unknowns + 1) mod p,
+def _solve_mod_p(mat: np.ndarray, p: int) -> Tuple[np.ndarray, str]:
+    """Solve one augmented system (rows, unknowns + 1) mod p by Gauss-Jordan,
     in place.
 
-    Every system keeps its own pivot row, so the column loops are the only
-    Python loops.  Returns the solutions (systems, unknowns), meaningful
-    where the status is _UNIQUE, and the statuses (_UNIQUE, _NONE or _MANY).
+    Returns the solution, meaningful only where the status is "unique", and
+    the status: "unique", "none" (inconsistent) or "many" (a free unknown).
     """
-    nsys, nrows, width = mats.shape
-    ncols = width - 1
-    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
-    rows = np.arange(nrows)
-    rank = np.zeros(nsys, dtype=np.int64)
+    ncols = mat.shape[1] - 1
+    rank = 0
     for col in range(ncols):
-        cand = (mats[:, :, col] != 0) & (rows >= rank[:, None])
-        has = np.flatnonzero(cand.any(axis=1))
-        top = rank[has]
-        piv = np.argmax(cand[has], axis=1)
-        pivot_row = np.zeros((nsys, width), dtype=np.int64)
-        pivot_row[has] = mats[has, piv]
-        mats[has, piv] = mats[has, top]
-        pivot_row[has] = pivot_row[has] * inv[pivot_row[has, col]][:, None] % p
-        factors = mats[:, :, col].copy()
-        factors[has, top] = 0
-        # the pivot row is zero left of col, so the columns before it stay
-        for w in range(col, width):
-            mats[:, :, w] = (mats[:, :, w] - factors * pivot_row[:, w : w + 1]) % p
-        mats[has, top] = pivot_row[has]
-        rank[has] += 1
-    inconsistent = ((mats[:, :, ncols] != 0) & (rows >= rank[:, None])).any(axis=1)
-    status = np.where(inconsistent, _NONE, np.where(rank < ncols, _MANY, _UNIQUE))
-    return mats[:, :ncols, ncols], status
+        nz = np.flatnonzero(mat[rank:, col])
+        if not len(nz):
+            continue
+        mat[[rank, rank + nz[0]]] = mat[[rank + nz[0], rank]]
+        mat[rank] = mat[rank] * pow(int(mat[rank, col]), p - 2, p) % p
+        factors = mat[:, col].copy()
+        factors[rank] = 0
+        mat[:] = (mat - factors[:, None] * mat[rank]) % p
+        rank += 1
+    status = "none" if mat[rank:, ncols].any() else "many" if rank < ncols else "unique"
+    return mat[:ncols, ncols], status
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +500,6 @@ def frobenius_poly(pair, params: DrinfeldParams) -> Tuple[FqPoly, FqElem]:
     return fq_poly_from_codes(params.base, a[0].tolist()), params.base.decode(int(b[0]))
 
 
-_CLASS_CACHE: Dict[DrinfeldParams, ClassTable] = {}
-
-
 def enumerate_classes(params: DrinfeldParams) -> ClassTable:
     """All twist-orbit representatives of (g, delta) in L x L^*, lex-least.
 
@@ -531,12 +510,9 @@ def enumerate_classes(params: DrinfeldParams) -> ClassTable:
     InvariantError: autOrder * orbitSize = |L| - 1, autOrder = -1 mod p, the
     partition total sum(orbitSize) = |L|(|L|-1), and, in `_frobenius_batch`,
     a trace in F_q[T], b != 0, the slope bound 2 deg(a) <= m and the
-    re-substituted relation, for every class.  The table is cached per
-    params; its arrays are read-only.
+    re-substituted relation, for every class.  The table's arrays are
+    read-only; each job enumerates once and keeps the table or its rows.
     """
-    cached = _CLASS_CACHE.get(params)
-    if cached is not None:
-        return cached
     p, qL = params.p, params.L.q
     g, delta, aut, size = _twist_orbits(params.L, params.q)
     bad = np.flatnonzero(aut * size != qL - 1)
@@ -553,9 +529,7 @@ def enumerate_classes(params: DrinfeldParams) -> ClassTable:
         for lo in range(0, len(g), _FROBENIUS_BLOCK)
     ]
     a, b = (np.concatenate(parts) for parts in zip(*blocks))
-    table = ClassTable(g, delta, aut, size, _trim_columns(a), b)
-    _CLASS_CACHE[params] = table
-    return table
+    return ClassTable(g, delta, aut, size, _trim_columns(a), b)
 
 
 # ---------------------------------------------------------------------------
@@ -602,26 +576,26 @@ def frobenius_mod_torsion(
         phi_tpow.append(_tw_mul(L, q, phi_t, phi_tpow[-1]))
 
     def apply_phis(v: np.ndarray) -> List[np.ndarray]:
-        """[phi_{T^i}(v) mod U1 for i < D], each one row, via a q-power ladder."""
+        """[phi_{T^i}(v) mod U1 for i < D], via a q-power ladder."""
         ladder = [v]
         for _ in range(2 * (D - 1)):
             ladder.append(ring.pow(ladder[-1], q))
         ladder = np.stack(ladder)
-        return [_fold_add(L, L.v_mul(ladder[: tw.shape[1]], tw[0][:, None]))[None, :] for tw in phi_tpow]
+        return [_fold_add(L, L.v_mul(ladder[: tw.shape[1]], tw[0][:, None])) for tw in phi_tpow]
 
     phis_lam = apply_phis(lam)
-    sol, status = _gauss_jordan_mod_p(_system(params, phis_lam, w1[None, :]), p)
-    if status[0] == _UNIQUE:
+    sol, status = _solve_mod_p(_system(params, phis_lam, w1), p)
+    if status == "unique":
         c = _base_codes(params, sol)
-        return base.v_add(c, c)[0], ResidueRing(base, laux.codes()).mul(c, c)[0]
-    if status[0] == _MANY:
+        return base.v_add(c, c), ResidueRing(base, laux.codes()).mul(c, c)
+    if status == "many":
         raise ArithmeticError("scalar solve underdetermined; laux not irreducible?")
     neg_lam = [L.v_mul(v, np.int64(p - 1)) for v in phis_lam]
-    sol, status = _gauss_jordan_mod_p(_system(params, apply_phis(w1) + neg_lam, w2[None, :]), p)
-    if status[0] != _UNIQUE:
-        raise ArithmeticError(f"companion solve is {_STATUS[status[0]]}")
+    sol, status = _solve_mod_p(_system(params, apply_phis(w1) + neg_lam, w2), p)
+    if status != "unique":
+        raise ArithmeticError(f"companion solve is {status}")
     # alpha and chi have D coefficients each, so they are residues already
-    codes = _base_codes(params, sol)[0]
+    codes = _base_codes(params, sol)
     return codes[:D], codes[D:]
 
 
@@ -679,6 +653,7 @@ def _neg_b_wp(params: DrinfeldParams, b: np.ndarray, wp: np.ndarray) -> np.ndarr
 
 def _h_kernel(
     params: DrinfeldParams,
+    rows: Tuple[np.ndarray, ...],
     kmax: int,
     types: Sequence[int],
     ring: Optional["ResidueRing"] = None,
@@ -687,45 +662,42 @@ def _h_kernel(
     """Yield, for k = 0..kmax, the codes of trace(k, l) for every l in types.
 
     One recurrence h_k = a h_{k-1} - b wp h_{k-2} (h_0 = 1, h_1 = a) runs
-    for all rows of `_rows` at once on (rows, T-digits) code arrays; h_k,
-    the symmetric sum x^i y^{k-i} at the Frobenius roots, is folded into
-    every type as soon as it is made,
+    for all the given rows of `_rows` at once on (rows, T-digits) code
+    arrays; h_k, the symmetric sum x^i y^{k-i} at the Frobenius roots, is
+    folded into every type as soon as it is made,
 
         trace(k, l) = -sum over rows of h_k weight b^{(l-1-k) mod (q-1)},
 
     and only h_{k-1} and h_{k-2} are kept.  The row for k has shape
-    (len(types), width).  Without `ring` the arithmetic is exact in F_q[T]
-    with width floor(kmax m / 2) + 1, which bounds deg h_k, and a digit
-    spilling past it raises InvariantError; with `ring` the rows key on a
-    mod its modulus and every step is reduced.  `moments` drops the b wp
-    term and the sign, which gives [c_{k,l}] = sum a^k b^{l-k-1} / autOrder.
+    (len(types), width).  Without `ring` the arithmetic is exact in F_q[T]:
+    h_k is trimmed to its degree after each step, and a degree past
+    floor(k m / 2) raises InvariantError.  With `ring` the rows must key on
+    a mod its modulus, and every step is reduced to width deg(modulus).
+    `moments` drops the b wp term and the sign, which gives
+    [c_{k,l}] = sum a^k b^{l-k-1} / autOrder.
     """
     base, q = params.base, params.q
-    a, b, scales = _rows(params, ring)
+    a, b, scales = rows
     wp = np.array(params.wp.codes(), dtype=np.int64)
-    if ring is None:
-        width = kmax * params.m // 2 + 1
-    else:
-        width, wp = ring.d, ring.reduce(wp)
-    w = _trim_columns(_neg_b_wp(params, b, wp))
-    span = width + max(a.shape[1], w.shape[1]) - 1
+    if ring is not None:
+        wp = ring.reduce(wp)
+    w = np.zeros((len(b), 1), dtype=np.int64) if moments else _trim_columns(_neg_b_wp(params, b, wp))
     lres = np.array([l - 1 for l in types], dtype=np.int64)
     neg_one = np.int64(base.coerce(-1).code)
-    h_prev = None
-    h = np.zeros((len(b), width), dtype=np.int64)
-    h[:, 0] = 1
+    h_prev = np.zeros((len(b), 1), dtype=np.int64)
+    h = np.ones((len(b), 1), dtype=np.int64) if ring is None else ring.ones(len(b))
     for k in range(kmax + 1):
         if k:
-            acc = np.zeros((len(b), span), dtype=np.int64)
+            width = max(h.shape[1] + a.shape[1], h_prev.shape[1] + w.shape[1]) - 1
+            acc = np.zeros((len(b), width), dtype=np.int64)
             _mul_add(base, acc, h, a)
-            if h_prev is not None and not moments:
-                _mul_add(base, acc, h_prev, w)
+            _mul_add(base, acc, h_prev, w)
             if ring is not None:
                 h_next = ring.reduce(acc)
-            elif acc[:, width:].any():
-                raise InvariantError(f"h_{k} has a digit past degree {width - 1}")
             else:
-                h_next = acc[:, :width]
+                h_next = _trim_columns(acc)
+                if h_next.shape[1] > k * params.m // 2 + 1:
+                    raise InvariantError(f"h_{k} has a digit past degree {k * params.m // 2}")
             h_prev, h = h, h_next
         terms = base.v_mul(scales[(lres - k) % (q - 1)][:, :, None], h[None, :, :])
         row = _fold_add(base, np.moveaxis(terms, 1, 0))
@@ -748,7 +720,7 @@ def cl_table(params: DrinfeldParams, max_k: int) -> List[List[FqPoly]]:
     base = params.base
     return [
         [fq_poly_from_codes(base, r) for r in rows.tolist()]
-        for rows in _h_kernel(params, max_k, range(1, params.q), moments=True)
+        for rows in _h_kernel(params, _rows(params), max_k, range(1, params.q), moments=True)
     ]
 
 
@@ -760,7 +732,7 @@ def trace_Tpn(params: DrinfeldParams, k: int, l: int) -> FqPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    for rows in _h_kernel(params, k, (l,)):
+    for rows in _h_kernel(params, _rows(params), k, (l,)):
         pass
     return fq_poly_from_codes(params.base, rows[0].tolist())
 
@@ -919,7 +891,7 @@ def trace_sequence_mod(
     of trace_Tpn(params, k, l), without ever forming the exact trace.
     """
     ring = ResidueRing(params.base, (lpoly**s).codes())
-    return np.stack([rows[0] for rows in _h_kernel(params, kmax, (l,), ring)])
+    return np.stack([rows[0] for rows in _h_kernel(params, _rows(params, ring), kmax, (l,), ring)])
 
 
 def minimal_period_mod(
@@ -958,7 +930,7 @@ def residue_symbol(params: DrinfeldParams, lpoly: FqPoly) -> int:
     symbols = {(): 0, (1,): 1, (base.coerce(-1).code,): -1}
     r = params.wp.pow_mod(e, lpoly).codes()
     if r not in symbols:
-        raise ArithmeticError("Euler power is not 0 or +-1; lpoly not irreducible?")
+        raise InvariantError("Euler power is not 0 or +-1; lpoly not irreducible?")
     return symbols[r]
 
 
@@ -1005,13 +977,14 @@ def _split_parts(
     params: DrinfeldParams,
     spec: DPeriodSpec,
     ring: ResidueRing,
+    rows: Tuple[np.ndarray, ...],
     l: int,
     kmin: int,
     kmax: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-k values (N, U) of the zero-trace / unit-trace split, mod lpoly^s.
 
-    Both parts read the rows of `_rows` keyed (a mod lpoly^s, b).  N sums
+    Both parts read the given rows of `_rows`, keyed (a mod lpoly^s, b).  N sums
     the terms binom(k-j, j) a^i (-b wp)^j of h_k, i = k - 2j, over the rows
     with a = 0 mod lpoly, where a^i = 0 for i >= s.  As b lies in F_q^*,
     (-b wp)^t b^e = (-wp)^t b^(t+e); so with t = (k - i)/2 and
@@ -1026,7 +999,7 @@ def _split_parts(
     Neither part inverts, so lpoly = P is fine.
     """
     base, q, p, s, m = params.base, params.q, params.p, spec.s, spec.m_ls
-    a, b, scales = _rows(params, ring)
+    a, b, scales = rows
     zero = ~ResidueRing(base, spec.lpoly.codes()).reduce(a).any(axis=1)
     wp = np.array(params.wp.codes(), dtype=np.int64)
     ks = np.arange(kmin, kmax + 1)
@@ -1095,8 +1068,9 @@ def verify_period_ff(
     weight_budget_check(kmax + spec.period + 2, max_weight)
     base = params.base
     ring = ResidueRing(base, (lpoly**s).codes())
-    seq = trace_sequence_mod(params, lpoly, s, l, kmax + spec.period)
-    nvals, uvals = _split_parts(params, spec, ring, l, kmin, kmax)
+    rows = _rows(params, ring)
+    seq = np.stack([r[0] for r in _h_kernel(params, rows, kmax + spec.period, (l,), ring)])
+    nvals, uvals = _split_parts(params, spec, ring, rows, l, kmin, kmax)
     resums = base.v_mul(base.v_add(nvals, uvals), np.int64(base.coerce(-1).code))
     window, shifted = seq[kmin : kmax + 1], seq[kmin + spec.period : kmax + spec.period + 1]
     ok = (window == shifted).all(axis=1)
@@ -1139,7 +1113,10 @@ def verify_infty_period(
         raise ValueError(f"window starts at {kmin}, below the floor {s - 1}")
     if kmax is None:
         kmax = kmin + 2 * n
-    traces = [fq_poly_from_codes(params.base, r[0].tolist()) for r in _h_kernel(params, kmax + n, (l,))]
+    if kmax < kmin:
+        raise ValueError("empty window")
+    kernel = _h_kernel(params, _rows(params), kmax + n, (l,))
+    traces = [fq_poly_from_codes(params.base, r[0].tolist()) for r in kernel]
     shift = (-params.wp) ** (n // 2)
     records = []
     all_ok = True
@@ -1179,7 +1156,8 @@ def ramanujan_check(params: DrinfeldParams) -> RamanujanReport:
     s = two_s // 2
     st = s_tilde(p, s)
     k_limit = p ** (1 + st) * (q * q - 1) + s
-    degs = np.stack([_code_degrees(r) for r in _h_kernel(params, k_limit - 1, range(1, q))], axis=1)
+    kernel = _h_kernel(params, _rows(params), k_limit - 1, range(1, q))
+    degs = np.stack([_code_degrees(r) for r in kernel], axis=1)
     rows = []
     all_ok = True
     for l in range(1, q):

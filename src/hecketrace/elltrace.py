@@ -31,20 +31,14 @@ MassData = List[Tuple[int, Fraction]]
 
 CACHE_VERSION = 1
 
-_MASS_CACHE: Dict[Tuple[int, int, str], MassData] = {}
-
-
 def mass_data(field: FqField, H: cv.LevelStructureSpec) -> MassData:
-    """Collapsed (a1, mass) pairs for one (field, H), mass = sum of 1/#Aut,
-    cached per (field, H).
+    """Collapsed (a1, mass) pairs for one (field, H), mass = sum of 1/#Aut.
 
     Every (characteristic, level) pair takes the one class-number route
-    curves.deuring_route_masses, which counts no points.
+    curves.deuring_route_masses, which counts no points; a CLI job asks for
+    one (field, H) once, so nothing is kept between calls.
     """
-    key = (field.p, field.a, H.name)
-    if key not in _MASS_CACHE:
-        _MASS_CACHE[key] = cv.deuring_route_masses(field, H)
-    return _MASS_CACHE[key]
+    return cv.deuring_route_masses(field, H)
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,7 @@ def rp_roots(ring, f: Sequence[int]) -> List[int]:
                     todo += [g, rp_divmod(ring, r, g)[0]]
                     break
             else:
-                raise ArithmeticError(f"no split of a product of {len(r) - 1} linear factors")
+                raise InvariantError(f"no split of a product of {len(r) - 1} linear factors")
     return sorted(roots)
 
 
@@ -396,7 +396,7 @@ def canonical_modulus(p: int, a: int) -> Tuple[int, ...]:
         # coeffs[0] = 0: x | f, reducible; cheap skip
         if coeffs[0] and rp_is_irreducible(ring, coeffs):
             return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found")
+    raise InvariantError("no irreducible polynomial found")
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +554,7 @@ class FqField:
                 continue
             if all((g ** ((self.q - 1) // r)) != self.one for r in fac) or self.q == 2:
                 return g
-        raise AssertionError("no generator found")
+        raise InvariantError("no generator found")
 
     @functools.cached_property
     def ops(self) -> FieldOps:
@@ -670,6 +670,7 @@ class FqField:
         return f"FqField(p={self.p}, a={self.a})"
 
 
+# kept: FqElem and FqPoly equality compares fields by identity, so one (p, a) needs one object
 _FIELD_CACHE: dict = {}
 
 
@@ -695,6 +696,7 @@ def field_for(q: int, max_size: Optional[int] = None) -> FqField:
     return fq_construct(pp.p, pp.a, max_size=max_size)
 
 
+# kept: `embed` is called once per coefficient, and each miss runs `rp_roots`
 _EMBED_CACHE: dict = {}
 
 
@@ -718,7 +720,7 @@ def embed(e: FqElem, target: FqField) -> FqElem:
         if src.a > 1:
             roots = rp_roots(target.ops, src.modulus)
             if len(roots) != src.a:
-                raise ArithmeticError(
+                raise InvariantError(
                     f"the modulus of F_{src.q} has {len(roots)} roots in F_{target.q}"
                 )
             for _ in range(src.a - 1):

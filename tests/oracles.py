@@ -923,6 +923,7 @@ def _class_scales(params: "DrinfeldParams") -> Tuple["ClassTable", np.ndarray]:
 
 def h_kernel_per_class(
     params: "DrinfeldParams",
+    rows,
     kmax: int,
     types: Sequence[int],
     ring: Optional["ResidueRing"] = None,
@@ -933,8 +934,9 @@ def h_kernel_per_class(
     Yields the codes of trace(k, l) = -sum over classes of
     h_k b^{(l-1-k) mod (q-1)} / autOrder for k = 0..kmax, with h_k from
     h_k = a h_{k-1} - b wp h_{k-2} on (classes, T-digits) code arrays, exact
-    with width floor(kmax m / 2) + 1 or reduced mod `ring`; `moments` drops
-    the b wp term and the sign.
+    at the fixed width floor(kmax m / 2) + 1 or reduced mod `ring`;
+    `moments` drops the b wp term and the sign.  The weighted `rows` the
+    production kernel is given are ignored: the classes come from the table.
     """
     from hecketrace.drinfeld import _fold_add, _mul_add, _neg_b_wp, _trim_columns
 

@@ -290,6 +290,16 @@ def test_dr_enumerate_streams_the_same_bytes(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_dr_trace_far_weight_prints_the_same_bytes(capsys):
+    # an exact trace at weight 100 over L = F_{5^4}: 98 steps of the exact
+    # kernel, where deg h_k may reach 2k (sha256 of stdout)
+    code, out, _ = _run(capsys, ["dr", "trace", "--q", "5", "--P", "T^2+2", "--n", "2",
+                                 "--weight", "100", "--type", "2"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "602726f643c52fa1cf7045a7a5ebb3fcbf13e07e6a9bc6ce2f427392d15e71c0")
+
+
 @pytest.mark.parametrize("fmt, lines", [
     ("json", ['{"k":0,"v":[0,1]}', '{"k":1,"v":[1,1]}', '{"k":2,"v":[2,1]}']),
     ("csv", ["k,v", '0,"[0,1]"', '1,"[1,1]"', '2,"[2,1]"']),
@@ -516,6 +526,25 @@ def test_failed_invariant_exits_3(flags, capsys):
     code, out, err = _run(capsys, ["ell", "hecke-poly", "--p", "2", "--weight", "96"])
     assert code == 2 and out == ""
     assert err.splitlines()[1:] == ["error: dimension 8 exceeds the degree budget 4"]
+
+
+# no modulus passes the irreducibility test, so building F_9 fails its
+# invariant: no irreducible polynomial of degree 2 over F_3 is found
+_NO_IRREDUCIBLE = """
+from hecketrace import cli, ffield
+
+ffield.rp_is_irreducible = lambda ring, f: False
+raise SystemExit(cli.run(["ell", "trace", "--q", "9", "--weight", "12"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_field_construction_invariant_exits_3(flags):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    res = subprocess.run([sys.executable, *flags, "-c", _NO_IRREDUCIBLE],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert res.returncode == 3 and res.stdout == "", res.stderr
+    assert res.stderr.splitlines()[1:] == ["error: invariant failed: no irreducible polynomial found"]
 
 
 @pytest.mark.parametrize(

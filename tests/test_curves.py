@@ -587,7 +587,6 @@ def test_mass_data_counts_no_points(monkeypatch):
 
     monkeypatch.setattr(cv, "frobenius_traces", boom)
     monkeypatch.setattr(FqField, "tables", boom)
-    monkeypatch.setattr(et, "_MASS_CACHE", {})
     for F, H in cases:
         total = sum(m for _, m in et.mass_data(F, H))
         assert total == F.q - H.N // 2, (F.q, H.name)

@@ -98,10 +98,12 @@ def test_class_enumeration_smallest_fields():
         assert tuple(_rows(da.decode_table(pp, dr.enumerate_classes(pp)))) == frozen
 
 
-def test_class_table_is_cached_and_read_only():
+def test_class_tables_are_equal_and_read_only():
     pp = _params(F3, (0, 1), 2)
-    table = dr.enumerate_classes(pp)
-    assert dr.enumerate_classes(pp) is table
+    table, again = dr.enumerate_classes(pp), dr.enumerate_classes(pp)
+    for name in ("g", "delta", "aut", "size", "a", "b"):
+        assert np.array_equal(getattr(again, name), getattr(table, name)), name
+        assert not getattr(again, name).flags.writeable, name
     assert len(table) == len(table.g) == table.a.shape[0]
     for arr in (table.g, table.delta, table.aut, table.size, table.a, table.b):
         assert arr.dtype == np.int64
@@ -197,7 +199,6 @@ def test_enumeration_in_blocks_matches_one_block(monkeypatch):
         pp = _params(field, pcodes, n)
         tables = []
         for block in (1 << 30, 7):
-            monkeypatch.setattr(dr, "_CLASS_CACHE", {})
             monkeypatch.setattr(dr, "_FROBENIUS_BLOCK", block)
             tables.append(dr.enumerate_classes(pp))
         whole, blocks = tables
@@ -219,7 +220,6 @@ FAULT_CASE = (F3, (1, 0, 1), 1)
 def _orbit_fault(change):
     def patch(dr, install):
         good = dr._twist_orbits
-        install("_CLASS_CACHE", {})
         install("_twist_orbits", lambda L, q: change(L, *good(L, q)))
 
     return patch
@@ -228,7 +228,6 @@ def _orbit_fault(change):
 def _solve_fault(change):
     def patch(dr, install):
         good = dr._motive_frobenius
-        install("_CLASS_CACHE", {})
         install("_motive_frobenius", lambda params, g, delta: change(params, *good(params, g, delta)))
 
     return patch
@@ -246,7 +245,6 @@ def _linear_twist(dr, install):
     # (g/delta)^2 + 2(T - gamma)/delta leaves F_3[T] already at (g, delta) =
     # (0, 1), as gamma, a root of T^2 + 1, is not in F_3. The twist also
     # serves phi, but phi_wp is not checked before the trace is
-    install("_CLASS_CACHE", {})
     install("_frobenius_twist", lambda L, x, e: x)
 
 
@@ -337,8 +335,9 @@ def test_enumeration_checks_survive_python_O():
 
 
 def test_kernel_rejects_a_digit_past_its_width(monkeypatch):
-    # the exact kernel's width floor(k m / 2) + 1 holds only under the slope
-    # bound; a row past it spills a digit, which is refused, not truncated
+    # deg h_k <= floor(k m / 2) holds only under the slope bound; the exact
+    # kernel checks it at every k, so a row of degree 1 at m = 1 is refused
+    # at h_1, not truncated and not first seen at the last k
     pp = _params(F3, (0, 1), 1)
     table = dr.enumerate_classes(pp)
     a_plus_t = np.zeros((len(table), max(2, table.a.shape[1])), dtype=np.int64)
@@ -348,7 +347,7 @@ def test_kernel_rejects_a_digit_past_its_width(monkeypatch):
     monkeypatch.setattr(dr, "enumerate_classes", lambda params: wide)
     a, _, _ = dr._rows(pp)
     assert (a[:, 1] != 0).any()  # the spill comes from the rows the kernel reads
-    with pytest.raises(InvariantError, match="past degree"):
+    with pytest.raises(InvariantError, match=r"^h_1 has a digit past degree 0$"):
         dr.trace_Tpn(pp, 6, 1)
 
 
@@ -371,10 +370,12 @@ def _routes(pp, long_windows):
     type: exact (the kernel itself, its moments, `trace_Tpn` and, with
     long_windows, `verify_infty_period` and `ramanujan_check`) and mod
     (T + 1)^2 and mod P, where wp = 0 (`trace_sequence_mod`)."""
-    types = range(1, pp.q)
+    types, rows = range(1, pp.q), dr._rows(pp)
+    polys = lambda kernel: [[_poly(pp.base, t) for t in r.tolist()] for r in kernel]
     out = {
-        "kernel": [r.tolist() for r in dr._h_kernel(pp, 12, types)],
-        "moments": [r.tolist() for r in dr._h_kernel(pp, 12, types, moments=True)],
+        # the exact kernel trims each h_k and the oracle keeps its final width
+        "kernel": polys(dr._h_kernel(pp, rows, 12, types)),
+        "moments": polys(dr._h_kernel(pp, rows, 12, types, moments=True)),
         "trace_Tpn": [dr.trace_Tpn(pp, 9, l) for l in types],
     }
     for lpoly, s in ((_poly(pp.base, (1, 1)), 2), (pp.P, 1)):
@@ -468,6 +469,21 @@ def test_torsion_route_guards():
         dr.frobenius_mod_torsion(pp, g, delta, _poly(F3, (2, 0, 1)))  # reducible
     with pytest.raises(ValueError):
         dr.frobenius_mod_torsion(pp, g, delta, _poly(F3, (1, 2)))  # not monic
+
+
+@pytest.mark.parametrize("rows, status, solution", [
+    ([[1, 1, 3], [1, 4, 0]], "unique", [4, 4]),
+    ([[0, 1, 2], [1, 0, 3], [1, 1, 0]], "unique", [3, 2]),  # a zero pivot is swapped out
+    ([[1, 2, 3], [2, 4, 1]], "many", None),  # row 2 = 2 row 1
+    ([[1, 2, 3], [2, 4, 0]], "none", None),  # row 2 = 2 row 1 on the left only
+    ([[1, 2, 3]], "many", None),
+])
+def test_solve_mod_p_reports_each_status(rows, status, solution):
+    # the torsion oracle's one-system Gauss-Jordan over F_5
+    got, got_status = dr._solve_mod_p(np.array(rows, dtype=np.int64), 5)
+    assert got_status == status
+    if solution is not None:
+        assert got.tolist() == solution
 
 
 def test_trace_k0_and_weight8_values():
@@ -715,7 +731,7 @@ def test_split_parts_match_the_per_b_oracle(field, pcodes, n, lcodes, s):
     windows = [(k0, k0 + min(2 * spec.period, 40)), (k0 + 5, k0 + 23), (k0 + 9, k0 + 9)]
     for l in sorted({1, field.q - 1}):
         for kmin, kmax in windows:
-            got = dr._split_parts(pp, spec, ring, l, kmin, kmax)
+            got = dr._split_parts(pp, spec, ring, dr._rows(pp, ring), l, kmin, kmax)
             want = oracles.split_parts(pp, spec, ring, l, kmin, kmax)
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), (l, kmin, kmax)
 
@@ -730,6 +746,28 @@ def test_verify_period_window_guards():
         dr.dperiod_for(pp, _poly(F3, (2, 0, 1)), 1)  # reducible
     with pytest.raises(ValueError):
         dr.dperiod_for(pp, _poly(F3, (0, 1)), 0)
+
+
+def test_verify_period_enumerates_and_builds_rows_once(monkeypatch):
+    # the period check and the split certificate read the same rows, so the
+    # classes are enumerated and summed into rows once per check
+    calls = {"enumerate_classes": 0, "_rows": 0}
+
+    def spy(name):
+        real = getattr(dr, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(dr, name, counted)
+
+    spy("enumerate_classes")
+    spy("_rows")
+    pp = _params(F3, (1, 1), 1)
+    _, records, ok = dr.verify_period_ff(pp, _poly(F3, (0, 1)), 1, 1, kmin=0, kmax=5)
+    assert ok and len(records) == 6
+    assert calls == {"enumerate_classes": 1, "_rows": 1}
 
 
 def test_minimal_period_is_attained():
@@ -762,6 +800,14 @@ def test_infty_periodicity():
     assert ok and n == 72 and records[0]["k"] == 1
     with pytest.raises(ValueError):
         dr.verify_infty_period(pp, 2, 1, kmin=0)
+
+
+def test_verify_infty_period_rejects_an_empty_window():
+    # a window that checks no weight must not pass
+    pp = _params(F3, (1, 1), 1)
+    with pytest.raises(ValueError, match="empty window"):
+        dr.verify_infty_period(pp, 1, 1, kmin=10, kmax=5)
+    assert len(dr.verify_infty_period(pp, 1, 1, kmin=5, kmax=5)[1]) == 1
 
 
 def test_ramanujan_vacuous_and_basic_report():
@@ -819,7 +865,7 @@ def verify_dim_congruence(params, alpha, kmax=50):
     if kmax < 2:
         return records, all_ok
     ring = dr.ResidueRing(base, FqPoly(base, [-alpha, base.one]).codes())
-    seq = np.stack(list(dr._h_kernel(params, kmax - 2, range(1, q), ring)))
+    seq = np.stack(list(dr._h_kernel(params, dr._rows(params, ring), kmax - 2, range(1, q), ring)))
     for l in range(1, q):
         for k in range(2, kmax + 1):
             if (k - 2 * l) % (q - 1):
