@@ -107,6 +107,8 @@ def parse_fq_poly(field: FqField, text: str, max_size: Optional[int] = None) -> 
             c = -c
         e = (int(m.group(4)) if m.group(4) else 1) if m.group(3) else 0
         coeffs[e] = coeffs.get(e, 0) + c
+    if not coeffs:
+        raise ValueError(f"no terms in {text!r}")
     top = max(coeffs)
     field_budget_check(field.q, top, max_size)
     return FqPoly(field, [field.coerce(coeffs.get(e, 0)) for e in range(top + 1)])

@@ -71,7 +71,7 @@ def f_denominator(q: int, m: int) -> List[int]:
     return rp_trim(out)
 
 
-def f_numerator(q: int, r: int, m: int, delta: int, horizon_mult: int = 10) -> List[int]:
+def f_numerator(q: int, r: int, m: int, delta: int) -> List[int]:
     """Numerator of the fixed-parity generating series of the f family.
 
     Multiplies the series restricted to k = delta (mod 2) by the denominator
@@ -79,7 +79,7 @@ def f_numerator(q: int, r: int, m: int, delta: int, horizon_mult: int = 10) -> L
     cancels; returns the surviving polynomial.
     """
     den = f_denominator(q, m)
-    horizon = horizon_mult * m + 4
+    horizon = 10 * m + 4
     series = [0] * (horizon + 1)
     for k in range(delta, horizon + 1, 2):
         vals = f_values(q, m, k)
@@ -219,13 +219,12 @@ def periodic_certificate(
     d: Sequence[int],
     n: int,
     modulus: int,
-    horizon: Optional[int] = None,
 ) -> bool:
     """Certify that the series f/d over Z/modulus is n-periodic in its tail.
 
     Checks d | x^n - 1 (raising CertificateRefused when that fails or when
     the division cannot even be attempted), then compares series coefficients
-    a_k and a_{k+n} for deg f - deg d < k <= horizon.
+    a_k and a_{k+n} for deg f - deg d < k <= max(deg f, 0) + 2n.
     """
     ring = ZMod(modulus)
     ff = rp_trim([c % modulus for c in f])
@@ -242,8 +241,7 @@ def periodic_certificate(
         raise CertificateRefused("constant term of denominator is not a unit")
     degf = len(ff) - 1 if ff else -1
     degd = len(dd) - 1
-    if horizon is None:
-        horizon = max(degf, 0) + 2 * n
+    horizon = max(degf, 0) + 2 * n
     coeffs = rp_series_quotient(ring, ff, dd, horizon + n + 1)
     start = max(degf - degd + 1, 0)
     for k in range(start, horizon + 1):
@@ -276,9 +274,8 @@ def verify_periodicity(
     """Check the weight periodicity of Frobenius traces mod ell^s.
 
     Returns the resolved PeriodSpec, one record per weight k compared, and an
-    overall pass flag. Comparisons use interior sums directly when the period
-    is even (boundary terms cancel); for an odd period the closed-form level-1
-    boundary term is applied.
+    overall pass flag. The period is even for every preset level structure,
+    so the boundary terms cancel and the interior sums are compared directly.
     """
     from hecketrace import curves, elltrace
 
@@ -297,17 +294,9 @@ def verify_periodicity(
     interior = elltrace.interior_sequence_mod(field, H, kmax + spec.n, modulus)
     records = []
     all_ok = True
-    odd_n = spec.n % 2 == 1
-    eis = elltrace.eis_for(H)
     for k in range(kmin, kmax + 1):
         lhs = interior[k]
         rhs = interior[k + spec.n]
-        if odd_n:
-            el, er = eis.value(k), eis.value(k + spec.n)
-            if el is None or er is None:
-                raise ValueError("odd period requires known boundary values")
-            lhs = (lhs + el) % modulus
-            rhs = (rhs + er) % modulus
         ok = lhs == rhs
         all_ok = all_ok and ok
         records.append(

@@ -771,17 +771,15 @@ def h_coeff(b: FqElem, r: int, m: int, k: int) -> FqElem:
     return acc
 
 
-def g_series_numerator(
-    b: FqElem, r: int, m: int, params: DrinfeldParams, terms: Optional[int] = None
-) -> List[FqPoly]:
+def g_series_numerator(b: FqElem, r: int, m: int, params: DrinfeldParams) -> List[FqPoly]:
     """Numerator h(x) with sum_k g_k x^k = h(x) / ((1-x)^m - (-b wp x^2)^m).
 
     Multiplies the truncated series by the denominator and checks that all
-    coefficients beyond degree 2m-2 vanish through `terms`; returns the
+    coefficients beyond degree 2m-2 vanish through x^(4m+2); returns the
     numerator coefficients (ascending in x, length <= 2m-1).
     """
     base = params.base
-    T = 4 * m + 2 if terms is None else terms
+    T = 4 * m + 2
     series = [g_coeff(b, r, m, k, params) for k in range(T + 1)]
     den = [FqPoly(base, [base.coerce((-1) ** i * math.comb(m, i))]) for i in range(m + 1)]
     den += [FqPoly(base, [])] * (2 * m - m)
@@ -798,12 +796,10 @@ def g_series_numerator(
     return prod[: 2 * m - 1]
 
 
-def h_series_numerator(
-    b: FqElem, r: int, m: int, terms: Optional[int] = None
-) -> FqPoly:
+def h_series_numerator(b: FqElem, r: int, m: int) -> FqPoly:
     """Numerator of sum_k h_k x^k against (1-x)^m - (b x^2)^m, as a poly in x."""
     field = b.field
-    T = 4 * m + 2 if terms is None else terms
+    T = 4 * m + 2
     series = [h_coeff(b, r, m, k).code for k in range(T + 1)]
     den = [field.coerce((-1) ** i * math.comb(m, i)).code for i in range(m + 1)]
     den += [0] * (m - 1) + [field.ops.neg((b**m).code)]
@@ -895,12 +891,12 @@ def trace_sequence_mod(
 
 
 def minimal_period_mod(
-    params: DrinfeldParams, lpoly: FqPoly, s: int, l: int, kmax: int, kmin: int = 0
+    params: DrinfeldParams, lpoly: FqPoly, s: int, l: int, kmax: int
 ) -> Optional[int]:
-    """Least n >= 1 with trace(k) = trace(k+n) mod lpoly^s on [kmin, kmax-n]."""
+    """Least n >= 1 with trace(k) = trace(k+n) mod lpoly^s on [0, kmax-n]."""
     seq = trace_sequence_mod(params, lpoly, s, l, kmax)
-    for n in range(1, (kmax - kmin) // 2 + 1):
-        if np.array_equal(seq[kmin : kmax - n + 1], seq[kmin + n : kmax + 1]):
+    for n in range(1, kmax // 2 + 1):
+        if np.array_equal(seq[: kmax - n + 1], seq[n : kmax + 1]):
             return n
     return None
 
@@ -984,59 +980,49 @@ def _split_parts(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-k values (N, U) of the zero-trace / unit-trace split, mod lpoly^s.
 
-    Both parts read the given rows of `_rows`, keyed (a mod lpoly^s, b).  N sums
-    the terms binom(k-j, j) a^i (-b wp)^j of h_k, i = k - 2j, over the rows
-    with a = 0 mod lpoly, where a^i = 0 for i >= s.  As b lies in F_q^*,
-    (-b wp)^t b^e = (-wp)^t b^(t+e); so with t = (k - i)/2 and
-    f = (l-1-k) mod (q-1) every k reads one (q-1, s) table M:
+    Both parts read the given rows of `_rows`, keyed (a mod lpoly^s, b), and
+    run one recurrence.  As b lies in F_q^*, h_k b^f is the sum of
+    binom(k-j, j) a^(k-2j) (-wp)^j b^(j+f), so h_k runs once on polynomials
+    in a symbolic a with b's power kept as an index e mod (q-1):
+    H_k[e, i] sums binom(k-j, j) (-wp)^j over the j = e mod (q-1) whose
+    a-degree k - 2j lands in slot i.  N covers the rows with a = 0 mod
+    lpoly, where a^s = 0: slot i < s holds degree i and higher degrees drop.
+    U covers the units, where a^(2m) = 1: slot s + i holds the degrees
+    = i mod 2m.  Each step is H_k = a H_{k-1} + (-wp) H_{k-2} with e moved
+    up by one, and with f = (l-1-k) mod (q-1) and T[f, i] the sum over the
+    slot's part of weight b^f a^i,
 
-        N_k = sum over i < s, i = k mod 2, of binom(t+i, i) (-wp)^t M[(t+f) mod (q-1), i],
-        M[f, i] = sum over those rows of weight b^f a^i.
+        N_k, U_k = sum over e and the slots below s, resp. from s on, of
+                   H_k[e, i] T[(f + e) mod (q-1), i].
 
-    U runs g_k[r] = g_{k-1}[r] - b wp g_{k-2}[r-1] (g_{-1} = 0, g_0[0] = 1)
-    for every row at once, and as a unit's a^e depends on e mod 2m only,
-    U_k = sum over the other rows and r < m of weight b^f g_k[k//2 - r] a^(2r + k%2).
     Neither part inverts, so lpoly = P is fine.
     """
-    base, q, p, s, m = params.base, params.q, params.p, spec.s, spec.m_ls
+    base, q, s, m = params.base, params.q, spec.s, spec.m_ls
     a, b, scales = rows
     zero = ~ResidueRing(base, spec.lpoly.codes()).reduce(a).any(axis=1)
-    wp = np.array(params.wp.codes(), dtype=np.int64)
-    ks = np.arange(kmin, kmax + 1)
-    apow = [ring.ones(len(b))]  # a^e for e < 2m, and 2m >= s
+    apow = [ring.ones(len(b))]  # a^i for i < 2m, and 2m >= s
     for _ in range(2 * m - 1):
         apow.append(ring.mul(apow[-1], a))
-    apow = np.stack(apow, axis=1)
-
-    # N at every k of the window at once
-    zscale = np.where(zero, scales, 0).T[:, :, None, None]
-    M = _fold_add(base, base.v_mul(zscale, apow[:, None, :s]))
-    binom = np.ones((s, kmax // 2 + 1), dtype=np.int64)  # binom(t+i, i) mod p
-    for j in range(1, s):
-        binom[j] = np.cumsum(binom[j - 1]) % p
+    degree = np.r_[np.arange(s), np.arange(2 * m)]  # the a-degree of each slot
+    part = (np.arange(s + 2 * m) < s) == zero[:, None]
+    apow = np.where(part[..., None], np.stack(apow, axis=1)[:, degree], 0)
+    table = [_fold_add(base, base.v_mul(scales[f][:, None, None], apow)) for f in range(q - 1)]
+    table = np.stack(table + table)  # T[f, i], and f runs twice round
+    shift = np.r_[np.arange(-1, s - 1), s + (np.arange(2 * m) - 1) % (2 * m)]  # times a
+    bump = np.arange(-1, q - 2)  # times b
+    wp = np.array(params.wp.codes(), dtype=np.int64)
     neg_wp = ring.reduce(_neg_b_wp(params, np.ones(1, dtype=np.int64), wp))
-    wpow = ring.ones(1)  # (-wp)^t, the run of powers doubled each step
-    while len(wpow) < binom.shape[1]:
-        wpow = np.concatenate([wpow, ring.mul(wpow, ring.mul(wpow[-1:], neg_wp))])
-    i = np.arange(s)[:, None]
-    live = (ks >= i) & ((ks - i) % 2 == 0)
-    t = np.where(live, (ks - i) // 2, 0)
-    terms = ring.mul(wpow[t], M[(t + l - 1 - ks) % (q - 1), i])
-    nvals = _fold_add(base, base.v_mul(terms, np.where(live, binom[i, t], 0)[..., None]))
-
-    # U, one g-family row per row of the table
-    uscale = np.where(zero, 0, scales)[:, :, None, None]
-    wneg = ring.reduce(_neg_b_wp(params, b, wp))[:, None]
-    r = np.arange(m)
-    g_prev, g = ring.zeros(len(b), m), ring.zeros(len(b), m)
-    g[:, 0, 0] = 1
-    uvals = ring.zeros(len(ks))
+    h_prev, h = ring.zeros(q - 1, s + 2 * m), ring.zeros(q - 1, s + 2 * m)
+    h[0, [0, s], 0] = 1
+    nvals, uvals = ring.zeros(kmax - kmin + 1), ring.zeros(kmax - kmin + 1)
     for k in range(kmax + 1):
         if k >= kmin:
-            tot = ring.mul(g[:, (k // 2 - r) % m], apow[:, k % 2 :: 2])
-            tot = base.v_mul(tot, uscale[(l - 1 - k) % (q - 1)])
-            uvals[k - kmin] = _fold_add(base, tot.reshape(-1, ring.d))
-        g_prev, g = g, base.v_add(g, ring.mul(np.roll(g_prev, 1, axis=1), wneg))
+            f = (l - 1 - k) % (q - 1)
+            tot = _fold_add(base, ring.mul(h, table[f : f + q - 1]))
+            nvals[k - kmin], uvals[k - kmin] = _fold_add(base, tot[:s]), _fold_add(base, tot[s:])
+        up = h[:, shift]
+        up[:, 0] = 0
+        h_prev, h = h, base.v_add(up, ring.mul(h_prev[bump], neg_wp))
     return nvals, uvals
 
 
@@ -1174,14 +1160,13 @@ def ramanujan_check(params: DrinfeldParams) -> RamanujanReport:
 # unit-group exponent of F_q[T]/l^s, by enumeration
 
 
-def _unit_array(lpoly: FqPoly, s: int, max_size: Optional[int]) -> Tuple[ResidueRing, np.ndarray]:
+def _unit_array(lpoly: FqPoly, s: int) -> Tuple[ResidueRing, np.ndarray]:
     """The ring F_q[T]/lpoly^s and the code rows of all its units."""
     field = lpoly.field
     q, D = field.q, lpoly.degree * s
     size = q**D
-    cap = EXPONENT_GROUP_CAP if max_size is None else max_size
-    if size > cap:
-        raise BudgetError(f"residue count {size} exceeds max_size={cap}; raise max_size")
+    if size > EXPONENT_GROUP_CAP:
+        raise BudgetError(f"residue count {size} exceeds the enumeration cap {EXPONENT_GROUP_CAP}")
     grids = np.meshgrid(*[np.arange(q, dtype=np.int64)] * D, indexing="ij")
     residues = np.stack([g.reshape(-1) for g in grids], axis=-1)
     # the units are the residues that stay nonzero mod lpoly
@@ -1192,7 +1177,7 @@ def _unit_array(lpoly: FqPoly, s: int, max_size: Optional[int]) -> Tuple[Residue
     return ResidueRing(field, (lpoly**s).codes()), units
 
 
-def unit_group_exponent(lpoly: FqPoly, s: int, max_size: Optional[int] = None) -> int:
+def unit_group_exponent(lpoly: FqPoly, s: int) -> int:
     """Exact exponent of (F_q[T]/lpoly^s)^*, by brute force over all units.
 
     Lagrange descent from the group order: a prime factor is peeled off the
@@ -1204,7 +1189,7 @@ def unit_group_exponent(lpoly: FqPoly, s: int, max_size: Optional[int] = None) -
         raise ValueError("lpoly must be monic irreducible")
     if s < 1:
         raise ValueError("s must be >= 1")
-    ring, units = _unit_array(lpoly, s, max_size)
+    ring, units = _unit_array(lpoly, s)
 
     def passes(e: int, rows: np.ndarray) -> bool:
         return bool((ring.pow(rows, e) == ring.ones()).all())
@@ -1223,9 +1208,9 @@ def unit_group_exponent(lpoly: FqPoly, s: int, max_size: Optional[int] = None) -
     return exponent
 
 
-def exponent_check(lpoly: FqPoly, s: int, max_size: Optional[int] = None) -> bool:
+def exponent_check(lpoly: FqPoly, s: int) -> bool:
     """Compare the brute-force unit-group exponent with p^{st}(|l| - 1)."""
     field = lpoly.field
-    got = unit_group_exponent(lpoly, s, max_size=max_size)
+    got = unit_group_exponent(lpoly, s)
     size = field.q ** lpoly.degree
     return got == field.p ** s_tilde(field.p, s) * (size - 1)

@@ -330,7 +330,6 @@ def trace_interior(field: FqField, H, k: int) -> int:
 class EisSpec(NamedTuple):
     even_value: Optional[int]
     odd_value: Optional[int]
-    h0: int = 1
 
     def value(self, k: int) -> Optional[int]:
         return self.even_value if k % 2 == 0 else self.odd_value
@@ -338,14 +337,16 @@ class EisSpec(NamedTuple):
 
 def eis_for(H: cv.LevelStructureSpec) -> EisSpec:
     """Known eis values: the closed form (1^k + (-1)^k)/2 at level 1, else
-    unknown. h0 = 1 for every preset (full determinant image)."""
+    unknown."""
     if H.N == 1:
-        return EisSpec(even_value=1, odd_value=0, h0=1)
-    return EisSpec(even_value=None, odd_value=None, h0=1)
+        return EisSpec(even_value=1, odd_value=0)
+    return EisSpec(even_value=None, odd_value=None)
 
 
-def epsilon_k(field: FqField, k: int, h0: int = 1) -> int:
-    return -(field.q + 1) * h0 if k == 0 else 0
+def epsilon_k(field: FqField, k: int) -> int:
+    """-(q + 1) h0 at k = 0 and 0 otherwise, where h0 = 1 for every preset
+    (full determinant image)."""
+    return -(field.q + 1) if k == 0 else 0
 
 
 class TraceResult(NamedTuple):
@@ -360,20 +361,17 @@ def trace(
     field: FqField,
     H: cv.LevelStructureSpec,
     k: int,
-    eis: Optional[EisSpec] = None,
 ) -> TraceResult:
     """Tr(F_q | S[H, k+2]) = -eis_k - epsilon_k - I(k), exact.
 
     When eis is unknown for the parity of k the raw interior sum is returned
     with the interior_only flag set.
     """
-    if eis is None:
-        eis = eis_for(H)
     interior = trace_interior(field, H, k)
-    e = eis.value(k)
+    e = eis_for(H).value(k)
     if e is None:
         return TraceResult(field.q, H.name, k + 2, interior, interior_only=True)
-    val = -e - epsilon_k(field, k, eis.h0) - interior
+    val = -e - epsilon_k(field, k) - interior
     return TraceResult(field.q, H.name, k + 2, val)
 
 
@@ -396,7 +394,6 @@ def split_trace(
     k: int,
     ell: int,
     s: int,
-    eis: Optional[EisSpec] = None,
 ) -> SplitTrace:
     """The interior sum split into its non-unit part N and unit part U mod ell^s.
 
@@ -448,12 +445,10 @@ def split_trace(
 
         n_part = part(~unit, n_coeffs)
         u_part = part(unit, f_values(q, m_ls_value(ell, s), k, mod))
-    if eis is None:
-        eis = eis_for(H)
-    e = eis.value(k)
+    e = eis_for(H).value(k)
     tr = None
     if e is not None:
-        tr = (-e - epsilon_k(field, k, eis.h0) - (n_part + u_part)) % mod
+        tr = (-e - epsilon_k(field, k) - (n_part + u_part)) % mod
     return SplitTrace(ell=ell, s=s, k=k, n_part=n_part, u_part=u_part, trace_mod=tr)
 
 

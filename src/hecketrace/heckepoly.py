@@ -17,10 +17,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from hecketrace import curves as cv
 from hecketrace import elltrace as et
-from hecketrace.ffield import BudgetError, InvariantError, fq_construct, is_prime
-
-# dim 4 already needs point data over F_{p^8}
-MAX_DIM = 4
+from hecketrace.ffield import InvariantError, field_budget_check, fq_construct, is_prime
 
 
 def dim_level1(weight: int) -> int:
@@ -54,8 +51,7 @@ def charpoly_Tp(
     if not is_prime(p):
         raise ValueError("p must be prime")
     d = dim_level1(weight)
-    if d > MAX_DIM:
-        raise BudgetError(f"dimension {d} exceeds the degree budget {MAX_DIM}")
+    field_budget_check(p, 2 * d, max_field_size)  # the power sums reach F_{p^2d}
     if d == 0:
         return HeckeCharPoly(p=p, weight=weight, poly=(1,))
     k = weight - 2
@@ -109,6 +105,6 @@ def poly_mod(poly: Sequence[int], p: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def slope0_mult(p: int, weight: int, max_field_size: Optional[int] = None) -> int:
+def slope0_mult(p: int, weight: int) -> int:
     """Multiplicity of unit eigenvalues: the degree of the charpoly mod p."""
-    return len(poly_mod(charpoly_Tp(p, weight, max_field_size).poly, p)) - 1
+    return len(poly_mod(charpoly_Tp(p, weight).poly, p)) - 1

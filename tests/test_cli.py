@@ -381,6 +381,8 @@ def test_dr_verify_period(capsys):
      "0913d34bae1b6c3f6f183738c0c65ed266a661d1a4d91c9b03895b056e0f4b2f"),
     ("--q 3 --P T --ell T+1 --s 2",
      "b8c7cd5388d488abbfd2f27a652f6a170021cdbf0aec0225a4d7b808ccad49a4"),
+    ("--q 5 --P T^2+2 --n 2 --ell T+1 --s 3 --format json",
+     "691b8aae69f860be0804e7e76e30264d7c4de829dd9a1166e8d6df79d75cc200"),
 ])
 def test_dr_verify_period_prints_the_same_bytes(capsys, args, digest):
     code, out, _ = _run(capsys, ["dr", "verify-period", *args.split()])
@@ -523,9 +525,10 @@ def test_failed_invariant_exits_3(flags, capsys):
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
     assert res.returncode == 3 and res.stdout == "", res.stderr
     assert res.stderr.splitlines()[1:] == ["error: invariant failed: Frobenius relation re-substitution failed"]
-    code, out, err = _run(capsys, ["ell", "hecke-poly", "--p", "2", "--weight", "96"])
+    code, out, err = _run(capsys, ["ell", "hecke-poly", "--p", "5", "--weight", "72"])
     assert code == 2 and out == ""
-    assert err.splitlines()[1:] == ["error: dimension 8 exceeds the degree budget 4"]
+    assert err.splitlines()[1:] == [
+        "error: requested size 5^12 exceeds max_field_size=1048576; raise it with --max-field-size"]
 
 
 # no modulus passes the irreducibility test, so building F_9 fails its
@@ -675,6 +678,17 @@ def test_no_src_module_imports_dataclasses():
         or isinstance(n, ast.ImportFrom) and n.module == "dataclasses"
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["dr", "enumerate", "--q", "3", "--P", "+"],
+    ["dr", "enumerate", "--q", "3", "--P", "++"],
+    ["dr", "verify-period", "--q", "3", "--P", "T", "--ell", "+"],
+])
+def test_polynomial_without_terms_is_rejected(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[1:] == [f"error: no terms in {argv[-1]!r}"]
 
 
 def test_usage_and_value_errors(capsys):

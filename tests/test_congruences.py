@@ -410,6 +410,29 @@ def test_period_table():
         assert not spec.shift_applied
 
 
+def test_period_is_even_for_every_preset():
+    # verify_periodicity compares interior sums alone: over an even period the
+    # boundary terms cancel, so a level structure with an odd period fails here
+    from hecketrace import curves
+    from hecketrace.ffield import is_prime, prime_power_decompose
+
+    ells = [ell for ell in range(2, 40) if is_prime(ell)]
+    for q in range(2, 257):
+        try:
+            pp = prime_power_decompose(q)
+        except ValueError:
+            continue
+        field = fq_construct(pp.p, pp.a)
+        for H in (curves.LEVEL1, curves.GAMMA0_2, curves.GAMMA1_4):
+            if math.gcd(H.N, q) != 1:
+                continue
+            for ell in ells:
+                nu = curves.nu_ell(H, field, ell)
+                for s in range(1, 5):
+                    spec = period_for(ell, s, q, representable=H.representable, nu=nu)
+                    assert spec.n % 2 == 0, (q, H.name, ell, s, spec.n)
+
+
 def test_period_with_level_shift():
     # non-representable level data moves s inside the period formula only
     spec = period_for(2, 1, 3, representable=False, nu=0)

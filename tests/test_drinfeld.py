@@ -706,7 +706,8 @@ def test_verify_period_certificates():
 
 # (field, P, n, lpoly, s): characteristic 2, a degree-2 base field, lpoly = P
 # (where wp = 0 mod lpoly), an lpoly of degree 2, s up to 5, n = 2, and
-# keys (a mod lpoly^s, b) whose count is 0 mod p (36 of the 100 at F_5)
+# keys (a mod lpoly^s, b) whose count is 0 mod p (36 of the 100 at F_5),
+# and 292 rows with s = 3 at F_5, P = T^2 + 2, n = 2
 _SPLIT_GRID = [
     (F2, (0, 1), 1, (0, 1), 3),
     (F2, (1, 1), 2, (0, 1), 2),
@@ -719,6 +720,7 @@ _SPLIT_GRID = [
     (F3, (0, 1), 2, (1, 1), 4),
     (F5, (0, 1), 1, (0, 1), 2),
     (F5, (2, 0, 1), 2, (1, 1), 2),
+    (F5, (2, 0, 1), 2, (1, 1), 3),
 ]
 
 
@@ -768,6 +770,24 @@ def test_verify_period_enumerates_and_builds_rows_once(monkeypatch):
     _, records, ok = dr.verify_period_ff(pp, _poly(F3, (0, 1)), 1, 1, kmin=0, kmax=5)
     assert ok and len(records) == 6
     assert calls == {"enumerate_classes": 1, "_rows": 1}
+
+
+@pytest.mark.parametrize("shift, fails", [(1, 566), (-1, 574)])
+def test_split_certificate_fails_on_a_wrong_unit_exponent(monkeypatch, shift, fails):
+    # the unit part reads a^(2m) = 1; with m_ls off by one the split no
+    # longer reassembles the trace, while the period check is untouched
+    real = dr.dperiod_for
+
+    def wrong(*args):
+        spec = real(*args)
+        return spec._replace(m_ls=spec.m_ls + shift)
+
+    monkeypatch.setattr(dr, "dperiod_for", wrong)
+    pp = _params(F5, (0, 1), 1)
+    _, records, ok = dr.verify_period_ff(pp, _poly(F5, (1, 1)), 2, 1)
+    assert not ok and len(records) == 1201
+    assert sum(not r["split_ok"] for r in records) == fails
+    assert all(r["ok"] for r in records)
 
 
 def test_minimal_period_is_attained():
@@ -910,7 +930,7 @@ def test_unit_group_exponent_examples():
         dr.unit_group_exponent(_poly(F3, (2, 0, 1)), 1)
     with pytest.raises(ValueError):
         dr.unit_group_exponent(T3, 0)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="residue count 6561 exceeds the enumeration cap 4096$"):
         dr.unit_group_exponent(_poly(F3, (1, 0, 1)), 4)  # 3^8 residues
 
 

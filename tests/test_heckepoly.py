@@ -35,8 +35,8 @@ def test_charpoly_weight12_is_tau_line():
 
 
 ORACLE_GRID = [
-    (2, 12), (2, 16), (2, 24), (2, 26), (2, 48),
-    (3, 12), (3, 16), (3, 22), (3, 36), (3, 48),
+    (2, 12), (2, 16), (2, 24), (2, 26), (2, 48), (2, 96),
+    (3, 12), (3, 16), (3, 22), (3, 36), (3, 48), (3, 72),
     (5, 12), (5, 16), (5, 24), (5, 36),
     (7, 12), (7, 24),
     (11, 12),
@@ -52,7 +52,7 @@ def test_charpoly_guards():
     with pytest.raises(ValueError):
         hp.charpoly_Tp(4, 12)
     with pytest.raises(BudgetError):
-        hp.charpoly_Tp(5, 64)  # dim 5
+        hp.charpoly_Tp(5, 64)  # dim 5: the power sums need F_{5^10}
 
 
 _CORRUPT_POWER_SUM = """
