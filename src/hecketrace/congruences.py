@@ -41,10 +41,9 @@ def is_square_mod_2s(q: int, s: int) -> bool:
 # of j mod m, where the class is anchored at floor(k/2) - r
 
 
-def f_values(q: int, m: int, k: int, modulus: Optional[int] = None) -> List[int]:
+def f_values(q: int, m: int, k: int) -> List[int]:
     """The f family of weight k for every residue r mod m: entry r is the sum
-    of binom(k-j, j) (-q)^j over the j <= k//2 with k//2 - j = r mod m,
-    reduced mod modulus when one is given.
+    of binom(k-j, j) (-q)^j over the j <= k//2 with k//2 - j = r mod m.
 
     One pass over j adds each term into its bucket, stepping the binomial by
     binom(k-j, j) = binom(k-j+2, j-1) (k-2j+2)(k-2j+1) / (j (k-j+1)). As
@@ -57,9 +56,9 @@ def f_values(q: int, m: int, k: int, modulus: Optional[int] = None) -> List[int]
     for j in range(half + 1):
         if j:
             c = c * (k - 2 * j + 2) * (k - 2 * j + 1) // (j * (k - j + 1))
-            x = -x * q if modulus is None else -x * q % modulus
+            x = -x * q
         out[(half - j) % m] += c * x
-    return out if modulus is None else [v % modulus for v in out]
+    return out
 
 
 def f_denominator(q: int, m: int) -> List[int]:

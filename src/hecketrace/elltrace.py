@@ -9,9 +9,9 @@ denominators and pairs a1 with -a1, since c_k(-a) = (-1)^k c_k(a): the
 recurrence runs over b = |a1| only, with the weights w(b) + w(-b) at even k
 and w(b) - w(-b) at odd k. `_fold` runs that recurrence for every k up to a
 bound: exactly on Python ints one k at a time, or modulo M = ell^s * D on the
-classes collapsed by b mod M, a block of k at a time (`_fold_blocks`);
-`_fold_at` reaches one k by Lucas doubling in O(log k) steps. All divide by
-D at the end.
+classes collapsed by b mod M, a block of k at a time (`_fold_blocks`).
+`_lucas` reaches one k by Lucas doubling in O(log k) steps, exactly for
+`_fold_at` and mod M for `split_trace`. All divide by D at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from hecketrace import curves as cv
-from hecketrace.ffield import FqField, InvariantError, Record, is_prime, unlimited_int_digits
+from hecketrace.ffield import (DEFAULT_MAX_FIELD_SIZE, BudgetError, FqField, InvariantError, Record,
+                               fq_construct, is_prime, unlimited_int_digits)
 
 MassData = List[Tuple[int, Fraction]]
 
@@ -68,7 +69,7 @@ def _paired(data: MassData, modulus: Optional[int] = None):
     at level 1 in odd characteristic. Modulo M the classes are keyed by
     |a1| mod M, since c_k(b) mod M depends only on b mod M, so at most M rows
     remain. The arrays are int64 when M meets the bound 2 (M - 1)^2 < 2^63
-    that `_fold_blocks` and the Horner steps of `split_trace` need there,
+    that `_fold_blocks` and the reduced products of `_lucas` need there,
     else Python ints.
     """
     D = math.lcm(*(m.denominator for _, m in data))
@@ -181,25 +182,30 @@ def _fold(data: MassData, q: int, max_k: int, modulus: Optional[int] = None) -> 
     return [_unscale(s, D, k) for k, s in enumerate(sums)]
 
 
-def _fold_at(data: MassData, q: int, k: int) -> int:
-    """S_k alone, exact, without S_0..S_{k-1}.
+def _lucas(b: np.ndarray, q: int, k: int, M: Optional[int] = None) -> np.ndarray:
+    """c_k(b) = U_{k+1}(b, q) on every row of b, exact, or mod M with b and q
+    in [0, M): the Lucas sequence with P = b and Q = q, doubled along the bits
+    of k + 1 from (U_1, U_2) = (1, b) by U_{2n} = U_n (2 U_{n+1} - b U_n),
+    U_{2n+1} = U_{n+1}^2 - q U_n^2 and U_{n+2} = b U_{n+1} - q U_n. Mod M every
+    factor is reduced into [0, M) before each product, so no product passes
+    (M - 1)^2 and a difference of two stays in `_paired`'s int64 bound."""
+    red = (lambda x: x) if M is None else (lambda x: x % M)
+    u, v = np.ones_like(b), b.copy()  # (U_n, U_{n+1}) at n = 1
+    for bit in bin(k + 1)[3:]:
+        u, v = red(u * red(2 * v - red(b * u))), red(v * v - q * red(u * u))
+        if bit == "1":
+            u, v = v, red(b * v - q * u)
+    return u
 
-    c_k(a) = U_{k+1}(a, q), the Lucas sequence with P = a and Q = q, so
-    O(log k) doubling steps on the paired classes reach it:
-    U_{2n} = U_n (2 U_{n+1} - a U_n), U_{2n+1} = U_{n+1}^2 - q U_n^2 and
-    U_{n+2} = a U_{n+1} - q U_n, from (U_1, U_2) = (1, a) along the bits of
-    k + 1. One dot product with the paired weights of k's parity follows.
-    """
+
+def _fold_at(data: MassData, q: int, k: int) -> int:
+    """S_k alone, exact, without S_0..S_{k-1}: `_lucas` on the paired
+    classes, then one dot product with the paired weights of k's parity."""
     D, _, b, even, odd = _paired(data)
     w = odd if k % 2 else even
     if w is None:
         return 0
-    u, v = np.ones_like(b), b.copy()  # (U_n, U_{n+1}) at n = 1
-    for bit in bin(k + 1)[3:]:
-        u, v = u * (2 * v - b * u), v * v - q * (u * u)
-        if bit == "1":
-            u, v = v, b * v - q * u
-    return _unscale(int(w @ u), D, k)
+    return _unscale(int(w @ _lucas(b, q, k)), D, k)
 
 
 def _cache_path(cache_dir: str, field: FqField, H) -> str:
@@ -397,20 +403,15 @@ def split_trace(
 ) -> SplitTrace:
     """The interior sum split into its non-unit part N and unit part U mod ell^s.
 
-    c_k(a) = sum_j binom(k-j, j) (-q)^j a^(k-2j) has k's parity delta in a,
-    so each part is a small polynomial in a^2 times a^delta, evaluated by
-    Horner on the paired rows b = |a1| mod ell^s * D of `_paired`. N, on the
-    rows with ell | b, keeps the degrees 2j + delta < s, as a1^s = 0 mod
-    ell^s. U, on the other rows, folds the degrees through a1^(2m) = 1 mod
-    ell^s, m = m_ls_value(ell, s): the term of j lands on a^(2r+delta) with
-    r = k//2 - j mod m, so U's coefficient of a^(2r+delta) is the f family
-    member `f_values(q, m, k)[r]`. Each part is the weighted sum of its rows
-    times D^-1 mod ell^s, and N + U = I(k) mod ell^s. The fold's m holds for
-    a prime ell only, so a composite ell is refused.
+    One `_lucas` call gives c_k mod M = ell^s * D on the paired rows b of
+    `_paired`, times the weights of k's parity. N sums the rows with ell | b
+    and U the others, each times D^-1 mod ell^s, so N + U = I(k) mod ell^s.
+    The paper's lemma writes N with the a1-degrees below s, as a1^s = 0 mod
+    ell^s there, and U folded by a1^(2m) = 1 mod ell^s, by Euler's theorem
+    for m = m_ls_value(ell, s). Each reduction holds on the rows it is applied
+    to, so the lemma's polynomials equal c_k there mod ell^s; no m is read.
+    ell | b marks the non-units for a prime ell only: a composite is refused.
     """
-    # imported at its one use, so that other elltrace jobs skip compiling it
-    from hecketrace.congruences import f_values, m_ls_value
-
     if not is_prime(ell):
         raise ValueError("ell must be prime")
     if s < 1:
@@ -427,24 +428,12 @@ def split_trace(
             f"automorphism weight 1/{den} is not invertible mod "
             f"{ell}; the split needs ell >= 5 or a representable structure"
         )
-    delta, half, q = k % 2, k // 2, field.q % mod
-    w = odd if delta else even
+    w = odd if k % 2 else even
     n_part = u_part = 0
     if w is not None:
-        n_coeffs = [math.comb(half + delta + j, 2 * j + delta) * pow(-q, half - j, mod) % mod
-                    for j in range((s - 1 - delta) // 2 + 1)]
-        wb = w * b % M if delta else w  # the factor b^delta of both polynomials
-        b2 = b * b % M
+        c = w * _lucas(b, field.q % M, k, M) % M
         unit = b % ell != 0
-
-        def part(rows: np.ndarray, coeffs: List[int]) -> int:
-            x, acc = b2[rows], np.zeros_like(b2[rows])
-            for c in reversed(coeffs):
-                acc = (acc * x + c) % M
-            return int((wb[rows] * acc % M).sum()) * pow(D, -1, mod) % mod
-
-        n_part = part(~unit, n_coeffs)
-        u_part = part(unit, f_values(q, m_ls_value(ell, s), k, mod))
+        n_part, u_part = (int(c[rows].sum()) * pow(D, -1, mod) % mod for rows in (~unit, unit))
     e = eis_for(H).value(k)
     tr = None
     if e is not None:
@@ -510,12 +499,12 @@ def nonunit_mass(field: FqField, ell: int) -> Fraction:
 def class_number_identity_sides(p: int, ell: int = 11) -> Tuple[Fraction, Fraction]:
     """Both sides of the mass identity for the non-unit locus over F_p:
     mass = H(-4p)/2 + sum_{i >= 1} H((ell i)^2 - 4p)."""
-    from hecketrace.ffield import fq_construct
-
     if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5")
     if ell < 2:
         raise ValueError(f"--ell must be >= 2, not {ell}")
+    if p > DEFAULT_MAX_FIELD_SIZE:
+        raise BudgetError(f"p={p} exceeds the class-number cap {DEFAULT_MAX_FIELD_SIZE}")
     field = fq_construct(p, 1)
     lhs = nonunit_mass(field, ell)
     rhs = Fraction(kronecker_H(-4 * p), 2)

@@ -306,9 +306,10 @@ def fraction_mod(x: Fraction, m: int) -> int:
 
 def ell_split_parts(field: "FqField", H: "LevelStructureSpec", k: int, ell: int,
                     s: int) -> Tuple[int, int]:
-    """(N, U) of the elliptic split mod ell^s one class at a time: the
-    reference for the two-polynomial hecketrace.elltrace.split_trace, with
-    its guards and their messages.
+    """(N, U) of the elliptic split mod ell^s one class at a time, from the
+    lemma's two polynomials: the reference for hecketrace.elltrace.split_trace,
+    which evaluates c_k itself on the paired rows, and for its guards and
+    their messages.
 
     N sums, over the classes with ell | a1, m * the terms of c_k(a1) of
     a1-degree below s; U sums, over the other classes, m * sum_r

@@ -253,6 +253,14 @@ def test_ell_class_number(capsys):
     assert doc["lhs"] == doc["rhs"] == "10/3" and doc["pass"]
 
 
+def test_ell_class_number_refuses_p_past_its_cap(capsys):
+    # the refusal named --max-field-size, which the command rejects
+    code, out, err = _run(capsys, ["ell", "class-number", "--p", "1048583"])
+    assert code == 2 and out == ""
+    assert "error: p=1048583 exceeds the class-number cap 1048576" in err
+    assert "--max-field-size" not in err and "Traceback" not in err
+
+
 def test_ell_class_number_needs_ell_of_at_least_two(capsys):
     # --ell 0 stopped on a modulo by zero
     for ell in ("0", "1", "-3"):
@@ -391,8 +399,9 @@ def test_dr_verify_period_prints_the_same_bytes(capsys, args, digest):
 
 
 # sha256 of the stdout bytes of `ell split` (the nPart / uPart certificate,
-# csv with every odd weight 0, s far past the a1-degrees), of `ell
-# class-number` (the non-unit mass) and of both selftest suites
+# csv with every odd weight 0, s far past the a1-degrees, a large ell on
+# int64 rows (M = 2 * 1009^2), far weights), of `ell class-number` (the
+# non-unit mass) and of both selftest suites
 @pytest.mark.parametrize("args, digest", [
     ("ell split --q 13 --weight 12 --ell 5 --level gamma0-2",
      "c1d3fa784886b1f9a1f85699cd348b492404a8eb886ef1323a700792d9f19754"),
@@ -406,6 +415,14 @@ def test_dr_verify_period_prints_the_same_bytes(capsys, args, digest):
      "239e2fa380f4abedf3eea78239ccd65c1cd2bd0ab6eb57f379cb899a1fd1a5a5"),
     ("ell split --q 13 --weight 200 --ell 5 --s 7",
      "872aefe94fb83458d6054de28749ce6c30b6c6725221d7c2f2638e1f675e43ff"),
+    ("ell split --q 10007 --weight 800 --ell 1009 --s 2",
+     "af681f85fd3d0b66021734c463070a5070e2dc0c1630df8c17da9f3ffb72e38c"),
+    ("ell split --q 13 --weight 300000 --ell 5 --s 3",
+     "7ea28c1d3e58244b3c369c6d2c7c593e70a36c89f438f7c3130aa1e518ee9536"),
+    ("ell split --q 13 --weight 1000000 --ell 5 --s 3",
+     "0f05b4c8593b8b5c4c0199306b7b3f8ac29cdf70c0aca75c2b9bacaf3180cc02"),
+    ("ell split --q 13 --weight 100000 --ell 5 --s 8",
+     "ccb8bc42eab42dea6ac57e29a5de145b43ac5f0b9f093d82a6dd88bcd9753e0e"),
     ("ell class-number --p 100003",
      "971f60d879bfe369dba1611d59485c310e947be805f7046d42b7f05dd30f9470"),
     ("selftest lemmas --trials 2",
@@ -759,7 +776,8 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("hecketrace") or m 
          {"hecketrace.congruences", "hecketrace.drinfeld", "hecketrace.heckepoly",
           "hecketrace.selftest", "numpy.ma"}),
         (["ell", "split", "--q", "101", "--weight", "12", "--ell", "5"],
-         {"hecketrace.drinfeld", "hecketrace.heckepoly", "hecketrace.selftest"}),
+         {"hecketrace.congruences", "hecketrace.drinfeld", "hecketrace.heckepoly",
+          "hecketrace.selftest"}),
         (["dr", "enumerate", "--q", "5", "--P", "T^3+T+1"],
          {"hecketrace.congruences", "hecketrace.curves", "hecketrace.elltrace",
           "hecketrace.heckepoly", "hecketrace.selftest"}),

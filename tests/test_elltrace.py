@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hecketrace import congruences as cg
 from hecketrace import curves as cv
 from hecketrace import elltrace as et
 from hecketrace.ffield import InvariantError, fq_construct, prime_power_decompose
@@ -377,7 +378,7 @@ def _split_or_error(fn, *args):
 
 
 def test_split_trace_matches_class_oracle():
-    # the two polynomials on the paired rows against the per-class split,
+    # c_k on the paired rows against the lemma's two polynomials per class,
     # every level, and the same ValueError message wherever the oracle raises
     grid = [(cv.LEVEL1, (4, 7, 13), (2, 3, 5, 7)), (cv.GAMMA0_2, (7, 9), (2, 3, 5)),
             (cv.GAMMA1_4, (5, 9, 13), (2, 3, 5))]
@@ -406,12 +407,25 @@ def test_split_trace_matches_class_oracle():
 
 @pytest.mark.parametrize("q, k, ell, s", [(13, 198, 5, 7), (13, 1998, 5, 1000)])
 def test_split_trace_rejoins_far_s(q, k, ell, s):
-    # m = 2 * 5^(s-1) is far past k//2 + 1, so only the first k//2 + 1 residues
-    # carry terms; at s = 1000, N keeps the 500 a1-degrees below s
+    # large s: the rows of `_paired` mod 5^7 * D are int64, and mod
+    # 5^1000 * D they are Python ints
     F = fq_construct(q, 1)
     st = et.split_trace(F, cv.LEVEL1, k, ell, s)
     interior = et.interior_sequence_mod(F, cv.LEVEL1, k, ell**s)
     assert (st.n_part + st.u_part) % ell**s == interior[k]
+
+
+@pytest.mark.parametrize("q, ell, s, H, n", [
+    (13, 5, 3, cv.LEVEL1, 600), (10007, 7, 2, cv.LEVEL1, 1176),
+    (13, 5, 2, cv.GAMMA1_4, 120), (31, 5, 2, cv.GAMMA0_2, 300),
+])
+def test_split_parts_are_periodic_at_far_weights(q, ell, s, H, n):
+    # the paper's theorem for each part, at weights near 10^6
+    F = fq_construct(q, 1)
+    assert cg.period_for(ell, s, q, representable=H.representable).n == n
+    for k in (999998, 999999, 10**6 + 3):
+        parts = {et.split_trace(F, H, k + t * n, ell, s)[3:] for t in (0, 1, 1000)}
+        assert len(parts) == 1, (q, H.name, k, parts)
 
 
 def test_split_trace_guards():
