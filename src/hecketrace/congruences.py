@@ -273,8 +273,9 @@ def verify_periodicity(
     """Check the weight periodicity of Frobenius traces mod ell^s.
 
     Returns the resolved PeriodSpec, one record per weight k compared, and an
-    overall pass flag. The period is even for every preset level structure,
-    so the boundary terms cancel and the interior sums are compared directly.
+    overall pass flag; a window reaching below the floor k0 is an error. The
+    period is even for every preset level structure, so the boundary terms
+    cancel and the interior sums are compared directly.
     """
     from hecketrace import curves, elltrace
 
@@ -283,7 +284,10 @@ def verify_periodicity(
     if not H.representable and ell in (2, 3):
         nu = curves.nu_ell(H, field, ell)
     spec = period_for(ell, s, q, representable=H.representable, nu=nu)
-    kmin = spec.k0 if kmin is None else max(kmin, spec.k0)
+    if kmin is None:
+        kmin = spec.k0
+    if kmin < spec.k0:
+        raise ValueError(f"window starts at {kmin}, below the floor k0={spec.k0}")
     if kmax is None:
         kmax = spec.k0 + 2 * spec.n
     if kmax < kmin:

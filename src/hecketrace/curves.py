@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 import numpy as np
 
-from hecketrace.ffield import FqField, InvariantError
+from hecketrace.ffield import FqField, InvariantError, _retired
 
 
 # entries of one (curves x q) block of frobenius_traces, so that it does not
@@ -377,19 +377,10 @@ def deuring_route_masses(field: FqField, H: LevelStructureSpec) -> List[Tuple[in
 
 
 # ---------------------------------------------------------------------------
-# retired routes. The per-curve family loop and the full classification are
-# differential oracles in tests/oracles.py; these names remain only because
-# perfbench/traced.py looks them up to install its timing wrappers.
+# retired routes: the per-curve family loop and the full classification are
+# differential oracles in tests/oracles.py
 
 
-def _retired(name: str):
-    def route(*args, **kwargs):
-        raise NotImplementedError(f"curves.{name} is retired; tests/oracles.py keeps it")
-
-    route.__name__ = route.__qualname__ = name
-    return route
-
-
-family_route_masses = _retired("family_route_masses")
-class_route_masses = _retired("class_route_masses")
-iso_classes = _retired("iso_classes")
+family_route_masses = _retired("curves.family_route_masses")
+class_route_masses = _retired("curves.class_route_masses")
+iso_classes = _retired("curves.iso_classes")

@@ -17,16 +17,17 @@ through its Frobenius data (a, b), and both steps run on int64 code arrays:
   autOrder, orbit size and the Frobenius data a (T-digits) and b; only
   `dr enumerate` decodes them;
 - `_rows` sums the table into weighted (a, b) rows, once per job, and the
-  caller hands them to `_h_kernel`, which runs the recurrence
-  h_k = a h_{k-1} - b wp h_{k-2} and folds each h_k into the requested
-  types, and to `_split_parts`.
+  caller hands them, or a subset of them, to `_h_kernel`, which runs the
+  recurrence h_k = a h_{k-1} - b wp h_{k-2} and folds each h_k into the
+  requested types.
 
 Together they give the exact traces of the Hecke operator at wp = P^n in
 F_q[T], their residues mod powers of a prime l of F_q[T] (which certify
-weight periodicity), and, with the b wp term dropped, the [c_{k,l}] moment
-tables.  One `ResidueRing` serves every quotient ring on code arrays:
-F_q[T]/l^s for the periods and the split parts, F_q[T]/l for the unit
-filter of the exponent check, and L[x]/(u1) for the torsion oracle.  It and
+weight periodicity) and the split of those residues into the parts over
+a = 0 mod l and over the units.  One `ResidueRing` serves every quotient
+ring on code arrays: F_q[T]/l^s for the periods and the split check,
+F_q[T]/l for the split's zero rows and the unit filter of the exponent
+check, and L[x]/(u1) for the torsion oracle.  It and
 `_mul_add` stay apart from the scalar kernel behind `FqPoly`: they pay a
 numpy call per digit, which pays off across hundreds of rows and not on
 one polynomial.
@@ -45,6 +46,7 @@ from hecketrace.ffield import (
     FqField,
     InvariantError,
     Record,
+    _retired,
     embed,
     factorize,
     fq_construct,
@@ -76,7 +78,10 @@ def s_tilde(p: int, s: int) -> int:
 
 def _fold_add(field: FqField, arr: np.ndarray) -> np.ndarray:
     """Sum of code arrays along axis 0: integers mod p in a prime field, XOR
-    for p = 2, and otherwise a tree of Zech additions."""
+    for p = 2, and otherwise a tree of Zech additions.  An empty axis sums
+    to zeros."""
+    if not len(arr):
+        return np.zeros(arr.shape[1:], dtype=np.int64)
     if field.a == 1:
         return arr.sum(axis=0) % field.p
     if field.p == 2:
@@ -490,16 +495,6 @@ def _frobenius_batch(
     return a, b
 
 
-def frobenius_poly(pair, params: DrinfeldParams) -> Tuple[FqPoly, FqElem]:
-    """(a, b) with tau^{2m} + b phi_{wp} = phi_a tau^m for the module given
-    by the pair (g, delta): `_frobenius_batch` and its checks on one row."""
-    g, delta = pair
-    if delta.is_zero():
-        raise ValueError("delta must be nonzero")
-    a, b = _frobenius_batch(params, np.array([g.code]), np.array([delta.code]))
-    return fq_poly_from_codes(params.base, a[0].tolist()), params.base.decode(int(b[0]))
-
-
 def enumerate_classes(params: DrinfeldParams) -> ClassTable:
     """All twist-orbit representatives of (g, delta) in L x L^*, lex-least.
 
@@ -657,7 +652,6 @@ def _h_kernel(
     kmax: int,
     types: Sequence[int],
     ring: Optional["ResidueRing"] = None,
-    moments: bool = False,
 ) -> Iterator[np.ndarray]:
     """Yield, for k = 0..kmax, the codes of trace(k, l) for every l in types.
 
@@ -673,15 +667,13 @@ def _h_kernel(
     h_k is trimmed to its degree after each step, and a degree past
     floor(k m / 2) raises InvariantError.  With `ring` the rows must key on
     a mod its modulus, and every step is reduced to width deg(modulus).
-    `moments` drops the b wp term and the sign, which gives
-    [c_{k,l}] = sum a^k b^{l-k-1} / autOrder.
     """
     base, q = params.base, params.q
     a, b, scales = rows
     wp = np.array(params.wp.codes(), dtype=np.int64)
     if ring is not None:
         wp = ring.reduce(wp)
-    w = np.zeros((len(b), 1), dtype=np.int64) if moments else _trim_columns(_neg_b_wp(params, b, wp))
+    w = _trim_columns(_neg_b_wp(params, b, wp))
     lres = np.array([l - 1 for l in types], dtype=np.int64)
     neg_one = np.int64(base.coerce(-1).code)
     h_prev = np.zeros((len(b), 1), dtype=np.int64)
@@ -701,7 +693,7 @@ def _h_kernel(
             h_prev, h = h, h_next
         terms = base.v_mul(scales[(lres - k) % (q - 1)][:, :, None], h[None, :, :])
         row = _fold_add(base, np.moveaxis(terms, 1, 0))
-        yield row if moments else base.v_mul(row, neg_one)
+        yield base.v_mul(row, neg_one)
 
 
 def _code_degrees(rows: np.ndarray) -> np.ndarray:
@@ -709,19 +701,6 @@ def _code_degrees(rows: np.ndarray) -> np.ndarray:
     nz = rows != 0
     top = rows.shape[-1] - 1 - np.argmax(nz[..., ::-1], axis=-1)
     return np.where(nz.any(axis=-1), top, -1)
-
-
-def cl_table(params: DrinfeldParams, max_k: int) -> List[List[FqPoly]]:
-    """[c_{k,l}] = sum over classes of a^k b^{l-k-1}/autOrder, for k <= max_k.
-
-    Entries are exact elements of F_q[T], indexed [k][(l-1) mod (q-1)]: the
-    moments case of `_h_kernel` (h_k = a^k, no sign) on the exact rows.
-    """
-    base = params.base
-    return [
-        [fq_poly_from_codes(base, r) for r in rows.tolist()]
-        for rows in _h_kernel(params, _rows(params), max_k, range(1, params.q), moments=True)
-    ]
 
 
 def trace_Tpn(params: DrinfeldParams, k: int, l: int) -> FqPoly:
@@ -735,6 +714,12 @@ def trace_Tpn(params: DrinfeldParams, k: int, l: int) -> FqPoly:
     for rows in _h_kernel(params, _rows(params), k, (l,)):
         pass
     return fq_poly_from_codes(params.base, rows[0].tolist())
+
+
+# retired: the [c_{k,l}] moment tables are an oracle in tests/oracles.py, and
+# the Frobenius data of one module are a row of `_frobenius_batch`
+cl_table = _retired("drinfeld.cl_table")
+frobenius_poly = _retired("drinfeld.frobenius_poly")
 
 
 # ---------------------------------------------------------------------------
@@ -969,63 +954,6 @@ def dperiod_for(params: DrinfeldParams, lpoly: FqPoly, s: int) -> DPeriodSpec:
     return DPeriodSpec(lpoly, s, st, m_ls, case, period, k0)
 
 
-def _split_parts(
-    params: DrinfeldParams,
-    spec: DPeriodSpec,
-    ring: ResidueRing,
-    rows: Tuple[np.ndarray, ...],
-    l: int,
-    kmin: int,
-    kmax: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-k values (N, U) of the zero-trace / unit-trace split, mod lpoly^s.
-
-    Both parts read the given rows of `_rows`, keyed (a mod lpoly^s, b), and
-    run one recurrence.  As b lies in F_q^*, h_k b^f is the sum of
-    binom(k-j, j) a^(k-2j) (-wp)^j b^(j+f), so h_k runs once on polynomials
-    in a symbolic a with b's power kept as an index e mod (q-1):
-    H_k[e, i] sums binom(k-j, j) (-wp)^j over the j = e mod (q-1) whose
-    a-degree k - 2j lands in slot i.  N covers the rows with a = 0 mod
-    lpoly, where a^s = 0: slot i < s holds degree i and higher degrees drop.
-    U covers the units, where a^(2m) = 1: slot s + i holds the degrees
-    = i mod 2m.  Each step is H_k = a H_{k-1} + (-wp) H_{k-2} with e moved
-    up by one, and with f = (l-1-k) mod (q-1) and T[f, i] the sum over the
-    slot's part of weight b^f a^i,
-
-        N_k, U_k = sum over e and the slots below s, resp. from s on, of
-                   H_k[e, i] T[(f + e) mod (q-1), i].
-
-    Neither part inverts, so lpoly = P is fine.
-    """
-    base, q, s, m = params.base, params.q, spec.s, spec.m_ls
-    a, b, scales = rows
-    zero = ~ResidueRing(base, spec.lpoly.codes()).reduce(a).any(axis=1)
-    apow = [ring.ones(len(b))]  # a^i for i < 2m, and 2m >= s
-    for _ in range(2 * m - 1):
-        apow.append(ring.mul(apow[-1], a))
-    degree = np.r_[np.arange(s), np.arange(2 * m)]  # the a-degree of each slot
-    part = (np.arange(s + 2 * m) < s) == zero[:, None]
-    apow = np.where(part[..., None], np.stack(apow, axis=1)[:, degree], 0)
-    table = [_fold_add(base, base.v_mul(scales[f][:, None, None], apow)) for f in range(q - 1)]
-    table = np.stack(table + table)  # T[f, i], and f runs twice round
-    shift = np.r_[np.arange(-1, s - 1), s + (np.arange(2 * m) - 1) % (2 * m)]  # times a
-    bump = np.arange(-1, q - 2)  # times b
-    wp = np.array(params.wp.codes(), dtype=np.int64)
-    neg_wp = ring.reduce(_neg_b_wp(params, np.ones(1, dtype=np.int64), wp))
-    h_prev, h = ring.zeros(q - 1, s + 2 * m), ring.zeros(q - 1, s + 2 * m)
-    h[0, [0, s], 0] = 1
-    nvals, uvals = ring.zeros(kmax - kmin + 1), ring.zeros(kmax - kmin + 1)
-    for k in range(kmax + 1):
-        if k >= kmin:
-            f = (l - 1 - k) % (q - 1)
-            tot = _fold_add(base, ring.mul(h, table[f : f + q - 1]))
-            nvals[k - kmin], uvals[k - kmin] = _fold_add(base, tot[:s]), _fold_add(base, tot[s:])
-        up = h[:, shift]
-        up[:, 0] = 0
-        h_prev, h = h, base.v_add(up, ring.mul(h_prev[bump], neg_wp))
-    return nvals, uvals
-
-
 def verify_period_ff(
     params: DrinfeldParams,
     lpoly: FqPoly,
@@ -1037,10 +965,15 @@ def verify_period_ff(
 ) -> Tuple[DPeriodSpec, List[dict], bool]:
     """Check trace(k) = trace(k + period) mod lpoly^s over a k-window.
 
-    Also recomputes each window trace as -(N + U) from the split parts and
-    records that agreement.  Returns (spec, one record per k, overall flag);
-    a window reaching below the spec floor k0 is an error, and one whose
-    shifted end passes weight max_weight raises BudgetError.
+    Each trace is -(N + U), with N and U the sums of h_k weight b^f over the
+    rows keyed (a mod lpoly^s, b) with a = 0 mod lpoly and over the rest,
+    the units: `_h_kernel` folds each row set.  The split check tests the
+    lemma's two reductions on every row, a^s = 0 on the first set and
+    a^(2 m_ls) = 1 on the units, one flag that every record reports.  N and
+    U meet an independent recurrence only in the tests
+    (`oracles.split_parts`).  Returns (spec, one record per k, overall
+    flag); a window reaching below the spec floor k0 is an error, and one
+    whose shifted end passes weight max_weight raises BudgetError.
     """
     spec = dperiod_for(params, lpoly, s)
     if kmin is None:
@@ -1054,21 +987,27 @@ def verify_period_ff(
     weight_budget_check(kmax + spec.period + 2, max_weight)
     base = params.base
     ring = ResidueRing(base, (lpoly**s).codes())
-    rows = _rows(params, ring)
-    seq = np.stack([r[0] for r in _h_kernel(params, rows, kmax + spec.period, (l,), ring)])
-    nvals, uvals = _split_parts(params, spec, ring, rows, l, kmin, kmax)
-    resums = base.v_mul(base.v_add(nvals, uvals), np.int64(base.coerce(-1).code))
+    a, b, scales = _rows(params, ring)
+    zero = ~ResidueRing(base, lpoly.codes()).reduce(a).any(axis=1)
+    parts = [
+        np.stack([r[0] for r in _h_kernel(params, (a[rows], b[rows], scales[:, rows]),
+                                          kmax + spec.period, (l,), ring)])
+        for rows in (zero, ~zero)
+    ]
+    seq = base.v_add(*parts)
+    neg_one = np.int64(base.coerce(-1).code)
+    nvals, uvals = (base.v_mul(part[kmin : kmax + 1], neg_one) for part in parts)
+    split_ok = bool((ring.pow(a[zero], s) == 0).all()
+                    and (ring.pow(a[~zero], 2 * spec.m_ls) == ring.ones()).all())
     window, shifted = seq[kmin : kmax + 1], seq[kmin + spec.period : kmax + spec.period + 1]
     ok = (window == shifted).all(axis=1)
-    split_ok = (resums == window).all(axis=1)
-    cols = zip(window.tolist(), shifted.tolist(), ok.tolist(), nvals.tolist(), uvals.tolist(),
-               split_ok.tolist())
+    cols = zip(window.tolist(), shifted.tolist(), ok.tolist(), nvals.tolist(), uvals.tolist())
     records = [
         {"k": k, "trace": tuple(tr), "shifted": tuple(sh), "ok": o,
-         "n_part": tuple(nv), "u_part": tuple(uv), "split_ok": so}
-        for k, (tr, sh, o, nv, uv, so) in enumerate(cols, kmin)
+         "n_part": tuple(nv), "u_part": tuple(uv), "split_ok": split_ok}
+        for k, (tr, sh, o, nv, uv) in enumerate(cols, kmin)
     ]
-    return spec, records, bool(ok.all() and split_ok.all())
+    return spec, records, bool(ok.all()) and split_ok
 
 
 # ---------------------------------------------------------------------------

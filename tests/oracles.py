@@ -975,7 +975,8 @@ def h_kernel_per_class(
 
 # ---------------------------------------------------------------------------
 # the zero-trace / unit-trace split one b at a time: the reference for the
-# table-based hecketrace.drinfeld._split_parts
+# parts hecketrace.drinfeld.verify_period_ff folds with `_h_kernel` over the
+# rows with a = 0 mod lpoly and over the units
 
 
 def split_parts(

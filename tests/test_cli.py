@@ -176,11 +176,20 @@ def test_ell_verify_period_output_and_exit(capsys):
 
 
 def test_ell_verify_period_empty_window(capsys):
-    # kmin is raised to k0 = 0 first; the window [100, 50] then checks nothing
+    # k0 = 0 here, so kmin = 100 passes the floor; the window [100, 50] is empty
     code, out, err = _run(capsys, ["ell", "verify-period", "--q", "13", "--ell", "5",
                                    "--kmin", "100", "--kmax", "50"])
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == "error: empty window"
+
+
+def test_ell_verify_period_refuses_a_window_below_k0(capsys):
+    # k0 = 1 at s = 2: the window is refused, as in `dr verify-period`,
+    # rather than silently started at k0
+    code, out, err = _run(capsys, ["ell", "verify-period", "--q", "13", "--ell", "5", "--s", "2",
+                                   "--kmin", "0", "--kmax", "3"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: window starts at 0, below the floor k0=1"
 
 
 def test_ell_verify_period_budget_error(capsys):
@@ -391,6 +400,10 @@ def test_dr_verify_period(capsys):
      "b8c7cd5388d488abbfd2f27a652f6a170021cdbf0aec0225a4d7b808ccad49a4"),
     ("--q 5 --P T^2+2 --n 2 --ell T+1 --s 3 --format json",
      "691b8aae69f860be0804e7e76e30264d7c4de829dd9a1166e8d6df79d75cc200"),
+    ("--q 9 --P T --ell T+1 --format csv",
+     "a3c6c562099a09f1a4831084580f450a7ba5cd11e41973f5d669a6075088de27"),
+    ("--q 3 --P T --ell T^2+1 --s 2 --format json",
+     "94c628dffc8965668c196ec650c5ece87ca4ca14475eacd29adf2fbaef27d0ea"),
 ])
 def test_dr_verify_period_prints_the_same_bytes(capsys, args, digest):
     code, out, _ = _run(capsys, ["dr", "verify-period", *args.split()])

@@ -367,7 +367,7 @@ _ROW_GRID = [
 
 def _routes(pp, long_windows):
     """What every Drinfeld route that runs `_h_kernel` returns, for every
-    type: exact (the kernel itself, its moments, `trace_Tpn` and, with
+    type: exact (the kernel itself, `trace_Tpn` and, with
     long_windows, `verify_infty_period` and `ramanujan_check`) and mod
     (T + 1)^2 and mod P, where wp = 0 (`trace_sequence_mod`)."""
     types, rows = range(1, pp.q), dr._rows(pp)
@@ -375,7 +375,6 @@ def _routes(pp, long_windows):
     out = {
         # the exact kernel trims each h_k and the oracle keeps its final width
         "kernel": polys(dr._h_kernel(pp, rows, 12, types)),
-        "moments": polys(dr._h_kernel(pp, rows, 12, types, moments=True)),
         "trace_Tpn": [dr.trace_Tpn(pp, 9, l) for l in types],
     }
     for lpoly, s in ((_poly(pp.base, (1, 1)), 2), (pp.P, 1)):
@@ -414,24 +413,23 @@ def test_row_counts_at_F5():
         assert scales[0].all() and (scales[0] < pp.p).all()
 
 
-def test_frobenius_poly_accepts_bare_pair():
+def test_frobenius_batch_on_single_modules():
+    # (g, delta) = (1, 1) and (0, 1) over F_2 at P = T, one row each
     pp = _params(F2, (0, 1), 1)
-    a, b = dr.frobenius_poly((pp.L.one, pp.L.one), pp)
-    assert a == _poly(F2, (1,)) and b == F2.one
-    a, b = dr.frobenius_poly((pp.L.zero, pp.L.one), pp)
-    assert a.is_zero() and b == F2.one
-    with pytest.raises(ValueError):
-        dr.frobenius_poly((pp.L.one, pp.L.zero), pp)
+    one = np.array([pp.L.one.code])
+    a, b = dr._frobenius_batch(pp, one, one)
+    assert a.tolist() == [[1]] and b.tolist() == [1]
+    a, b = dr._frobenius_batch(pp, np.array([pp.L.zero.code]), one)
+    assert not a.any() and b.tolist() == [1]
 
 
-def test_frobenius_poly_scalar_square_case():
+def test_frobenius_batch_scalar_square_case():
     # gamma(T) = 0 and g = 0 make tau^m itself lie in the image of phi, as
     # phi_c = tau^m; the motive product needs no special case there and
     # gives the characteristic polynomial (X - c)^2, i.e. (2c, c^2/wp)
     pp = _params(F3, (0, 1), 2)
-    a, b = dr.frobenius_poly((pp.L.zero, pp.L.one), pp)
-    assert a == _poly(F3, (0, 2))
-    assert b == F3.one
+    a, b = dr._frobenius_batch(pp, np.array([pp.L.zero.code]), np.array([pp.L.one.code]))
+    assert a.tolist() == [[0, 2]] and b.tolist() == [1]
     t = dr.enumerate_classes(pp)
     assert ((t.g == 0) & (t.a[:, pp.m // 2] != 0)).any()
 
@@ -526,15 +524,20 @@ def test_cl_table_values_are_constants_on_low_weights():
     for field, pcodes, n in ((F2, (0, 1), 1), (F3, (0, 1), 1), (F3, (1, 0, 1), 1), (F3, (0, 1), 2)):
         pp = _params(field, pcodes, n)
         q = pp.q
-        table = dr.cl_table(pp, 3 * q - 2)
-        oracle = oracles.cl_table(pp, 3 * q - 2)
+        table = oracles.cl_table(pp, 3 * q - 2)
         for k in range(3 * q - 1):
             for lres in range(q - 1):
-                v = table[k][lres]
-                assert v == oracle.entries[k][lres], (pcodes, n, k, lres)
+                v = table.entries[k][lres]
                 assert v.degree <= 0
                 if not v.is_zero():
                     assert all(x == 0 for x in v.coeffs[0].coeffs[1:])
+
+
+def test_retired_names_raise():
+    for fn, name in ((dr.cl_table, "drinfeld.cl_table"), (dr.frobenius_poly, "drinfeld.frobenius_poly"),
+                     (F5.v_poly_eval, "ffield.FqField.v_poly_eval")):
+        with pytest.raises(NotImplementedError, match=f"hecketrace.{name} is retired"):
+            fn(None)
 
 
 def test_g_family_examples_and_partition():
@@ -726,6 +729,8 @@ _SPLIT_GRID = [
 
 @pytest.mark.parametrize("field, pcodes, n, lcodes, s", _SPLIT_GRID)
 def test_split_parts_match_the_per_b_oracle(field, pcodes, n, lcodes, s):
+    # the kernel's folds over the rows with a = 0 mod lpoly and over the
+    # units against the oracle's own recurrences, one b at a time
     pp, lpoly = _params(field, pcodes, n), _poly(field, lcodes)
     spec = dr.dperiod_for(pp, lpoly, s)
     ring = dr.ResidueRing(field, (lpoly**s).codes())
@@ -733,9 +738,10 @@ def test_split_parts_match_the_per_b_oracle(field, pcodes, n, lcodes, s):
     windows = [(k0, k0 + min(2 * spec.period, 40)), (k0 + 5, k0 + 23), (k0 + 9, k0 + 9)]
     for l in sorted({1, field.q - 1}):
         for kmin, kmax in windows:
-            got = dr._split_parts(pp, spec, ring, dr._rows(pp, ring), l, kmin, kmax)
+            _, records, ok = dr.verify_period_ff(pp, lpoly, s, l, kmin, kmax)
             want = oracles.split_parts(pp, spec, ring, l, kmin, kmax)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (l, kmin, kmax)
+            got = [np.array([r[key] for r in records]) for key in ("n_part", "u_part")]
+            assert ok and all(np.array_equal(g, w) for g, w in zip(got, want)), (l, kmin, kmax)
 
 
 def test_verify_period_window_guards():
@@ -772,22 +778,39 @@ def test_verify_period_enumerates_and_builds_rows_once(monkeypatch):
     assert calls == {"enumerate_classes": 1, "_rows": 1}
 
 
-@pytest.mark.parametrize("shift, fails", [(1, 566), (-1, 574)])
-def test_split_certificate_fails_on_a_wrong_unit_exponent(monkeypatch, shift, fails):
-    # the unit part reads a^(2m) = 1; with m_ls off by one the split no
-    # longer reassembles the trace, while the period check is untouched
+@pytest.mark.parametrize("m_ls, fails", [
+    (lambda m: m + 1, 1201), (lambda m: m - 1, 1201), (lambda m: 2 * m, 0),
+], ids=["m+1", "m-1", "2m"])
+def test_split_certificate_fails_on_a_wrong_unit_exponent(monkeypatch, m_ls, fails):
+    # the split check asks a^(2 m_ls) = 1 of every unit row: m_ls off by one
+    # fails it on every record, while the period check is untouched; a
+    # doubled m_ls passes, as 2 m_ls stays a multiple of each unit's order
     real = dr.dperiod_for
 
     def wrong(*args):
         spec = real(*args)
-        return spec._replace(m_ls=spec.m_ls + shift)
+        return spec._replace(m_ls=m_ls(spec.m_ls))
 
     monkeypatch.setattr(dr, "dperiod_for", wrong)
     pp = _params(F5, (0, 1), 1)
     _, records, ok = dr.verify_period_ff(pp, _poly(F5, (1, 1)), 2, 1)
-    assert not ok and len(records) == 1201
+    assert ok == (not fails) and len(records) == 1201
     assert sum(not r["split_ok"] for r in records) == fails
     assert all(r["ok"] for r in records)
+
+
+@pytest.mark.parametrize("field", [F5, F4, F9])
+def test_kernel_on_no_rows_yields_zeros(field):
+    # a part of the split may hold no rows: every fold of the exact and the
+    # ring kernels is then the zero row, Zech branch (F_9) included
+    pp = _params(field, (0, 1), 1)
+    ring = dr.ResidueRing(field, (_poly(field, (1, 1)) ** 2).codes())
+    assert dr._fold_add(field, np.zeros((0, 3), dtype=np.int64)).tolist() == [0, 0, 0]
+    for r in (None, ring):
+        a, b, scales = dr._rows(pp, r)
+        rows = (a[:0], b[:0], scales[:, :0])
+        out = list(dr._h_kernel(pp, rows, 6, range(1, pp.q), r))
+        assert len(out) == 7 and not any(row.any() for row in out)
 
 
 def test_minimal_period_is_attained():

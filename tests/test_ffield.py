@@ -158,12 +158,6 @@ def test_vector_ops_match_scalar():
         for i in range(40):
             assert int(add[i]) == (f.decode(int(xs[i])) + f.decode(int(ys[i]))).code
             assert int(mul[i]) == (f.decode(int(xs[i])) * f.decode(int(ys[i]))).code
-    coeffs = [2, 0, 3, 1]
-    vals = f.v_poly_eval(coeffs, xs)
-    for i in range(40):
-        x = f.decode(int(xs[i]))
-        want = f.coerce(2) + f.coerce(3) * x * x + x * x * x
-        assert int(vals[i]) == want.code
 
 
 def test_chi_and_trace_tables():
