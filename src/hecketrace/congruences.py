@@ -1,7 +1,14 @@
-"""Binomial coefficient families, period tables, and periodicity certificates.
+"""The paper's binomial lemma, period tables, and periodicity certificates.
 
-The certificates divide and expand polynomials over Z/m (`ZMod`) with the
-polynomial kernel of `ffield`.
+The unit part of a trace is made of the sums of binom(k-j, j) x^j over a
+residue class of j mod m, one family for both settings: x = -q over Z for
+elliptic forms (`f_values`, whose classes are anchored at k//2 and split by
+the parity of k), and x = -b wp over F_q[T] or x = b over F_q for Drinfeld
+forms.  `binomial_classes` sums every class of one weight in one pass on any
+of those rings; the generating series in k are rational, and `series_head`
+checks that a truncated series times its denominator ends in a vanishing
+tail.  The certificates divide and expand polynomials over Z/m (`ZMod`)
+with the polynomial kernel of `ffield`.
 """
 
 from __future__ import annotations
@@ -37,28 +44,70 @@ def is_square_mod_2s(q: int, s: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the f coefficient family: sums of binom(k-j, j)(-q)^j over a residue class
-# of j mod m, where the class is anchored at floor(k/2) - r
+# the lemma's binomial family: sums of binom(k-j, j) x^j over a residue class
+# of j mod m, whose generating series in k are rational
+
+
+def binomial_classes(x, m: int, k: int) -> list:
+    """Entry r is the sum of binom(k-j, j) x^j over the j <= k//2 with
+    j = r mod m, for every r < m in one pass over j; x is an int, an
+    `FqElem` or an `FqPoly`, and the entries are of its type.
+
+    The binomial steps exactly by binom(k-j, j) = binom(k-j+2, j-1)
+    (k-2j+2)(k-2j+1) / (j (k-j+1)); its product with x^j coerces it into
+    x's ring, mod p over F_q.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    out = [x * 0] * m
+    c, xj = 1, x ** 0  # binom(k-j, j) exactly, x^j
+    for j in range(k // 2 + 1):
+        if j:
+            c = c * (k - 2 * j + 2) * (k - 2 * j + 1) // (j * (k - j + 1))
+            xj = xj * x
+        out[j % m] = out[j % m] + c * xj
+    return out
+
+
+def series_head(series: Sequence, den: Sequence, bound: int) -> list:
+    """The coefficients through t^bound of den(t) sum_k series[k] t^k.
+
+    Raises ArithmeticError unless every coefficient above t^bound vanishes
+    through the horizon t^(len(series) - 1): the series is then rational
+    with denominator den and a numerator of degree <= bound, the head.
+    """
+    zero = series[0] * 0
+    prod = []
+    for t in range(len(series)):
+        acc = zero
+        for i in range(min(t, len(den) - 1) + 1):
+            acc = acc + den[i] * series[t - i]
+        if t > bound and acc != zero:
+            raise ArithmeticError(
+                f"series is not rational with the expected denominator at degree {t}"
+            )
+        prod.append(acc)
+    return prod[: bound + 1]
+
+
+def class_numerator(x, r: int, m: int) -> list:
+    """Numerator of sum_k binomial_classes(x, m, k)[r] t^k against
+    (1-t)^m - (x t^2)^m, of degree <= 2m-2, checked through t^(4m+2): the
+    Drinfeld setting, x = -b wp over F_q[T] and x = b over F_q."""
+    series = [binomial_classes(x, m, k)[r % m] for k in range(4 * m + 3)]
+    den = [(-1) ** i * math.comb(m, i) for i in range(m + 1)] + [0] * (m - 1) + [-(x ** m)]
+    return series_head(series, den, 2 * m - 2)
 
 
 def f_values(q: int, m: int, k: int) -> List[int]:
     """The f family of weight k for every residue r mod m: entry r is the sum
     of binom(k-j, j) (-q)^j over the j <= k//2 with k//2 - j = r mod m.
 
-    One pass over j adds each term into its bucket, stepping the binomial by
-    binom(k-j, j) = binom(k-j+2, j-1) (k-2j+2)(k-2j+1) / (j (k-j+1)). As
-    k//2 - j takes only the values 0..k//2, the buckets past k//2 stay 0, so
-    at most k//2 + 1 entries are returned; a residue past the list has f = 0.
+    As k//2 - j takes only the values 0..k//2, the residues past k//2 have
+    f = 0, so at most k//2 + 1 entries are returned.
     """
-    half = k // 2
-    out = [0] * min(m, half + 1)
-    c, x = 1, 1  # binom(k-j, j) exactly, (-q)^j
-    for j in range(half + 1):
-        if j:
-            c = c * (k - 2 * j + 2) * (k - 2 * j + 1) // (j * (k - j + 1))
-            x = -x * q
-        out[(half - j) % m] += c * x
-    return out
+    classes, half = binomial_classes(-q, m, k), k // 2
+    return [classes[(half - r) % m] for r in range(min(m, half + 1))]
 
 
 def f_denominator(q: int, m: int) -> List[int]:
@@ -71,30 +120,15 @@ def f_denominator(q: int, m: int) -> List[int]:
 
 
 def f_numerator(q: int, r: int, m: int, delta: int) -> List[int]:
-    """Numerator of the fixed-parity generating series of the f family.
-
-    Multiplies the series restricted to k = delta (mod 2) by the denominator
-    (1+qx^2)^{2m} - x^{2m} and checks that everything above degree 4m-2-delta
-    cancels; returns the surviving polynomial.
-    """
-    den = f_denominator(q, m)
-    horizon = 10 * m + 4
-    series = [0] * (horizon + 1)
-    for k in range(delta, horizon + 1, 2):
-        vals = f_values(q, m, k)
-        series[k] = vals[r % m] if r % m < len(vals) else 0
-    prod = [0] * (horizon + 1)
-    for i, c in enumerate(den):
-        if c:
-            for k in range(horizon + 1 - i):
-                prod[i + k] += c * series[k]
-    bound = 4 * m - 2 - delta
-    for t in range(bound + 1, horizon + 1):
-        if prod[t]:
-            raise ArithmeticError(
-                f"series is not rational with the expected denominator at degree {t}"
-            )
-    return rp_trim(prod[: bound + 1])
+    """Numerator of the fixed-parity generating series of the f family:
+    the series restricted to k = delta (mod 2) against the denominator
+    (1+qx^2)^{2m} - x^{2m}, checked through x^(10m+4); its degree is at most
+    4m-2-delta."""
+    series = [
+        binomial_classes(-q, m, k)[(k // 2 - r) % m] if k % 2 == delta else 0
+        for k in range(10 * m + 5)
+    ]
+    return rp_trim(series_head(series, f_denominator(q, m), 4 * m - 2 - delta))
 
 
 # ---------------------------------------------------------------------------

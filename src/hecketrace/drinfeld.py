@@ -723,79 +723,6 @@ frobenius_poly = _retired("drinfeld.frobenius_poly")
 
 
 # ---------------------------------------------------------------------------
-# binomial coefficient families over F_q[T]
-
-
-def g_coeff(b: FqElem, r: int, m: int, k: int, params: DrinfeldParams) -> FqPoly:
-    """sum of binom(k-j, j)(-b wp)^j over j = r mod m, an F_q[T] element."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    base = params.base
-    step = (params.wp * (-b)) ** m
-    j0 = r % m
-    term = (params.wp * (-b)) ** j0
-    acc = FqPoly(base, [])
-    for j in range(j0, k // 2 + 1, m):
-        c = math.comb(k - j, j) % params.p
-        if c:
-            acc = acc + term * base.coerce(c)
-        term = term * step
-    return acc
-
-
-def h_coeff(b: FqElem, r: int, m: int, k: int) -> FqElem:
-    """sum of binom(k-j, j) b^j over j = r mod m, a scalar in b's field."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    field = b.field
-    acc = field.zero
-    for j in range(r % m, k // 2 + 1, m):
-        c = math.comb(k - j, j) % field.p
-        if c:
-            acc = acc + (b**j) * c
-    return acc
-
-
-def g_series_numerator(b: FqElem, r: int, m: int, params: DrinfeldParams) -> List[FqPoly]:
-    """Numerator h(x) with sum_k g_k x^k = h(x) / ((1-x)^m - (-b wp x^2)^m).
-
-    Multiplies the truncated series by the denominator and checks that all
-    coefficients beyond degree 2m-2 vanish through x^(4m+2); returns the
-    numerator coefficients (ascending in x, length <= 2m-1).
-    """
-    base = params.base
-    T = 4 * m + 2
-    series = [g_coeff(b, r, m, k, params) for k in range(T + 1)]
-    den = [FqPoly(base, [base.coerce((-1) ** i * math.comb(m, i))]) for i in range(m + 1)]
-    den += [FqPoly(base, [])] * (2 * m - m)
-    den[2 * m] = den[2 * m] - (params.wp * (-b)) ** m
-    prod = []
-    for t in range(T + 1):
-        acc = FqPoly(base, [])
-        for i in range(min(t, 2 * m) + 1):
-            acc = acc + den[i] * series[t - i]
-        prod.append(acc)
-    for t in range(2 * m - 1, T + 1):
-        if not prod[t].is_zero():
-            raise ArithmeticError(f"series tail does not vanish at x^{t}")
-    return prod[: 2 * m - 1]
-
-
-def h_series_numerator(b: FqElem, r: int, m: int) -> FqPoly:
-    """Numerator of sum_k h_k x^k against (1-x)^m - (b x^2)^m, as a poly in x."""
-    field = b.field
-    T = 4 * m + 2
-    series = [h_coeff(b, r, m, k).code for k in range(T + 1)]
-    den = [field.coerce((-1) ** i * math.comb(m, i)).code for i in range(m + 1)]
-    den += [0] * (m - 1) + [field.ops.neg((b**m).code)]
-    prod = rp_mul(field.ops, den, series)[: T + 1]
-    for t in range(2 * m - 1, len(prod)):
-        if prod[t]:
-            raise ArithmeticError(f"series tail does not vanish at x^{t}")
-    return fq_poly_from_codes(field, prod[: 2 * m - 1])
-
-
-# ---------------------------------------------------------------------------
 # residue rings: vectorized arithmetic on coefficient-code arrays
 
 

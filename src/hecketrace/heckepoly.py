@@ -82,12 +82,8 @@ def charpoly_Tp(
 
     f: List[int] = [1]
     for m in range(1, d + 1):
-        tail = sum(
-            math.comb(d - m + 2 * t, t) * P ** t * f[m - 2 * t]
-            for t in range(1, m // 2 + 1)
-            if d - m + 2 * t >= t
-        )
-        f.append(C[m] - tail)
+        f.append(0)
+        f[m] = C[m] - product_coeff(m, f)
     for m in range(d + 1, 2 * d + 1):
         if product_coeff(m, f) != C[m]:
             raise InvariantError(f"power sums inconsistent at degree {m}")

@@ -54,8 +54,8 @@ def lemma_trials(rng: random.Random, trials: int) -> Iterable[Tuple[str, Callabl
         params = dr.drinfeld_params(P, rng.randrange(1, 3))
         b = field.decode(rng.randrange(1, field.q))
         m = rng.randrange(1, 4)
-        dr.g_series_numerator(b, rng.randrange(m), m, params)
-        dr.h_series_numerator(b, rng.randrange(m), m)
+        cg.class_numerator(params.wp * -b, rng.randrange(m), m)
+        cg.class_numerator(b, rng.randrange(m), m)
 
     def unit_period_certificate():
         ell, q = rng.choice([(3, 2), (3, 7), (5, 2), (5, 4), (2, 3), (2, 5), (2, 9)])

@@ -928,16 +928,15 @@ def h_kernel_per_class(
     kmax: int,
     types: Sequence[int],
     ring: Optional["ResidueRing"] = None,
-    moments: bool = False,
 ):
     """hecketrace.drinfeld._h_kernel with one row per class.
 
     Yields the codes of trace(k, l) = -sum over classes of
     h_k b^{(l-1-k) mod (q-1)} / autOrder for k = 0..kmax, with h_k from
     h_k = a h_{k-1} - b wp h_{k-2} on (classes, T-digits) code arrays, exact
-    at the fixed width floor(kmax m / 2) + 1 or reduced mod `ring`;
-    `moments` drops the b wp term and the sign.  The weighted `rows` the
-    production kernel is given are ignored: the classes come from the table.
+    at the fixed width floor(kmax m / 2) + 1 or reduced mod `ring`.  The
+    weighted `rows` the production kernel is given are ignored: the classes
+    come from the table.
     """
     from hecketrace.drinfeld import _fold_add, _mul_add, _neg_b_wp, _trim_columns
 
@@ -959,7 +958,7 @@ def h_kernel_per_class(
         if k:
             acc = np.zeros((len(table), span), dtype=np.int64)
             _mul_add(base, acc, h, a)
-            if h_prev is not None and not moments:
+            if h_prev is not None:
                 _mul_add(base, acc, h_prev, w)
             if ring is not None:
                 h_next = ring.reduce(acc)
@@ -970,7 +969,7 @@ def h_kernel_per_class(
             h_prev, h = h, h_next
         terms = base.v_mul(scales[(lres - k) % (q - 1)][:, :, None], h[None, :, :])
         row = _fold_add(base, np.moveaxis(terms, 1, 0))
-        yield row if moments else base.v_mul(row, neg_one)
+        yield base.v_mul(row, neg_one)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from hecketrace import drinfeld as dr
 from hecketrace.congruences import (
     CertificateRefused,
+    binomial_classes,
+    class_numerator,
     d_qt_poly,
     f_denominator,
     f_numerator,
@@ -17,6 +23,7 @@ from hecketrace.congruences import (
     ZMod,
     periodic_certificate,
     poly_divides_mod,
+    series_head,
 )
 from hecketrace.ffield import fq_construct, rp_divmod, rp_series_quotient, rp_trim
 from oracles import f_coeff
@@ -211,6 +218,8 @@ def test_coeff_family_matches_exact():
         if M is not None:
             got, want = [v % M for v in got], [v % M for v in want]
         assert got + [0] * (m - len(got)) == want, (q, M, m, k)
+    with pytest.raises(ValueError):
+        f_values(5, 0, 4)
 
 
 def test_f_sum_collapse():
@@ -316,6 +325,53 @@ def test_f_numerator_degree_bound():
     for r in (1, 2):
         num = f_numerator(5, r, 3, 0)
         assert len(num) - 1 <= 10
+
+
+def test_series_head_refuses_a_wrong_denominator():
+    # dropping the -x^m term of the denominator leaves a tail that does not
+    # vanish: over Z for f (x = -q), over F_q for h (x = b) and over F_q[T]
+    # for g (x = -b wp); the right denominator passes in each ring
+    q, m = 5, 2
+    series = [binomial_classes(-q, m, k)[k // 2 % m] if k % 2 == 0 else 0 for k in range(10 * m + 5)]
+    den = f_denominator(q, m)
+    assert rp_trim(series_head(series, den, 4 * m - 2)) == f_numerator(q, 0, m, 0)
+    wrong = list(den)
+    wrong[2 * m] += 1  # (1 + q x^2)^{2m} alone
+    with pytest.raises(ArithmeticError, match="not rational"):
+        series_head(series, wrong, 4 * m - 2)
+    field = fq_construct(3, 2)
+    pp = dr.drinfeld_params(dr.fq_poly_from_codes(field, (1, 1)), 1)
+    for x in (field.decode(5), pp.wp * -field.decode(5)):
+        series = [binomial_classes(x, m, k)[1] for k in range(4 * m + 3)]
+        den = [1, -2, 1, 0, -(x ** m)]  # (1-t)^2 - (x t^2)^2
+        assert series_head(series, den, 2 * m - 2) == class_numerator(x, 1, m)
+        with pytest.raises(ArithmeticError, match="not rational"):
+            series_head(series, den[:-1], 2 * m - 2)
+
+
+# corrupts the denominator that every lemma certificate hands the shared
+# tail check; seed 2 draws a unit-period certificate that needs f_numerator
+_WRONG_DENOMINATOR = """
+from hecketrace import cli
+from hecketrace import congruences as cg
+
+good = cg.series_head
+cg.series_head = lambda series, den, bound: good(series, den[:-1], bound)
+raise SystemExit(cli.run(["selftest", "lemmas", "--trials", "1", "--seed", "2"]))
+"""
+
+
+def test_wrong_denominator_fails_the_lemmas_under_python_O():
+    # the tail check raises, not asserts: under -O the three lemma
+    # certificates still fail and the others still pass
+    src = os.path.dirname(os.path.dirname(dr.__file__))
+    res = subprocess.run([sys.executable, "-O", "-c", _WRONG_DENOMINATOR],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 1, res.stdout + res.stderr
+    failed = {l.split()[1].split("[")[0] for l in res.stdout.splitlines() if l.startswith("FAIL ")}
+    assert failed == {"series-rational-int", "series-rational-ff", "unit-period-certificate"}
+    assert "series is not rational with the expected denominator" in res.stdout
 
 
 def test_periodic_certificate_true():

@@ -10,6 +10,7 @@ import pytest
 
 import drinfeld_arith as da
 import oracles
+from hecketrace import congruences as cg
 from hecketrace import drinfeld as dr
 from hecketrace.drinfeld import FqPoly, fq_poly_from_codes
 from hecketrace.ffield import BudgetError, InvariantError, fq_construct
@@ -275,6 +276,7 @@ _FAULTS_UNDER_O = """
 import re, sys
 sys.path.insert(0, {tests!r})
 import test_drinfeld as t
+from hecketrace import congruences as cg
 from hecketrace import drinfeld as dr
 
 pp = t._params(*t.FAULT_CASE)
@@ -540,49 +542,61 @@ def test_retired_names_raise():
             fn(None)
 
 
+# the lemma's binomial family in the Drinfeld setting: g at x = -b wp over
+# F_q[T], h at x = b over F_q; over F_4 and F_9 coercion, not a % p, reduces
+# the integer binomial
+_LEMMA_FIELDS = (F3, F4, F9)
+
+
+def _units(field):
+    return [field.decode(c) for c in range(1, field.q)]
+
+
 def test_g_family_examples_and_partition():
-    pp = _params(F3, (1, 1), 1)
-    one = _poly(F3, (1,))
-    for b in (F3.one, F3.coerce(2)):
-        assert dr.g_coeff(b, 0, 1, 2, pp) == one - pp.wp * b
-        for m in (1, 2, 3):
-            for r in range(m):
-                assert dr.g_coeff(b, r, m, 0, pp) == (one if r % m == 0 else _poly(F3, ()))
-        # the r-slices over m reassemble the full alternating sum
-        for k in (7, 12):
-            whole = dr.g_coeff(b, 0, 1, k, pp)
-            for m in (2, 3, 5):
-                parts = dr.g_coeff(b, 0, m, k, pp)
-                for r in range(1, m):
-                    parts = parts + dr.g_coeff(b, r, m, k, pp)
-                assert parts == whole
-    with pytest.raises(ValueError):
-        dr.g_coeff(F3.one, 0, 0, 4, pp)
+    for field in _LEMMA_FIELDS:
+        pp = _params(field, (1, 1), 1)
+        one = _poly(field, (1,))
+        for b in _units(field):
+            x = pp.wp * -b
+            assert cg.binomial_classes(x, 1, 2) == [one - pp.wp * b]
+            for m in (1, 2, 3):
+                assert cg.binomial_classes(x, m, 0) == [one] + [_poly(field, ())] * (m - 1)
+            # the r-slices over m reassemble the full alternating sum
+            for k in (7, 12):
+                [whole] = cg.binomial_classes(x, 1, k)
+                for m in (2, 3, 5):
+                    parts = _poly(field, ())
+                    for g in cg.binomial_classes(x, m, k):
+                        parts = parts + g
+                    assert parts == whole, (field.q, b, k, m)
+        with pytest.raises(ValueError):
+            cg.binomial_classes(pp.wp * -field.one, 0, 4)
 
 
 def test_h_family_matches_g_at_trivial_wp():
     # with wp = T and b in F_q, h is the scalar shadow of g under T -> -1
-    pp = _params(F3, (0, 1), 1)
-    minus_one = F3.coerce(-1)
-    for b in (F3.one, F3.coerce(2)):
-        for m in (1, 2, 4):
-            for r in range(m):
+    for field in _LEMMA_FIELDS:
+        pp = _params(field, (0, 1), 1)
+        minus_one = field.coerce(-1)
+        for b in _units(field):
+            for m in (1, 2, 4):
                 for k in range(0, 12):
-                    g = dr.g_coeff(b, r, m, k, pp)
-                    assert da.poly_evaluate(g, minus_one) == dr.h_coeff(b, r, m, k)
-    with pytest.raises(ValueError):
-        dr.h_coeff(F3.one, 0, 0, 4)
+                    gs = cg.binomial_classes(pp.wp * -b, m, k)
+                    hs = cg.binomial_classes(b, m, k)
+                    assert [da.poly_evaluate(g, minus_one) for g in gs] == hs, (field.q, b, m, k)
+        with pytest.raises(ValueError):
+            cg.binomial_classes(field.one, 0, 4)
 
 
 def test_series_numerators_are_short():
-    pp = _params(F3, (1, 1), 1)
-    for b in (F3.one, F3.coerce(2)):
-        for m in (1, 2, 3, 5):
-            for r in (0, m // 2, m - 1):
-                num = dr.g_series_numerator(b, r, m, pp)
-                assert len(num) <= 2 * m - 1  # tail vanishing asserted inside
-                hnum = dr.h_series_numerator(b, r, m)
-                assert hnum.degree <= 2 * m - 2
+    for field in _LEMMA_FIELDS:
+        pp = _params(field, (1, 1), 1)
+        for b in _units(field):
+            for m in (1, 2, 3, 5):
+                for r in (0, m // 2, m - 1):
+                    # the tail's vanishing through t^(4m+2) is checked inside
+                    assert len(cg.class_numerator(pp.wp * -b, r, m)) <= 2 * m - 1
+                    assert len(cg.class_numerator(b, r, m)) <= 2 * m - 1
 
 
 def _ring_check(ring, mod, rng, widths, trials):
